@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 from .octal import GameCode, Position, parse_game_code
 from .oracle import (
@@ -456,8 +456,101 @@ def analysis_to_json(qa: QuotientAnalysis) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+# Fields of an analysis file and the JSON types they hold; None marks the
+# fields that may be null.
+_FIELDS = {
+    "code": (str,),
+    "play": (str,),
+    "n": (int,),
+    "generators": (list,),
+    "words": (list,),
+    "names": (list,),
+    "table": (list,),
+    "generator_map": (dict,),
+    "generator_heaps": (dict,),
+    "phi": (list,),
+    "claimed_period": (list, None),
+    "p_set": (list,),
+    "verified_to": (int, None),
+    "certified_period": (list, None),
+}
+
+
+def _ints_within(values, low: int, high: int | None = None) -> bool:
+    """Whether every value is a JSON integer (not a boolean) in low..high.
+    Built from set, map, min and max so that loading stays cheap."""
+    values = list(values)
+    return set(map(type, values)) <= {int} and (
+        not values
+        or min(values) >= low and (high is None or max(values) <= high)
+    )
+
+
+def _check_analysis_doc(doc) -> None:
+    """Raise ValueError unless doc has the fields analysis_to_json writes,
+    with their types, and every element index in range.  The cost is linear
+    in the size of the document; the proof itself is not re-checked."""
+    if not isinstance(doc, dict):
+        raise ValueError("an analysis file holds a JSON object")
+    for key, kinds in _FIELDS.items():
+        if key not in doc:
+            raise ValueError(f"analysis file lacks the field {key!r}")
+        value = doc[key]
+        if value is None and None in kinds:
+            continue
+        # json.loads yields exact builtin types, and a bool is no int here.
+        if type(value) is not kinds[0]:
+            raise ValueError(f"analysis field {key!r} is not a JSON {kinds[0].__name__}")
+
+    def require(ok: bool, key: str, what: str) -> None:
+        if not ok:
+            raise ValueError(f"analysis field {key!r} {what}")
+
+    def indices(key: str, values, bound: int) -> None:
+        require(_ints_within(values, 0, bound - 1), key,
+                f"holds an element index outside 0..{bound - 1}")
+
+    def positive(key: str, values) -> None:
+        require(_ints_within(values, 1), key,
+                "holds a value that is not a positive integer")
+
+    require(doc["play"] in _PLAY_NAMES.values(), "play", "is not misere or normal")
+    names, table = doc["names"], doc["table"]
+    k = len(names)
+    require(k > 0 and set(map(type, names)) == {str}, "names",
+            "is not a nonempty list of strings")
+    require(set(map(type, doc["generators"])) <= {str}, "generators",
+            "is not a list of strings")
+    require(
+        len(table) == k and all(isinstance(row, list) and len(row) == k for row in table),
+        "table", f"is not a {k} x {k} table",
+    )
+    indices("table", chain.from_iterable(table), k)
+    words = doc["words"]
+    width = len(doc["generators"])
+    require(
+        len(words) in (0, k)
+        and all(isinstance(w, list) and len(w) == width for w in words),
+        "words", f"is not {k} exponent vectors of length {width}",
+    )
+    require(_ints_within(chain.from_iterable(words), 0), "words",
+            "holds a negative or non-integer exponent")
+    indices("phi", doc["phi"], k)
+    indices("p_set", doc["p_set"], k)
+    indices("generator_map", doc["generator_map"].values(), k)
+    positive("generator_heaps", doc["generator_heaps"].values())
+    positive("n", [doc["n"]])
+    for key in ("claimed_period", "certified_period"):
+        if doc[key] is not None:
+            require(len(doc[key]) == 2, key, "is not a pair r0, p")
+            positive(key, doc[key])
+    if doc["verified_to"] is not None:
+        positive("verified_to", [doc["verified_to"]])
+
+
 def analysis_from_json(text: str) -> QuotientAnalysis:
     doc = json.loads(text)
+    _check_analysis_doc(doc)
     generators = tuple(doc["generators"])
     words = tuple(tuple(w) for w in doc["words"])
     monoid = FiniteCommutativeMonoid(

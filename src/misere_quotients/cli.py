@@ -348,13 +348,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="build and verify a quotient")
     p.add_argument("game")
     p.add_argument("-n", type=int, default=12, help="heap bound")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--misere", action="store_true", default=True)
-    mode.add_argument("--normal", action="store_true", default=False)
+    p.add_argument("--normal", action="store_true", help="normal play")
     p.add_argument("--certify", type=_parse_period, metavar="R0,P")
     p.add_argument("--naive", action="store_true", help="no subset collapsing")
     p.add_argument("--budget", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 

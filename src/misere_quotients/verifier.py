@@ -12,6 +12,9 @@ multiplier s drawn from the submonoid S(U) generated by U's elements, since
 every position with support U and extra copies of its heaps factors that way,
 and every such (U, s) is realized by some concrete position.
 
+The N-to-P half first runs a memoized search that only decides whether some
+case (U, s) fails; the full listing of failing cases runs only when it does.
+
 Heaps with no moves at all need care under (2): a position made entirely of
 them has no move to anything, yet the player to move has already won under
 misere play.  Such all-dead products are checked separately for the correct
@@ -129,6 +132,30 @@ def check_no_PP(
 # the N-to-P half
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _closure_add(table, mask: int, g: int) -> int:
+    """Submonoid closure of the elements in mask (already a submonoid) plus
+    generator g, as a bitmask.
+
+    Since mask is closed, every new element is old * g^k, so it is enough to
+    saturate under multiplication by g alone."""
+    row = table[g]
+    frontier = [row[x] for x in _bits(mask)]
+    while frontier:
+        e = frontier.pop()
+        if not mask >> e & 1:
+            mask |= 1 << e
+            frontier.append(row[e])
+    return mask
+
+
 class _Context:
     """Per-(qa, n) data shared by the subset scans."""
 
@@ -164,22 +191,15 @@ class _Context:
         for h in self.live:
             self.by_value.setdefault(self.heap_phi[h], []).append(h)
         self._bad_heaps: dict[tuple[int, int], list[int]] = {}
+        self._closures: dict[tuple[int, int], int] = {}
 
-    def closure_add(self, elems: tuple[int, ...], g: int) -> tuple[int, ...]:
-        """Submonoid closure of elems (already a submonoid) plus generator g.
-
-        Since elems is closed, every new element is old * g^k, so it is
-        enough to saturate under multiplication by g alone."""
-        seen = set(elems)
-        frontier = [e for e in (self.table[x][g] for x in elems) if e not in seen]
-        seen.update(frontier)
-        while frontier:
-            u = frontier.pop()
-            e = self.table[u][g]
-            if e not in seen:
-                seen.add(e)
-                frontier.append(e)
-        return tuple(sorted(seen))
+    def closure_add(self, mask: int, g: int) -> int:
+        """S(U) as a bitmask after adding generator g to the submonoid mask."""
+        key = (mask, g)
+        got = self._closures.get(key)
+        if got is None:
+            got = self._closures[key] = _closure_add(self.table, mask, g)
+        return got
 
     def bad_heaps(self, value: int, base: int) -> list[int]:
         """Heaps of this phi value with no move target landing in P after
@@ -202,7 +222,7 @@ def _scan_naive(ctx: _Context, watch: frozenset[int], budget: int | None):
     goodmask = ctx.goodmask
     failures: list[tuple[int, tuple[int, ...], int]] = []
     cases: dict[int, int] = {}
-    stats = {"nodes": 0, "evaluations": 0}
+    stats = {"nodes": 0, "evaluations": 0, "states": 0}
     identity = ctx.qa.monoid.identity_index
     live = ctx.live
 
@@ -215,7 +235,7 @@ def _scan_naive(ctx: _Context, watch: frozenset[int], budget: int | None):
             product2 = table[product][phi]
             sub2 = ctx.closure_add(submonoid, phi)
             stats["nodes"] += 1
-            for s in sub2:
+            for s in _bits(sub2):
                 omega = table[s][product2]
                 if omega not in watch:
                     continue
@@ -231,18 +251,18 @@ def _scan_naive(ctx: _Context, watch: frozenset[int], budget: int | None):
                     failures.append((omega, heaps2, s))
             descend(j + 1, heaps2, sub2, product2, derivs2)
 
-    descend(0, (), (identity,), identity, ())
+    descend(0, (), 1 << identity, identity, ())
     return failures, cases, stats
 
 
-def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
-    """Enumerate sets of distinct phi values with a one-heap or two-heap flag.
+def _multiplicities(ctx: _Context, v: int) -> tuple[int, ...]:
+    # Two heaps of one value are the most a failing case ever needs: a third
+    # copy folds into the multiplier s.
+    return (1, 2) if len(ctx.by_value[v]) >= 2 else (1,)
 
-    Sound and complete against the naive scan: extra copies of a value fold
-    into s (the value generates part of S(U)), and a failing combination is
-    realizable exactly when each chosen value has at least as many heaps
-    failing against its base as the flag demands.
-    """
+
+def _list_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
+    """Every failing case of the collapsed scan, with its counters."""
     table = ctx.table
     failures: list[tuple[int, tuple[int, ...], int]] = []
     cases: dict[int, int] = {}
@@ -253,9 +273,8 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
     def descend(i, chosen, submonoid, product, derivs):
         for j in range(i, len(values)):
             v = values[j]
-            max_mu = 2 if len(ctx.by_value[v]) >= 2 else 1
             sub2 = ctx.closure_add(submonoid, v)
-            for mu in (1, 2)[:max_mu]:
+            for mu in _multiplicities(ctx, v):
                 v_mu = table[v][v] if mu == 2 else v
                 chosen2 = chosen + ((v, mu),)
                 derivs2 = tuple(table[d][v_mu] for d in derivs) + (
@@ -263,7 +282,7 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
                 )
                 product2 = table[product][v_mu]
                 stats["nodes"] += 1
-                for s in sub2:
+                for s in _bits(sub2):
                     omega = table[s][product2]
                     if omega not in watch:
                         continue
@@ -282,27 +301,126 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
                         failures.append((omega, tuple(sorted(witness)), s))
                 descend(j + 1, chosen2, sub2, product2, derivs2)
 
-    descend(0, (), (identity,), identity, ())
+    descend(0, (), 1 << identity, identity, ())
     return failures, cases, stats
+
+
+def _find_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
+    """Whether the collapsed scan has a failing case, by memoized search.
+
+    Call G the set of elements x at which every chosen (v, mu) still fails:
+    at least mu heaps of value v have no move into P at base x*d, with d the
+    rest of the product.  A subtree of the listing depends only on the next
+    value index, the product P so far, S(U) so far and G.  Adding (v, mu)
+    maps G to {x : x*v^mu in G and (v, mu) fails at x*P*v^(mu-1)}, and the
+    new node fails exactly when G meets S(U) and {s : s*P in watch}.  Those
+    four are the memo key, as bitmasks; a node with G empty has no failing
+    descendant and is pruned.  An evaluation is one (state, s) pair: a node
+    that survives the pruning, and s in S(U) with s*P in watch.  They are
+    counted per omega in ``cases``.
+    """
+    table = ctx.table
+    k = len(table)
+    values = sorted(ctx.by_value)
+    mus = [_multiplicities(ctx, v) for v in values]
+    # preimages[a][y]: the x with x*a = y, as a bitmask.
+    preimages = [[0] * k for _ in range(k)]
+    for a in range(k):
+        inv = preimages[a]
+        for x, y in enumerate(table[a]):
+            inv[y] |= 1 << x
+
+    def preimage(a: int, mask: int) -> int:
+        inv = preimages[a]
+        out = 0
+        for y in _bits(mask):
+            out |= inv[y]
+        return out
+
+    # fails[(v, mu)]: the bases b at which at least mu heaps of value v have
+    # no move into P.
+    fails = {}
+    for v, options in zip(values, mus):
+        counts = [len(ctx.bad_heaps(v, b)) for b in range(k)]
+        for mu in options:
+            fails[v, mu] = sum(1 << b for b in range(k) if counts[b] >= mu)
+    fails_at: dict[tuple[int, int, int], int] = {}
+    watch_mask = sum(1 << w for w in watch)
+    watched_by: dict[int, int] = {}
+    cases: dict[int, int] = {}
+    stats = {"nodes": 0, "evaluations": 0}
+    memo: dict[tuple[int, int, int, int], bool] = {}
+
+    def descend(i, g_mask, product, submonoid):
+        key = (i, g_mask, product, submonoid)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        for j in range(i, len(values)):
+            v = values[j]
+            sub2 = ctx.closure_add(submonoid, v)
+            for mu in mus[j]:
+                v_mu, base = (v, product) if mu == 1 else (
+                    table[v][v], table[product][v]
+                )
+                stats["nodes"] += 1
+                fkey = (v, mu, base)
+                f_mask = fails_at.get(fkey)
+                if f_mask is None:
+                    f_mask = fails_at[fkey] = preimage(base, fails[v, mu])
+                g2 = f_mask and preimage(v_mu, g_mask) & f_mask
+                if not g2:
+                    continue
+                product2 = table[product][v_mu]
+                w_mask = watched_by.get(product2)
+                if w_mask is None:
+                    w_mask = watched_by[product2] = preimage(product2, watch_mask)
+                hits = sub2 & w_mask
+                row = table[product2]
+                for s in _bits(hits):
+                    stats["evaluations"] += 1
+                    if budget is not None and stats["evaluations"] > budget:
+                        raise BudgetExceededError("subset scan exceeded budget")
+                    omega = row[s]
+                    cases[omega] = cases.get(omega, 0) + 1
+                if g2 & hits or descend(j + 1, g2, product2, sub2):
+                    memo[key] = True
+                    return True
+        memo[key] = False
+        return False
+
+    identity = ctx.qa.monoid.identity_index
+    found = descend(0, (1 << k) - 1, identity, 1 << identity)
+    stats["states"] = len(memo)
+    return found, cases, stats
+
+
+def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
+    """Enumerate sets of distinct phi values with a one-heap or two-heap flag.
+
+    Sound and complete against the naive scan: extra copies of a value fold
+    into s (the value generates part of S(U)), and a failing combination is
+    realizable exactly when each chosen value has at least as many heaps
+    failing against its base as the flag demands.
+
+    The memoized search of _find_collapsed decides first.  Only when it finds
+    a failure does the full listing run, so a failing report lists the same
+    cases, with the same counters, as a listing alone; ``states`` is then
+    still the search's memo size.
+    """
+    found, cases, stats = _find_collapsed(ctx, watch, budget)
+    if not found:
+        return [], cases, stats
+    failures, cases, listed = _list_collapsed(ctx, watch, budget)
+    return failures, cases, dict(listed, states=stats["states"])
 
 
 def submonoid_of(qa: QuotientAnalysis, heaps) -> tuple[int, ...]:
     """S(U): the submonoid generated by the elements of the given heaps."""
-    table = qa.monoid.table
-    elems = (qa.monoid.identity_index,)
+    mask = 1 << qa.monoid.identity_index
     for h in heaps:
-        g = _phi(qa, h)
-        seen = set(elems)
-        frontier = [e for e in (table[x][g] for x in elems) if e not in seen]
-        seen.update(frontier)
-        while frontier:
-            u = frontier.pop()
-            e = table[u][g]
-            if e not in seen:
-                seen.add(e)
-                frontier.append(e)
-        elems = tuple(sorted(seen))
-    return elems
+        mask = _closure_add(qa.monoid.table, mask, _phi(qa, h))
+    return tuple(_bits(mask))
 
 
 def solutions_for(qa: QuotientAnalysis, omega: int, heaps) -> tuple[int, ...]:

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from misere_quotients.builder import analysis_from_json, analysis_to_json
+from misere_quotients.builder import (
+    analysis_from_json,
+    analysis_to_json,
+    kayles_analysis,
+)
 from misere_quotients.cli import main
 
 
@@ -245,3 +249,60 @@ class TestBadInput:
 
     def test_missing_analysis_file(self, capsys):
         assert main(["outcome", "0.999", "3"]) == 4
+
+    def test_removed_analyze_flags(self):
+        for flag in (["--misere"], ["--seed", "3"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["analyze", "0.123", *flag])
+            assert excinfo.value.code == 4
+
+
+class TestMalformedAnalysis:
+    """A damaged analysis file is bad input (exit 4), never a traceback and
+    never an answer."""
+
+    def _damaged(self, analysis_file, tmp_path, edit):
+        with open(analysis_file, encoding="utf-8") as f:
+            doc = json.load(f)
+        edit(doc)
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    def _outcome(self, capsys, path):
+        rc = main(["outcome", path, "3", "4"])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def test_missing_phi(self, capsys, analysis_file, tmp_path):
+        path = self._damaged(analysis_file, tmp_path, lambda d: d.pop("phi"))
+        rc, out, err = self._outcome(capsys, path)
+        assert rc == 4
+        assert out == ""
+        assert "'phi'" in err
+
+    def test_phi_index_out_of_range(self, capsys, analysis_file, tmp_path):
+        def edit(doc):
+            doc["phi"][0] = 999
+
+        path = self._damaged(analysis_file, tmp_path, edit)
+        rc, out, err = self._outcome(capsys, path)
+        assert rc == 4
+        assert out == ""
+        assert "'phi'" in err
+
+    def test_phi_entry_not_an_integer(self, capsys, analysis_file, tmp_path):
+        def edit(doc):
+            doc["phi"][0] = "x"
+
+        path = self._damaged(analysis_file, tmp_path, edit)
+        rc, out, err = self._outcome(capsys, path)
+        assert rc == 4
+        assert out == ""
+        assert "'phi'" in err
+
+    def test_well_formed_files_still_load(self, analysis_file):
+        text = analysis_to_json(kayles_analysis())
+        assert analysis_to_json(analysis_from_json(text)) == text
+        with open(analysis_file, encoding="utf-8") as f:
+            assert analysis_from_json(f.read()).certified_period == (6, 5)

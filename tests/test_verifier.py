@@ -3,12 +3,17 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from misere_quotients.builder import OutcomePartition, PretendingFunction
 from misere_quotients.octal import parse_game_code
 from misere_quotients.oracle import BudgetExceededError
 from misere_quotients.verifier import (
     MovePair,
+    _Context,
+    _find_collapsed,
+    _list_collapsed,
+    _scan_naive,
     certify_period,
     check_N_to_P,
     check_no_PP,
@@ -299,3 +304,99 @@ class TestCertification:
             ),
         )
         assert certify_period(bad, 6, 5) is None
+
+
+# ---------------------------------------------------------------------------
+# the memoized N-to-P search against the listing and naive scans
+
+
+def scan_verdicts(qa, n, *, naive=True):
+    """Whether each scan finds a stuck N case: the memoized search, the
+    collapsed listing, and (optionally) the naive scan."""
+    ctx = _Context(qa, n)
+    watch = frozenset(qa.partition.n_set)
+    found, _, _ = _find_collapsed(ctx, watch, None)
+    listed, _, _ = _list_collapsed(ctx, watch, None)
+    verdicts = [found, bool(listed)]
+    if naive:
+        naive_failures, _, _ = _scan_naive(ctx, watch, None)
+        verdicts.append(bool(naive_failures))
+    return verdicts
+
+
+def flip_labels(qa, elements):
+    p_set = qa.partition.p_set ^ frozenset(elements)
+    everything = frozenset(range(len(qa.monoid)))
+    return replace(qa, partition=OutcomePartition(p_set, everything - p_set))
+
+
+def edit_phi(qa, edit):
+    """("swap", i, j) exchanges the values of heaps i+1 and j+1; ("move", i,
+    e) sends heap i+1 to element e."""
+    values = list(qa.phi.values)
+    if edit[0] == "swap":
+        _, i, j = edit
+        values[i], values[j] = values[j], values[i]
+    else:
+        _, i, e = edit
+        values[i] = e
+    return replace(qa, phi=PretendingFunction(tuple(values)))
+
+
+def phi_edits(n, k):
+    heap = st.integers(0, n - 1)
+    return st.one_of(
+        st.tuples(st.just("swap"), heap, heap),
+        st.tuples(st.just("move"), heap, st.integers(0, k - 1)),
+    )
+
+
+def label_flips(k):
+    return st.frozensets(st.integers(0, k - 1), min_size=1, max_size=3)
+
+
+class TestMemoizedScan:
+    def test_every_single_flip_agrees(self, qa123_12):
+        stuck = 0
+        for e in range(len(qa123_12.monoid)):
+            verdicts = scan_verdicts(flip_labels(qa123_12, {e}), 12)
+            assert len(set(verdicts)) == 1, (qa123_12.monoid.names[e], verdicts)
+            stuck += verdicts[0]
+        assert stuck > 0  # some flips leave an N element stuck
+
+    @settings(max_examples=60, deadline=None)
+    @given(flips=st.one_of(st.just(frozenset()), label_flips(20)),
+           edits=st.lists(phi_edits(12, 20), max_size=2))
+    def test_perturbed_0123_agrees(self, qa123_12, flips, edits):
+        qa = flip_labels(qa123_12, flips)
+        for edit in edits:
+            qa = edit_phi(qa, edit)
+        verdicts = scan_verdicts(qa, 12)
+        assert len(set(verdicts)) == 1, verdicts
+
+    @settings(max_examples=40, deadline=None)
+    @given(flips=st.one_of(st.just(frozenset()), label_flips(40)),
+           edits=st.lists(phi_edits(14, 40), max_size=2))
+    def test_perturbed_kayles_agrees(self, kayles, flips, edits):
+        qa = flip_labels(kayles, flips)
+        for edit in edits:
+            qa = edit_phi(qa, edit)
+        verdicts = scan_verdicts(qa, 14, naive=False)
+        assert len(set(verdicts)) == 1, verdicts
+
+    def test_kayles_certificate_window(self, kayles):
+        assert kayles.phi.claimed_period == (73, 12)
+        report = verify_to_heap(kayles, 159)
+        assert report.passed
+        assert report.stats["states"] > 0
+        assert report.stats["nodes"] < 10**5
+
+    def test_failing_report_lists_every_case(self, qa123_12):
+        # A failure found by the search hands over to the full listing.
+        bad = flip_labels(qa123_12, {qa123_12.monoid.index_of("b2")})
+        ctx = _Context(bad, 12)
+        watch = frozenset(bad.partition.n_set)
+        listed, _, _ = _list_collapsed(ctx, watch, None)
+        report = verify_to_heap(bad, 12)
+        assert listed and set(listed) <= set(report.np_failures)
+        assert report.stats["states"] > 0

@@ -26,9 +26,10 @@ from .oracle import (
     GenusSymbol,
     Outcome,
     PlayConvention,
+    _outcome_caches,
+    _solve,
     genus,
     nim_value,
-    outcome,
 )
 from .semigroup import (
     FiniteCommutativeMonoid,
@@ -140,40 +141,75 @@ def _merge(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(u + v))
 
 
-class _Round:
-    """One bounded signature round: contexts have at most m heaps."""
+# The node budget of one outcome search, as in oracle.outcome.
+_SEARCH_BUDGET = 10**8
 
-    def __init__(self, code: GameCode, n: int, play: PlayConvention, m: int):
+
+class _Signatures:
+    """Outcome signatures over a growing list of contexts.
+
+    The contexts are the empty position, then every position of one heap,
+    two heaps, ... up to m heaps, all heap sizes <= n.  Raising m only
+    appends contexts, so a signature kept from an earlier round is extended
+    by the new contexts alone.  A signature is bytes, one byte per context:
+    1 when u + w is an N position.  Outcomes are read from the oracle's memo
+    and searched only on a miss.
+    """
+
+    def __init__(self, code: GameCode, n: int, play: PlayConvention):
         self.code = code
         self.play = play
-        heaps = range(1, n + 1)
-        self.contexts = [()]
-        for k in range(1, m + 1):
-            self.contexts.extend(combinations_with_replacement(heaps, k))
-        self._sigs: dict[tuple[int, ...], tuple[bool, ...]] = {}
+        self.n = n
+        self.m = 0
+        self.contexts: list[tuple[int, ...]] = [()]
+        self._sigs: dict[tuple[int, ...], bytes] = {}
+        self._memo = _outcome_caches.setdefault((code, play), {})
 
-    def sig(self, u: tuple[int, ...]) -> tuple[bool, ...]:
-        got = self._sigs.get(u)
-        if got is None:
-            got = tuple(
-                outcome(self.code, Position(_merge(u, w)), self.play) is Outcome.N
-                for w in self.contexts
-            )
+    def widen(self, m: int) -> None:
+        """Extend the contexts to every position of at most m heaps."""
+        heaps = range(1, self.n + 1)
+        while self.m < m:
+            self.m += 1
+            self.contexts.extend(combinations_with_replacement(heaps, self.m))
+
+    def sig(self, u: tuple[int, ...]) -> bytes:
+        got = self._sigs.get(u, b"")
+        if len(got) < len(self.contexts):
+            code, memo, misere = self.code, self._memo, self.play is MISERE
+            won = []
+            for w in self.contexts[len(got) :]:
+                key = tuple(sorted(u + w))
+                v = memo.get(key)
+                if v is None:
+                    v = _solve(code, memo, misere, key, _SEARCH_BUDGET)
+                won.append(v)
+            got += bytes(won)
             self._sigs[u] = got
         return got
 
 
-def _run_round(
-    code: GameCode, n: int, play: PlayConvention, m: int, max_classes: int
-):
-    """Returns (letters, generator_heaps, names, table, phi, p_set) or None
-    when the class set fails to close under multiplication at this budget."""
-    rnd = _Round(code, n, play, m)
-    class_of: dict[tuple[bool, ...], int] = {}
+@dataclass(frozen=True)
+class _RoundResult:
+    """The candidate quotient found by one signature round."""
+
+    letters: tuple[str, ...]
+    generator_heaps: dict[str, int]
+    words: tuple[Word, ...]
+    table: tuple[tuple[int, ...], ...]
+    generator_map: dict[str, int]
+    phi: tuple[int, ...]
+    p_set: frozenset[int]
+
+
+def _run_round(sigs: _Signatures, max_classes: int) -> _RoundResult | None:
+    """The candidate at the current contexts of ``sigs``, or None when the
+    class set fails to close under multiplication there."""
+    code, n, play = sigs.code, sigs.n, sigs.play
+    class_of: dict[bytes, int] = {}
     reps: list[tuple[int, ...]] = []
 
     def classify(u: tuple[int, ...]) -> int:
-        s = rnd.sig(u)
+        s = sigs.sig(u)
         got = class_of.get(s)
         if got is None:
             if len(reps) >= max_classes:
@@ -198,13 +234,13 @@ def _run_round(
     table_cls = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            s = rnd.sig(_merge(reps[i], reps[j]))
+            s = sigs.sig(_merge(reps[i], reps[j]))
             cls = class_of.get(s)
             if cls is None:
                 return None  # product fell outside the closure: escalate
             table_cls[i][j] = table_cls[j][i] = cls
 
-    phi_cls = [class_of[rnd.sig((h,))] for h in range(1, n + 1)]
+    phi_cls = [class_of[sigs.sig((h,))] for h in range(1, n + 1)]
 
     if play is NORMAL:
         # Cross-check: classes must coincide with nim values on the reps.
@@ -294,19 +330,19 @@ def _run_round(
     )
     phi = tuple(index_of[cls] for cls in phi_cls)
     p_set = frozenset(
-        index_of[cls] for cls, rep in enumerate(reps) if not rnd.sig(rep)[0]
+        index_of[cls] for cls, rep in enumerate(reps) if not sigs.sig(rep)[0]
     )
     generator_map = {
         letter: index_of[cls] for letter, cls in zip(letters, letter_cls)
     }
-    return (
-        tuple(letters),
-        generator_heaps,
-        words,
-        table,
-        generator_map,
-        phi,
-        p_set,
+    return _RoundResult(
+        letters=tuple(letters),
+        generator_heaps=generator_heaps,
+        words=words,
+        table=table,
+        generator_map=generator_map,
+        phi=phi,
+        p_set=p_set,
     )
 
 
@@ -330,19 +366,21 @@ def build_quotient(
     if n < 1:
         raise ValueError("heap bound must be at least 1")
     previous = None
+    sigs = _Signatures(code, n, play)
     for m in range(start_context, max_context + 1):
-        result = _run_round(code, n, play, m, max_classes)
+        sigs.widen(m)
+        result = _run_round(sigs, max_classes)
         if result is not None and result == previous:
-            letters, generator_heaps, words, table, generator_map, phi, p_set = result
+            words = result.words
             monoid = FiniteCommutativeMonoid(
-                names=tuple(format_word(w, letters) for w in words),
-                table=table,
-                generator_map=generator_map,
+                names=tuple(format_word(w, result.letters) for w in words),
+                table=result.table,
+                generator_map=result.generator_map,
                 identity_index=0,
                 words=words,
-                generators=letters,
+                generators=result.letters,
             )
-            values = PretendingFunction(phi)
+            values = PretendingFunction(result.phi)
             values = replace(values, claimed_period=detect_period(values))
             return QuotientAnalysis(
                 code=code,
@@ -351,10 +389,10 @@ def build_quotient(
                 monoid=monoid,
                 phi=values,
                 partition=OutcomePartition(
-                    p_set=p_set,
-                    n_set=frozenset(range(len(words))) - p_set,
+                    p_set=result.p_set,
+                    n_set=frozenset(range(len(words))) - result.p_set,
                 ),
-                generator_heaps=generator_heaps,
+                generator_heaps=result.generator_heaps,
             )
         previous = result
     raise RuntimeError(

@@ -8,7 +8,7 @@ against these slower but independently trustworthy routines.
 
 >>> code = parse_game_code("0.123")
 >>> outcome(code, Position.of(2), MISERE).name
-'P'
+'N'
 >>> str(genus(code, Position.of(6)))
 '0^{02}'
 """
@@ -89,22 +89,35 @@ def _mex(values: Iterable[int]) -> int:
 # options and outcomes
 
 
-@lru_cache(maxsize=None)
-def _replacements(code: GameCode, size: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(sorted(t.heaps for t in moves_from_heap(code, size)))
+# Per code, entry f lists the replacement tuples of a heap of size f.
+_move_tables: dict[GameCode, list[tuple[tuple[int, ...], ...]]] = {}
+
+
+def _move_table(code: GameCode, size: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The code's move table, extended to cover heaps up to ``size``."""
+    table = _move_tables.setdefault(code, [()])
+    while len(table) <= size:
+        moves = moves_from_heap(code, len(table))
+        table.append(tuple(sorted(t.heaps for t in moves)))
+    return table
+
+
+def _options(moves: list, heaps: tuple[int, ...]) -> set[tuple[int, ...]]:
+    # heaps is sorted, so equal sizes are adjacent and give the same options.
+    out: set[tuple[int, ...]] = set()
+    prev = 0
+    for i, size in enumerate(heaps):
+        if size == prev:
+            continue
+        prev = size
+        rest = heaps[:i] + heaps[i + 1 :]
+        for repl in moves[size]:
+            out.add(tuple(sorted(rest + repl)))
+    return out
 
 
 def _tuple_options(code: GameCode, heaps: tuple[int, ...]) -> set[tuple[int, ...]]:
-    out: set[tuple[int, ...]] = set()
-    done: set[int] = set()
-    for i, size in enumerate(heaps):
-        if size in done:
-            continue
-        done.add(size)
-        rest = heaps[:i] + heaps[i + 1 :]
-        for repl in _replacements(code, size):
-            out.add(tuple(sorted(rest + repl)))
-    return out
+    return _options(_move_table(code, heaps[-1] if heaps else 0), heaps)
 
 
 def position_options(code: GameCode, position: Position) -> set[Position]:
@@ -112,7 +125,43 @@ def position_options(code: GameCode, position: Position) -> set[Position]:
     return {Position(t) for t in _tuple_options(code, position.heaps)}
 
 
+# Per (code, play): sorted heap tuple -> True when the player to move wins.
 _outcome_caches: dict[tuple[GameCode, PlayConvention], dict[tuple[int, ...], bool]] = {}
+
+
+def _solve(
+    code: GameCode,
+    cache: dict[tuple[int, ...], bool],
+    misere: bool,
+    heaps: tuple[int, ...],
+    budget: int,
+) -> bool:
+    """Whether the player to move wins the sorted position ``heaps``.
+
+    Fills ``cache`` with every position the search reaches; raises
+    BudgetExceededError if it would grow past ``budget`` entries.
+    """
+    moves = _move_table(code, heaps[-1] if heaps else 0)
+    stack: list[tuple[tuple[int, ...], set[tuple[int, ...]] | None]] = [(heaps, None)]
+    while stack:
+        node, opts = stack.pop()
+        if node in cache:
+            continue
+        if opts is None:
+            opts = _options(moves, node)
+            pending = [o for o in opts if o not in cache]
+            if pending:
+                stack.append((node, opts))
+                for o in pending:
+                    stack.append((o, None))
+                continue
+        if len(cache) >= budget:
+            raise BudgetExceededError(f"outcome search exceeded {budget} nodes")
+        if not opts:
+            cache[node] = misere
+        else:
+            cache[node] = any(not cache[o] for o in opts)
+    return cache[heaps]
 
 
 def outcome(
@@ -128,29 +177,8 @@ def outcome(
     Raises BudgetExceededError if the memo table would outgrow ``budget``.
     """
     cache = _outcome_caches.setdefault((code, play), {})
-    misere = play is MISERE
-    stack: list[tuple[tuple[int, ...], set[tuple[int, ...]] | None]] = [
-        (position.heaps, None)
-    ]
-    while stack:
-        node, opts = stack.pop()
-        if node in cache:
-            continue
-        if opts is None:
-            opts = _tuple_options(code, node)
-            pending = [o for o in opts if o not in cache]
-            if pending:
-                stack.append((node, opts))
-                for o in pending:
-                    stack.append((o, None))
-                continue
-        if len(cache) >= budget:
-            raise BudgetExceededError(f"outcome search exceeded {budget} nodes")
-        if not opts:
-            cache[node] = misere
-        else:
-            cache[node] = any(not cache[o] for o in opts)
-    return Outcome.N if cache[position.heaps] else Outcome.P
+    won = _solve(code, cache, play is MISERE, position.heaps, budget)
+    return Outcome.N if won else Outcome.P
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +195,7 @@ def grundy(code: GameCode, size: int) -> int:
     while len(table) <= size:
         f = len(table)
         vals = set()
-        for repl in _replacements(code, f):
+        for repl in _move_table(code, f)[f]:
             g = 0
             for h in repl:
                 g ^= table[h]
@@ -404,6 +432,8 @@ def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
     """Misere mex value of (heaps + n1 one-token nim heaps + n2 two-token nim
     heaps), computed without building trees.  State key: (heaps, n1, n2)."""
     cache = _gminus_ext_caches.setdefault(code, {})
+    # Many states share their heaps; their heap options are found once.
+    heap_options: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     stack: list[tuple[tuple[tuple[int, ...], int, int], list | None]] = [
         ((heaps, 0, n2), None)
     ]
@@ -413,7 +443,10 @@ def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
             continue
         hs, n1, m2 = node
         if opts is None:
-            opts = [(t, n1, m2) for t in _tuple_options(code, hs)]
+            moved = heap_options.get(hs)
+            if moved is None:
+                moved = heap_options[hs] = _tuple_options(code, hs)
+            opts = [(t, n1, m2) for t in moved]
             if n1:
                 opts.append((hs, n1 - 1, m2))
             if m2:

@@ -256,8 +256,9 @@ class FiniteCommutativeMonoid:
     ``names`` label the elements; ``words`` holds their exponent vectors when
     the monoid came from a rewriting system (None for derived monoids such as
     subgroups and quotient factors).  The table is validated on construction:
-    commutativity and the identity law always, associativity exhaustively for
-    at most 64 elements.
+    commutativity and the identity law always; associativity by Light's test
+    on the ``generator_map`` images when they generate the table, otherwise
+    exhaustively for at most 64 elements.
     """
 
     def __init__(
@@ -285,13 +286,13 @@ class FiniteCommutativeMonoid:
             for j in range(i, k):
                 if table[i][j] != table[j][i]:
                     raise ValueError("table is not commutative")
-        if k <= 64:
-            for i in range(k):
-                for j in range(k):
-                    tij = table[i][j]
-                    for l in range(k):
-                        if table[tij][l] != table[i][table[j][l]]:
-                            raise ValueError("table is not associative")
+        gens = set(self.generator_map.values())
+        if not gens <= set(range(k)):
+            raise ValueError("generator map points outside the table")
+        if _closure_size(self, gens) == k:
+            _check_associative(table, gens)
+        elif k <= 64:
+            _check_associative(table, range(k))
 
     def __len__(self) -> int:
         return len(self.names)
@@ -313,6 +314,23 @@ class FiniteCommutativeMonoid:
 
     def index_of(self, name: str) -> int:
         return self._index[name]
+
+
+def _check_associative(table: tuple[tuple[int, ...], ...], gens) -> None:
+    """Light's test: raise ValueError unless (x*g)*y = x*(g*y) for every g in
+    ``gens`` and all x, y.
+
+    With the identity law, this proves associativity whenever ``gens``
+    generate the table: the elements g passing the test contain the identity
+    and are closed under products, since (x*(gh))*y = ((x*g)*h)*y
+    = (x*g)*(h*y) = x*(g*(h*y)) = x*((gh)*y).  With ``gens`` every element
+    it is the exhaustive check.
+    """
+    for g in gens:
+        g_row = table[g]
+        for x_row in table:
+            if [x_row[gy] for gy in g_row] != list(table[x_row[g]]):
+                raise ValueError("table is not associative")
 
 
 def enumerate_elements(rws: RewriteSystem, cap: int) -> FiniteCommutativeMonoid:

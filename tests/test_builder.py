@@ -6,6 +6,8 @@ import random
 import pytest
 
 from misere_quotients.builder import (
+    _run_round,
+    _Signatures,
     analysis_from_json,
     analysis_to_json,
     build_quotient,
@@ -142,6 +144,65 @@ class TestNormalQuotient:
             p = Position.from_heaps(heaps)
             want = Outcome.P if nim_value(G123, p) == 0 else Outcome.N
             assert predicted_outcome(qa, p) is want
+
+
+class TestSignatureKernel:
+    PROBES = [(), (1,), (2, 3), (1, 8, 8), (4, 5, 6)]
+
+    @pytest.mark.parametrize("play", [MISERE, NORMAL])
+    def test_round_signature_is_prefix_of_next(self, play):
+        sigs = _Signatures(G123, 8, play)
+        sigs.widen(2)
+        before = {u: sigs.sig(u) for u in self.PROBES}
+        width = len(sigs.contexts)
+        sigs.widen(3)
+        fresh = _Signatures(G123, 8, play)
+        fresh.widen(3)
+        for u in self.PROBES:
+            got = sigs.sig(u)
+            assert len(got) == len(sigs.contexts) > width
+            assert got[:width] == before[u]
+            assert got == fresh.sig(u)
+
+    @pytest.mark.parametrize("play", [MISERE, NORMAL])
+    def test_signature_bytes_are_outcomes(self, play):
+        sigs = _Signatures(G123, 6, play)
+        sigs.widen(2)
+        for u in self.PROBES:
+            got = sigs.sig(u)
+            assert got[0] == (outcome(G123, Position(u), play) is Outcome.N)
+            assert list(got) == [
+                outcome(G123, Position(u + w), play) is Outcome.N
+                for w in sigs.contexts
+            ]
+
+    def test_consecutive_rounds_compare_by_value(self):
+        sigs = _Signatures(G123, 6, MISERE)
+        sigs.widen(3)
+        first = _run_round(sigs, 500)
+        sigs.widen(4)
+        second = _run_round(sigs, 500)
+        assert first is not None and first is not second
+        assert first == second
+
+    def test_reference_analysis_n11(self):
+        qa = build_quotient("0.123", 11)
+        names = qa.monoid.names
+        assert len(names) == 20
+        assert " ".join(names[i] for i in qa.phi.values) == "x e z z x b2 e a b x b2"
+        assert {names[i] for i in qa.partition.p_set} == {"b2", "x", "xa", "z2", "zb"}
+
+    def test_normal_play_collapses_to_nim_values(self):
+        qa = build_quotient(G123, 11, NORMAL)
+        nim_of = {}
+        for h in range(1, 12):
+            nim_of.setdefault(phi_heap(qa, h), set()).add(
+                nim_value(G123, Position.of(h))
+            )
+        # One nim value per element and one element per nim value.
+        assert all(len(values) == 1 for values in nim_of.values())
+        assert len(set.union(*nim_of.values())) == len(nim_of)
+        assert len(qa.monoid) == 4
 
 
 class TestSmallWindows:

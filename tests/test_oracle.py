@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from misere_quotients.octal import Position, parse_game_code
+from misere_quotients.octal import Position, moves_from_heap, parse_game_code
 from misere_quotients.oracle import (
     KAYLES,
     MISERE,
     NORMAL,
+    BudgetExceededError,
     GameTree,
     GenusSymbol,
     GenusTailError,
@@ -17,7 +19,9 @@ from misere_quotients.oracle import (
     nim_heap_tree,
     nim_value,
     normal_period,
+    _solve,
     outcome,
+    position_options,
     sibert_conway_outcome,
     tree_of_position,
     tree_outcome,
@@ -93,6 +97,64 @@ class TestOutcome:
             p = Position.from_heaps(heaps)
             want = Outcome.N if nim_value(G123, p) else Outcome.P
             assert outcome(G123, p, NORMAL) is want
+
+
+SOLVER_GAMES = [parse_game_code(c) for c in ("0.123", "0.77", "0.137")]
+small_positions = st.lists(st.integers(1, 7), max_size=3).map(
+    lambda hs: tuple(sorted(hs))
+)
+
+
+def naive_won(code, heaps, misere, memo):
+    """Whether the player to move wins: plain recursion over position_options."""
+    if heaps not in memo:
+        opts = position_options(code, Position(heaps))
+        memo[heaps] = misere if not opts else any(
+            not naive_won(code, o.heaps, misere, memo) for o in opts
+        )
+    return memo[heaps]
+
+
+class TestSolver:
+    @settings(max_examples=120, deadline=None)
+    @given(code=st.sampled_from(SOLVER_GAMES), misere=st.booleans(), heaps=small_positions)
+    def test_matches_naive_recursion(self, code, misere, heaps):
+        cache, naive = {}, {}
+        won = _solve(code, cache, misere, heaps, 10**6)
+        assert won == naive_won(code, heaps, misere, naive)
+        # Every position the search memoized is right, not just the root.
+        for node, node_won in cache.items():
+            assert node_won == naive_won(code, node, misere, naive), node
+        play = MISERE if misere else NORMAL
+        assert (outcome(code, Position(heaps), play) is Outcome.N) == won
+
+    @settings(max_examples=120, deadline=None)
+    @given(code=st.sampled_from(SOLVER_GAMES), heaps=small_positions)
+    def test_options_match_octal_moves(self, code, heaps):
+        want = {
+            Position(heaps[:i] + heaps[i + 1 :] + repl.heaps)
+            for i, h in enumerate(heaps)
+            for repl in moves_from_heap(code, h)
+        }
+        assert position_options(code, Position(heaps)) == want
+
+    def test_budget_raises(self):
+        code = parse_game_code("0.137")
+        # No other test searches this position, so the memo cannot hold it.
+        with pytest.raises(BudgetExceededError):
+            outcome(code, Position.of(30, 31, 32), MISERE, budget=10)
+        with pytest.raises(BudgetExceededError):
+            _solve(code, {}, True, (9, 9), 5)
+
+    def test_memo_stays_sound_after_budget_error(self):
+        code = parse_game_code("0.137")
+        cache = {}
+        with pytest.raises(BudgetExceededError):
+            _solve(code, cache, True, (6, 7), 20)
+        naive = {}
+        for node, won in cache.items():
+            assert won == naive_won(code, node, True, naive)
+        assert _solve(code, cache, True, (6, 7), 10**6) == naive_won(code, (6, 7), True, naive)
 
 
 class TestGenus:

@@ -1,13 +1,16 @@
 """Commutative words, rewriting, completion, and monoid tables."""
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from misere_quotients.builder import packaged_presentation
 from misere_quotients.oracle import BudgetExceededError
 from misere_quotients.semigroup import (
     FiniteCommutativeMonoid,
+    _check_associative,
     action_table,
     enumerate_elements,
     format_word,
@@ -318,3 +321,77 @@ class TestTableValidation:
         table = ((0, 1, 2), (1, 0, 0), (2, 0, 1))
         with pytest.raises(ValueError):
             FiniteCommutativeMonoid(("e", "a", "b"), table, {})
+
+    def test_rejects_generator_outside_table(self):
+        with pytest.raises(ValueError):
+            FiniteCommutativeMonoid(("e", "x"), ((0, 1), (1, 0)), {"x": 2})
+
+    def test_large_table_checked_with_generators(self):
+        # Beyond 64 elements only a generating set lets the check run.
+        k = 65
+        rows = [[(i + j) % k for j in range(k)] for i in range(k)]
+        rows[2][3] = rows[3][2] = 0
+        table = tuple(map(tuple, rows))
+        names = tuple(f"g{i}" for i in range(k))
+        with pytest.raises(ValueError):
+            FiniteCommutativeMonoid(names, table, {"g1": 1})
+        FiniteCommutativeMonoid(names, table, {})  # unchecked: no generators
+
+
+@lru_cache(maxsize=None)
+def packaged_monoid(game: str) -> FiniteCommutativeMonoid:
+    return enumerate_elements(knuth_bendix(packaged_presentation(game)), cap=200)
+
+
+@st.composite
+def corrupted_tables(draw):
+    """A packaged table with one symmetric pair of entries changed; the
+    identity row and column are kept, so only associativity can fail."""
+    m = packaged_monoid(draw(st.sampled_from(["0.123", "0.77"])))
+    assert m.identity_index == 0
+    k = len(m)
+    i = draw(st.integers(1, k - 1))
+    j = draw(st.integers(i, k - 1))
+    rows = [list(row) for row in m.table]
+    rows[i][j] = rows[j][i] = draw(st.integers(0, k - 1))
+    return m, tuple(map(tuple, rows))
+
+
+def _generates(table, gens) -> bool:
+    seen, frontier = {0}, [0]
+    while frontier:
+        u = frontier.pop()
+        for g in gens:
+            if table[u][g] not in seen:
+                seen.add(table[u][g])
+                frontier.append(table[u][g])
+    return len(seen) == len(table)
+
+
+def _raises(check) -> bool:
+    try:
+        check()
+    except ValueError:
+        return True
+    return False
+
+
+class TestLightsTest:
+    @settings(max_examples=200, deadline=None)
+    @given(case=corrupted_tables())
+    def test_agrees_with_exhaustive_check(self, case):
+        m, table = case
+        exhaustive = _raises(lambda: _check_associative(table, range(len(table))))
+        built = _raises(
+            lambda: FiniteCommutativeMonoid(m.names, table, m.generator_map)
+        )
+        assert built == exhaustive
+        gens = set(m.generator_map.values())
+        if _generates(table, gens):
+            # The generators still generate: Light's test alone decides.
+            assert _raises(lambda: _check_associative(table, gens)) == exhaustive
+
+    def test_packaged_tables_pass(self):
+        for game in ("0.123", "0.77"):
+            m = packaged_monoid(game)
+            _check_associative(m.table, set(m.generator_map.values()))

@@ -26,6 +26,7 @@ from .oracle import (
     GenusSymbol,
     Outcome,
     PlayConvention,
+    _SEARCH_BUDGET,
     _outcome_caches,
     _solve,
     genus,
@@ -34,6 +35,7 @@ from .oracle import (
 from .semigroup import (
     FiniteCommutativeMonoid,
     Word,
+    _closure,
     enumerate_elements,
     format_word,
     knuth_bendix,
@@ -139,10 +141,6 @@ def _letter_names():
 
 def _merge(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(u + v))
-
-
-# The node budget of one outcome search, as in oracle.outcome.
-_SEARCH_BUDGET = 10**8
 
 
 class _Signatures:
@@ -259,18 +257,6 @@ def _run_round(sigs: _Signatures, max_classes: int) -> _RoundResult | None:
             cand_cls.add(cls)
             candidates.append((h, cls))
 
-    def closure(gens: list[int]) -> set[int]:
-        got = {identity_cls}
-        frontier = [identity_cls]
-        while frontier:
-            u = frontier.pop()
-            for g in gens:
-                v = table_cls[u][g]
-                if v not in got:
-                    got.add(v)
-                    frontier.append(v)
-        return got
-
     # Letters go to a minimal generating set among the single-heap classes,
     # in first-heap order; redundant classes (products of the others, like a
     # square of a later generator) are named by minimal words instead.
@@ -280,7 +266,7 @@ def _run_round(sigs: _Signatures, max_classes: int) -> _RoundResult | None:
         dropped = False
         for i in range(len(kept)):
             others = [c for j, (_, c) in enumerate(kept) if j != i]
-            if kept[i][1] in closure(others):
+            if kept[i][1] in _closure(table_cls, identity_cls, others):
                 del kept[i]
                 dropped = True
                 break

@@ -19,7 +19,7 @@ import random
 import sys
 from dataclasses import replace
 
-from .octal import GameCodeError, Position, moves_from_heap, parse_game_code
+from .octal import GameCodeError, Position, parse_game_code
 from .oracle import (
     MISERE,
     NORMAL,
@@ -27,6 +27,7 @@ from .oracle import (
     GameTree,
     GenusTailError,
     Outcome,
+    _move_row,
     genus,
     genus_of_tree,
 )
@@ -181,7 +182,7 @@ def cmd_certify(args) -> int:
     if period is None:
         raise ValueError("no period given and none claimed by the analysis")
     r0, p = period
-    window = 2 * r0 + p + qa.code.places - 1
+    window = verifier._certificate_window(qa.code, r0, p)
     print(f"certifying period r0={r0} p={p}: verifying to heap {window}")
     cert = verifier.certify_period(
         qa, r0, p, collapse=not args.naive, budget=args.budget
@@ -218,24 +219,12 @@ def cmd_outcome(args) -> int:
     print(f"outcome: {out.value}")
     if out is Outcome.N:
         # One-ply search over the quotient: first move whose target is P.
-        moves_seen = False
-        prev = None
-        for i, h in enumerate(heaps):
-            if h == prev:
-                continue
-            prev = h
-            rest = heaps[:i] + heaps[i + 1 :]
-            for t in sorted(mv.heaps for mv in moves_from_heap(qa.code, h)):
-                moves_seen = True
-                child = tuple(sorted(rest + t))
-                child_el = builder.phi_of_position(qa, child)
-                if qa.partition.outcome_of(child_el) is Outcome.P:
-                    print(
-                        f"winning move: {_describe_move(h, t)} -> "
-                        f"{m.names[child_el]} (P)"
-                    )
-                    return EXIT_OK
-        if not moves_seen:
+        move = next(verifier._iter_winning_moves(qa, heaps, m.identity_index), None)
+        if move is not None:
+            h, t, target = move
+            print(f"winning move: {_describe_move(h, t)} -> {m.names[target]} (P)")
+            return EXIT_OK
+        if not any(_move_row(qa.code, h) for h in heaps):
             print("no moves remain; the player to move has already won")
             return EXIT_OK
         print("no winning move found")

@@ -93,12 +93,20 @@ def _mex(values: Iterable[int]) -> int:
 _move_tables: dict[GameCode, list[tuple[tuple[int, ...], ...]]] = {}
 
 
+def _move_row(code: GameCode, f: int) -> tuple[tuple[int, ...], ...]:
+    """The sorted replacement tuples of a heap of size ``f``; a row past the
+    table is not stored, so one large heap does not fill every smaller row."""
+    table = _move_tables.get(code, ())
+    if f < len(table):
+        return table[f]
+    return tuple(sorted(t.heaps for t in moves_from_heap(code, f)))
+
+
 def _move_table(code: GameCode, size: int) -> list[tuple[tuple[int, ...], ...]]:
     """The code's move table, extended to cover heaps up to ``size``."""
     table = _move_tables.setdefault(code, [()])
     while len(table) <= size:
-        moves = moves_from_heap(code, len(table))
-        table.append(tuple(sorted(t.heaps for t in moves)))
+        table.append(_move_row(code, len(table)))
     return table
 
 
@@ -124,6 +132,9 @@ def position_options(code: GameCode, position: Position) -> set[Position]:
     """All positions reachable in one move."""
     return {Position(t) for t in _tuple_options(code, position.heaps)}
 
+
+# The default node budget of one outcome search.
+_SEARCH_BUDGET = 10**8
 
 # Per (code, play): sorted heap tuple -> True when the player to move wins.
 _outcome_caches: dict[tuple[GameCode, PlayConvention], dict[tuple[int, ...], bool]] = {}
@@ -168,7 +179,7 @@ def outcome(
     code: GameCode,
     position: Position,
     play: PlayConvention,
-    budget: int = 10**8,
+    budget: int = _SEARCH_BUDGET,
 ) -> Outcome:
     """Outcome class of ``position`` by exhaustive search.
 

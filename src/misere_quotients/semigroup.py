@@ -159,12 +159,9 @@ def reduce_word(rws: RewriteSystem, w: Word, rng: random.Random | None = None) -
     Rules are tried first-match by default; pass ``rng`` to pick each applied
     rule at random instead.  Confluence makes the result identical either way.
     """
-    while True:
-        hits = [k for k, (lhs, _) in enumerate(rws.rules) if word_divides(lhs, w)]
-        if not hits:
-            return w
-        lhs, rhs = rws.rules[hits[0] if rng is None else rng.choice(hits)]
-        w = word_mul(_word_sub(w, lhs), rhs)
+    for w, _ in _reduction_steps(rws, w, rng):
+        pass
+    return w
 
 
 def reduction_trace(
@@ -173,14 +170,18 @@ def reduction_trace(
     """Steps taken while rewriting ``w``: pairs of (result, rule applied).
 
     The starting word is not included; an already-normal word gives []."""
-    steps = []
+    return list(_reduction_steps(rws, w, rng))
+
+
+def _reduction_steps(rws: RewriteSystem, w: Word, rng: random.Random | None):
+    # The one rewrite loop: yields (result, rule applied) per step.
     while True:
         hits = [k for k, (lhs, _) in enumerate(rws.rules) if word_divides(lhs, w)]
         if not hits:
-            return steps
+            return
         lhs, rhs = rws.rules[hits[0] if rng is None else rng.choice(hits)]
         w = word_mul(_word_sub(w, lhs), rhs)
-        steps.append((w, (lhs, rhs)))
+        yield w, (lhs, rhs)
 
 
 def _reduce_by(rules: list[tuple[Word, Word]], w: Word) -> Word:
@@ -289,7 +290,7 @@ class FiniteCommutativeMonoid:
         gens = set(self.generator_map.values())
         if not gens <= set(range(k)):
             raise ValueError("generator map points outside the table")
-        if _closure_size(self, gens) == k:
+        if len(_closure(table, identity_index, gens)) == k:
             _check_associative(table, gens)
         elif k <= 64:
             _check_associative(table, range(k))
@@ -427,17 +428,18 @@ def _generating_sequence(
     return gens, expr
 
 
-def _closure_size(m: FiniteCommutativeMonoid, seeds: list[int]) -> int:
-    seen = {m.identity_index}
-    frontier = deque(seen)
+def _closure(table, identity: int, gens) -> set[int]:
+    """The submonoid of a multiplication table generated by gens."""
+    seen = {identity}
+    frontier = [identity]
     while frontier:
-        u = frontier.popleft()
-        for g in seeds:
-            v = m.table[u][g]
+        row = table[frontier.pop()]
+        for g in gens:
+            v = row[g]
             if v not in seen:
                 seen.add(v)
                 frontier.append(v)
-    return len(seen)
+    return seen
 
 
 def is_isomorphic(
@@ -480,7 +482,8 @@ def is_isomorphic(
             if prof2[cand] != want or cand in images:
                 continue
             images.append(cand)
-            if _closure_size(m1, gens[: depth + 1]) == _closure_size(m2, images):
+            sub1 = _closure(m1.table, m1.identity_index, gens[: depth + 1])
+            if len(sub1) == len(_closure(m2.table, m2.identity_index, images)):
                 found = backtrack(depth + 1, images)
                 if found is not None:
                     return found

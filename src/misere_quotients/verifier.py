@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .octal import GameCode, moves_from_heap
-from .oracle import MISERE, BudgetExceededError
+from .octal import GameCode
+from .oracle import MISERE, BudgetExceededError, _move_row
 from .builder import QuotientAnalysis, phi_heap
 
 __all__ = [
@@ -82,17 +82,28 @@ def _phi(qa: QuotientAnalysis, heap: int) -> int:
     return phi_heap(qa, heap, claimed_ok=True)
 
 
-def move_pairs(code: GameCode, qa: QuotientAnalysis, n: int) -> set[MovePair]:
-    """One pair per distinct (phi(h_f), phi(t)) over all moves with f <= n."""
+def _move_targets(qa: QuotientAnalysis, h: int) -> list[tuple[tuple[int, ...], int]]:
+    """(t, phi(t)) for every move h -> t, ordered by t: the one place that
+    computes the element a move lands on."""
+    product = qa.monoid.product
+    return [(t, product(_phi(qa, x) for x in t)) for t in _move_row(qa.code, h)]
+
+
+def _distinct_pairs(qa: QuotientAnalysis, targets_by_heap) -> set[MovePair]:
+    """move_pairs from (f, _move_targets(qa, f)) items in increasing f."""
     found: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for f in range(1, n + 1):
+    for f, targets in targets_by_heap:
         lhs = _phi(qa, f)
-        for t in sorted(m.heaps for m in moves_from_heap(code, f)):
-            rhs = qa.monoid.product(_phi(qa, h) for h in t)
+        for t, rhs in targets:
             found.setdefault((lhs, rhs), (f, t))
-    return {
-        MovePair(lhs, rhs, source) for (lhs, rhs), source in found.items()
-    }
+    return {MovePair(lhs, rhs, src) for (lhs, rhs), src in found.items()}
+
+
+def move_pairs(code: GameCode, qa: QuotientAnalysis, n: int) -> set[MovePair]:
+    """One pair per distinct (phi(h_f), phi(t)) over all moves with f <= n.
+
+    Moves are those of ``qa.code``; ``code`` is kept for compatibility."""
+    return _distinct_pairs(qa, ((f, _move_targets(qa, f)) for f in range(1, n + 1)))
 
 
 def translates_for_basis(
@@ -101,14 +112,12 @@ def translates_for_basis(
     """Every single move f -> t with f <= n translated by one basis element,
     as (f, t, basis*phi(h_f), basis*phi(t)), ordered by (f, t).  This is the
     per-move view; check_no_PP works with the deduplicated pairs instead."""
-    table = qa.monoid.table
-    rows = []
-    for f in range(1, n + 1):
-        lhs = _phi(qa, f)
-        for t in sorted(m.heaps for m in moves_from_heap(qa.code, f)):
-            rhs = qa.monoid.product(_phi(qa, h) for h in t)
-            rows.append((f, t, table[basis][lhs], table[basis][rhs]))
-    return rows
+    row = qa.monoid.table[basis]
+    return [
+        (f, t, row[_phi(qa, f)], row[el])
+        for f in range(1, n + 1)
+        for t, el in _move_targets(qa, f)
+    ]
 
 
 def check_no_PP(
@@ -174,17 +183,13 @@ class _Context:
         self.live: list[int] = []
         self.dead: list[int] = []
         self.heap_phi: dict[int, int] = {}
-        self.heap_targets: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        self.heap_targets: dict[int, list[tuple[tuple[int, ...], int]]] = {}
         self.heap_targetmask: dict[int, int] = {}
         for h in range(1, n + 1):
             self.heap_phi[h] = _phi(qa, h)
-            targets = []
-            for t in sorted(t.heaps for t in moves_from_heap(qa.code, h)):
-                el = m.product(_phi(qa, x) for x in t)
-                targets.append((el, t))
-            self.heap_targets[h] = targets
+            targets = self.heap_targets[h] = _move_targets(qa, h)
             self.heap_targetmask[h] = 0
-            for el, _ in targets:
+            for _, el in targets:
                 self.heap_targetmask[h] |= 1 << el
             (self.live if targets else self.dead).append(h)
         self.by_value: dict[int, list[int]] = {}
@@ -435,24 +440,25 @@ def solutions_for(qa: QuotientAnalysis, omega: int, heaps) -> tuple[int, ...]:
     )
 
 
-def winning_moves(qa: QuotientAnalysis, heaps, s: int):
-    """Every move h -> t from the case (U, s) whose translated target is an
-    asserted P element, as (h, t, target element)."""
+def _iter_winning_moves(qa: QuotientAnalysis, heaps, s: int):
+    """Lazily, by heap and then by t, every move h -> t of winning_moves."""
     heaps = tuple(sorted(heaps))
     table = qa.monoid.table
     p_set = qa.partition.p_set
-    out = []
     for i, h in enumerate(heaps):
         others = qa.monoid.product(
             _phi(qa, x) for j, x in enumerate(heaps) if j != i
         )
-        base = table[s][others]
-        for t in sorted(m.heaps for m in moves_from_heap(qa.code, h)):
-            el = qa.monoid.product(_phi(qa, x) for x in t)
-            target = table[base][el]
-            if target in p_set:
-                out.append((h, t, target))
-    return out
+        row = table[table[s][others]]
+        for t, el in _move_targets(qa, h):
+            if row[el] in p_set:
+                yield h, t, row[el]
+
+
+def winning_moves(qa: QuotientAnalysis, heaps, s: int):
+    """Every move h -> t from the case (U, s) whose translated target is an
+    asserted P element, as (h, t, target element)."""
+    return list(_iter_winning_moves(qa, heaps, s))
 
 
 def check_N_to_P(
@@ -488,7 +494,7 @@ def verify_to_heap(
     those elements.
     """
     ctx = _Context(qa, n)
-    pairs = move_pairs(qa.code, qa, n)
+    pairs = _distinct_pairs(qa, ctx.heap_targets.items())
     pp = check_no_PP(qa, n, pairs)
     watch = frozenset(qa.partition.n_set if omegas is None else omegas)
     scan = _scan_collapsed if collapse else _scan_naive
@@ -526,6 +532,11 @@ def verify_to_heap(
     )
 
 
+def _certificate_window(code: GameCode, r0: int, p: int) -> int:
+    """Heap size to which certify_period verifies the period (r0, p)."""
+    return 2 * r0 + p + code.places - 1
+
+
 def certify_period(
     qa: QuotientAnalysis,
     r0: int,
@@ -544,14 +555,11 @@ def certify_period(
     """
     if r0 < 1 or p < 1:
         raise ValueError("period indices must be positive")
-    phi = qa.phi
-    if len(phi) < r0 + p - 1:
+    if len(qa.phi) < r0 + p - 1:
         raise ValueError("stored values do not cover one full period")
-    for k in range(r0, len(phi) - p + 1):
-        if phi.value(k) != phi.value(k + p):
-            raise ValueError(f"claimed period fails at heap {k}")
-    n_window = 2 * r0 + p + qa.code.places - 1
-    claimed = replace(phi, claimed_period=(r0, p))
+    n_window = _certificate_window(qa.code, r0, p)
+    # Raises ValueError when the stored values break the period.
+    claimed = replace(qa.phi, claimed_period=(r0, p))
     candidate = replace(qa, phi=claimed)
     report = verify_to_heap(candidate, n_window, collapse=collapse, budget=budget)
     if not report.passed:

@@ -127,6 +127,12 @@ class QuotientAnalysis:
 # ---------------------------------------------------------------------------
 # construction
 
+# build_quotient widens its contexts from _START_CONTEXT to _MAX_CONTEXT heaps
+# and gives up past _MAX_CLASSES classes.
+_START_CONTEXT = 3
+_MAX_CONTEXT = 6
+_MAX_CLASSES = 500
+
 
 def _letter_names():
     for name in "xzab":
@@ -333,19 +339,14 @@ def _run_round(sigs: _Signatures, max_classes: int) -> _RoundResult | None:
 
 
 def build_quotient(
-    code: GameCode,
-    n: int,
-    play: PlayConvention = MISERE,
-    *,
-    start_context: int = 3,
-    max_context: int = 6,
-    max_classes: int = 500,
+    code: GameCode, n: int, play: PlayConvention = MISERE
 ) -> QuotientAnalysis:
     """Candidate quotient of the game to heap size n.
 
-    Context budgets m = start_context, start_context+1, ... are tried until
-    two consecutive rounds agree; raises BudgetExceededError on class blowup
-    and RuntimeError if no two rounds ever agree.
+    Context budgets m = _START_CONTEXT, _START_CONTEXT+1, ... are tried until
+    two consecutive rounds agree; raises BudgetExceededError on more than
+    _MAX_CLASSES classes and RuntimeError if no two rounds up to _MAX_CONTEXT
+    agree.
     """
     if isinstance(code, str):
         code = parse_game_code(code)
@@ -353,9 +354,9 @@ def build_quotient(
         raise ValueError("heap bound must be at least 1")
     previous = None
     sigs = _Signatures(code, n, play)
-    for m in range(start_context, max_context + 1):
+    for m in range(_START_CONTEXT, _MAX_CONTEXT + 1):
         sigs.widen(m)
-        result = _run_round(sigs, max_classes)
+        result = _run_round(sigs, _MAX_CLASSES)
         if result is not None and result == previous:
             words = result.words
             monoid = FiniteCommutativeMonoid(
@@ -382,7 +383,7 @@ def build_quotient(
             )
         previous = result
     raise RuntimeError(
-        f"no two consecutive rounds agreed with context budget <= {max_context}"
+        f"no two consecutive rounds agreed with context budget <= {_MAX_CONTEXT}"
     )
 
 

@@ -90,10 +90,11 @@ def _warn_unverified(qa: builder.QuotientAnalysis) -> None:
         )
 
 
-def _write_analysis(qa: builder.QuotientAnalysis, path: str) -> None:
+def _write_text(path: str, text: str) -> None:
+    """Write through a temporary file so a reader never sees half a file."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as f:
-        f.write(builder.analysis_to_json(qa))
+        f.write(text)
     os.replace(tmp, path)
 
 
@@ -161,7 +162,7 @@ def cmd_analyze(args) -> int:
     _print_summary(qa)
     _print_report(qa, rep)
     if args.out:
-        _write_analysis(qa, args.out)
+        _write_text(args.out, builder.analysis_to_json(qa))
         print(f"analysis written to {args.out}")
     return EXIT_OK if rep.passed else EXIT_FAILED
 
@@ -192,7 +193,7 @@ def cmd_certify(args) -> int:
         return EXIT_FAILED
     print("certified: the analysis is correct for every heap size")
     if args.out:
-        _write_analysis(cert, args.out)
+        _write_text(args.out, builder.analysis_to_json(cert))
         print(f"analysis written to {args.out}")
     return EXIT_OK
 
@@ -232,17 +233,33 @@ def cmd_outcome(args) -> int:
     return EXIT_OK
 
 
-def _tree_from_json(node) -> GameTree:
-    if not isinstance(node, list):
-        raise ValueError("a game tree is a nested list of options")
-    return GameTree(frozenset(_tree_from_json(c) for c in node))
+def _tree_from_json(doc) -> GameTree:
+    """The tree of nested JSON lists, built bottom-up without recursion so
+    any depth the decoder accepts is fine."""
+    built: dict[int, GameTree] = {}  # id of a list in doc -> its tree
+    stack = [doc]
+    while stack:
+        node = stack[-1]
+        if not isinstance(node, list):
+            raise ValueError("a game tree is a nested list of options")
+        pending = [c for c in node if id(c) not in built]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        built[id(node)] = GameTree(built[id(c)] for c in node)
+    return built[id(doc)]
 
 
 def cmd_genus(args) -> int:
     code = parse_game_code(args.game)
     if args.tree is not None:
         with open(args.tree, encoding="utf-8") as f:
-            tree = _tree_from_json(json.load(f))
+            try:
+                doc = json.load(f)
+            except RecursionError:
+                raise ValueError(f"{args.tree}: nested too deeply to decode")
+        tree = _tree_from_json(doc)
         print(str(genus_of_tree(tree)))
         return EXIT_OK
     if args.heap is None:
@@ -320,10 +337,7 @@ def cmd_structure(args) -> int:
     }
     text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     if args.out:
-        tmp = args.out + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, args.out)
+        _write_text(args.out, text)
         print(f"structure report written to {args.out}")
     else:
         sys.stdout.write(text)

@@ -129,26 +129,34 @@ class Position:
 EMPTY = Position()
 
 
-@lru_cache(maxsize=None)
-def moves_from_heap(code: GameCode, f: int) -> frozenset[Position]:
-    """All replacement multisets reachable by one legal move from a heap of size f.
+def _heap_moves(code: GameCode, f: int) -> tuple[tuple[int, ...], ...]:
+    """The sorted replacement heap tuples of one legal move from a heap of size f.
 
-    Splits are unordered: a remainder s yields pairs {a, s-a} for
-    1 <= a <= s // 2.  Returns the empty set when the heap has no move.
+    Splits are unordered: a remainder s yields pairs (a, s-a) for
+    1 <= a <= s // 2.  Empty when the heap has no move.
     """
     if f < 1:
         raise ValueError("heap size must be >= 1, got %d" % (f,))
-    out: set[Position] = set()
+    out: set[tuple[int, ...]] = set()
     for k in range(0, f + 1):
         d = code.digit(k)
         if d == 0:
             continue
         rest = f - k
         if d & 1 and rest == 0 and k >= 1:
-            out.add(EMPTY)
+            out.add(())
         if d & 2 and rest >= 1:
-            out.add(Position.of(rest))
+            out.add((rest,))
         if d & 4 and rest >= 2:
             for a in range(1, rest // 2 + 1):
-                out.add(Position.of(a, rest - a))
-    return frozenset(out)
+                out.add((a, rest - a))
+    return tuple(sorted(out))
+
+
+@lru_cache(maxsize=None)
+def moves_from_heap(code: GameCode, f: int) -> frozenset[Position]:
+    """All replacement multisets reachable by one legal move from a heap of size f.
+
+    Returns the empty set when the heap has no move.
+    """
+    return frozenset(Position(t) for t in _heap_moves(code, f))

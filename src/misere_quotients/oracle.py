@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .octal import EMPTY, GameCode, Position, moves_from_heap, parse_game_code
+from .octal import GameCode, Position, _heap_moves, parse_game_code
 
 __all__ = [
     "PlayConvention",
@@ -99,7 +99,7 @@ def _move_row(code: GameCode, f: int) -> tuple[tuple[int, ...], ...]:
     table = _move_tables.get(code, ())
     if f < len(table):
         return table[f]
-    return tuple(sorted(t.heaps for t in moves_from_heap(code, f)))
+    return _heap_moves(code, f)
 
 
 def _move_table(code: GameCode, size: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -140,6 +140,32 @@ _SEARCH_BUDGET = 10**8
 _outcome_caches: dict[tuple[GameCode, PlayConvention], dict[tuple[int, ...], bool]] = {}
 
 
+def _postorder(cache: dict, root, options, value, limit: int | None = None):
+    """``cache[root]``, filling ``cache`` without recursion.
+
+    Every node below ``root`` not yet in ``cache`` is stored as
+    ``value([cache[o] for o in options(node)])`` once all its options are
+    stored.  Raises BudgetExceededError if ``cache`` would grow past
+    ``limit`` entries; what it stored up to then stays correct.
+    """
+    stack = [(root, None)]
+    while stack:
+        node, opts = stack.pop()
+        if node in cache:
+            continue
+        if opts is None:
+            opts = options(node)
+            pending = [(o, None) for o in opts if o not in cache]
+            if pending:
+                stack.append((node, opts))
+                stack += pending
+                continue
+        if limit is not None and len(cache) >= limit:
+            raise BudgetExceededError(f"search memo would outgrow {limit} entries")
+        cache[node] = value([cache[o] for o in opts])
+    return cache[root]
+
+
 def _solve(
     code: GameCode,
     cache: dict[tuple[int, ...], bool],
@@ -153,26 +179,10 @@ def _solve(
     BudgetExceededError if it would grow past ``budget`` entries.
     """
     moves = _move_table(code, heaps[-1] if heaps else 0)
-    stack: list[tuple[tuple[int, ...], set[tuple[int, ...]] | None]] = [(heaps, None)]
-    while stack:
-        node, opts = stack.pop()
-        if node in cache:
-            continue
-        if opts is None:
-            opts = _options(moves, node)
-            pending = [o for o in opts if o not in cache]
-            if pending:
-                stack.append((node, opts))
-                for o in pending:
-                    stack.append((o, None))
-                continue
-        if len(cache) >= budget:
-            raise BudgetExceededError(f"outcome search exceeded {budget} nodes")
-        if not opts:
-            cache[node] = misere
-        else:
-            cache[node] = any(not cache[o] for o in opts)
-    return cache[heaps]
+    return _postorder(
+        cache, heaps, lambda node: _options(moves, node),
+        lambda wins: not all(wins) if wins else misere, budget,
+    )
 
 
 def outcome(
@@ -243,31 +253,34 @@ def normal_period(code: GameCode, r0_max: int = 200) -> tuple[int, int] | None:
 # ---------------------------------------------------------------------------
 # game trees
 
-_tree_seq = [0]
+# Trees are hash-consed: one object per distinct option set.  Equality is then
+# identity, so comparing two trees never walks them; a structural comparison
+# could take exponential time on a shared-subtree DAG, and recurse past the
+# interpreter's stack on a deep chain.
+_tree_intern: dict[frozenset, "GameTree"] = {}
 
 
 class GameTree:
     """An abstract game: nothing but a finite set of option subtrees.
 
-    Equality is structural.  The hash is computed once at construction so
-    deep trees stay cheap to use as dict keys.
+    Constructing a tree with the options of an existing one returns that
+    tree, so equal trees are the same object.  The hash is computed once, from
+    the options, so deep trees stay cheap to use as dict keys.
     """
 
     __slots__ = ("options", "_hash")
 
-    def __init__(self, options: Iterable["GameTree"] = ()):
-        object.__setattr__(self, "options", frozenset(options))
-        object.__setattr__(self, "_hash", hash(self.options))
+    def __new__(cls, options: Iterable["GameTree"] = ()) -> "GameTree":
+        options = frozenset(options)
+        tree = _tree_intern.get(options)
+        if tree is None:
+            tree = _tree_intern[options] = object.__new__(cls)
+            object.__setattr__(tree, "options", options)
+            object.__setattr__(tree, "_hash", hash(options))
+        return tree
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, GameTree):
-            return NotImplemented
-        return self._hash == other._hash and self.options == other.options
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GameTree is immutable")
@@ -282,40 +295,26 @@ class GameTree:
 
 ENDGAME_TREE = GameTree()
 
-# Equality on trees is structural, and a shared-subtree DAG has exponentially
-# many root-to-leaf paths, so comparing two equal-but-distinct trees can blow
-# up.  Every factory below therefore interns its result: equal values become
-# one object and comparisons stop at the identity check.
-_tree_intern: dict[GameTree, GameTree] = {ENDGAME_TREE: ENDGAME_TREE}
-
-
-def _interned(tree: GameTree) -> GameTree:
-    return _tree_intern.setdefault(tree, tree)
-
 
 @lru_cache(maxsize=None)
 def nim_heap_tree(size: int) -> GameTree:
     """The tree of a single nim heap: *size."""
     if size < 0:
         raise ValueError("nim heap size must be nonnegative")
-    return _interned(GameTree(nim_heap_tree(j) for j in range(size)))
+    return GameTree(nim_heap_tree(j) for j in range(size))
 
 
 _tree_sum_cache: dict[tuple[GameTree, GameTree], GameTree] = {}
 
 
+def _sum_options(pair: tuple[GameTree, GameTree]) -> list[tuple[GameTree, GameTree]]:
+    a, b = pair
+    return [(ao, b) for ao in a.options] + [(a, bo) for bo in b.options]
+
+
 def tree_sum(a: GameTree, b: GameTree) -> GameTree:
     """Disjunctive sum: move in one component, the other rides along."""
-    key = (a, b)
-    got = _tree_sum_cache.get(key)
-    if got is not None:
-        return got
-    opts = [tree_sum(ao, b) for ao in a.options]
-    opts.extend(tree_sum(a, bo) for bo in b.options)
-    result = _interned(GameTree(opts))
-    _tree_sum_cache[key] = result
-    _tree_sum_cache[(b, a)] = result
-    return result
+    return _postorder(_tree_sum_cache, (a, b), _sum_options, GameTree)
 
 
 _tree_of_caches: dict[GameCode, dict[tuple[int, ...], GameTree]] = {}
@@ -328,40 +327,26 @@ def tree_of_position(code: GameCode, position: Position, budget: int = 10**6) ->
     would need unfolding.
     """
     cache = _tree_of_caches.setdefault(code, {})
-    fresh = 0
-    stack: list[tuple[tuple[int, ...], set[tuple[int, ...]] | None]] = [
-        (position.heaps, None)
-    ]
-    while stack:
-        node, opts = stack.pop()
-        if node in cache:
-            continue
-        if opts is None:
-            fresh += 1
-            if fresh > budget:
-                raise BudgetExceededError(f"tree unfolding exceeded {budget} positions")
-            opts = _tuple_options(code, node)
-            pending = [o for o in opts if o not in cache]
-            if pending:
-                stack.append((node, opts))
-                for o in pending:
-                    stack.append((o, None))
-                continue
-        cache[node] = _interned(GameTree(cache[o] for o in opts))
-    return cache[position.heaps]
+    heaps = position.heaps
+    moves = _move_table(code, heaps[-1] if heaps else 0)
+    return _postorder(
+        cache, heaps, lambda node: _options(moves, node), GameTree,
+        len(cache) + budget,
+    )
 
 
 _tree_grundy_cache: dict[GameTree, int] = {}
 _tree_gminus_cache: dict[GameTree, int] = {}
 
 
+def _misere_mex(values: list[int]) -> int:
+    # The endgame is a win for the player to move under misere play.
+    return _mex(values) if values else 1
+
+
 def tree_grundy(tree: GameTree) -> int:
     """Normal-play value of an abstract game tree."""
-    got = _tree_grundy_cache.get(tree)
-    if got is None:
-        got = _mex(tree_grundy(o) for o in tree.options)
-        _tree_grundy_cache[tree] = got
-    return got
+    return _postorder(_tree_grundy_cache, tree, lambda t: t.options, _mex)
 
 
 def misere_gminus(tree: GameTree) -> int:
@@ -369,14 +354,7 @@ def misere_gminus(tree: GameTree) -> int:
 
     A tree is a misere P-position exactly when this value is 0.
     """
-    got = _tree_gminus_cache.get(tree)
-    if got is None:
-        if tree.is_endgame:
-            got = 1
-        else:
-            got = _mex(misere_gminus(o) for o in tree.options)
-        _tree_gminus_cache[tree] = got
-    return got
+    return _postorder(_tree_gminus_cache, tree, lambda t: t.options, _misere_mex)
 
 
 def tree_outcome(tree: GameTree, play: PlayConvention) -> Outcome:
@@ -442,37 +420,24 @@ _gminus_ext_caches: dict[GameCode, dict[tuple[tuple[int, ...], int, int], int]] 
 def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
     """Misere mex value of (heaps + n1 one-token nim heaps + n2 two-token nim
     heaps), computed without building trees.  State key: (heaps, n1, n2)."""
-    cache = _gminus_ext_caches.setdefault(code, {})
     # Many states share their heaps; their heap options are found once.
     heap_options: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
-    stack: list[tuple[tuple[tuple[int, ...], int, int], list | None]] = [
-        ((heaps, 0, n2), None)
-    ]
-    while stack:
-        node, opts = stack.pop()
-        if node in cache:
-            continue
+
+    def options(node):
         hs, n1, m2 = node
-        if opts is None:
-            moved = heap_options.get(hs)
-            if moved is None:
-                moved = heap_options[hs] = _tuple_options(code, hs)
-            opts = [(t, n1, m2) for t in moved]
-            if n1:
-                opts.append((hs, n1 - 1, m2))
-            if m2:
-                opts.append((hs, n1 + 1, m2 - 1))
-                opts.append((hs, n1, m2 - 1))
-            pending = [o for o in opts if o not in cache]
-            if pending:
-                stack.append((node, opts))
-                stack.extend((o, None) for o in pending)
-                continue
-        if not opts:
-            cache[node] = 1
-        else:
-            cache[node] = _mex(cache[o] for o in opts)
-    return cache[(heaps, 0, n2)]
+        moved = heap_options.get(hs)
+        if moved is None:
+            moved = heap_options[hs] = _tuple_options(code, hs)
+        opts = [(t, n1, m2) for t in moved]
+        if n1:
+            opts.append((hs, n1 - 1, m2))
+        if m2:
+            opts.append((hs, n1 + 1, m2 - 1))
+            opts.append((hs, n1, m2 - 1))
+        return opts
+
+    cache = _gminus_ext_caches.setdefault(code, {})
+    return _postorder(cache, (heaps, 0, n2), options, _misere_mex)
 
 
 def genus(code: GameCode, position: Position, cap: int = 16) -> GenusSymbol:

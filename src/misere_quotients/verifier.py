@@ -485,20 +485,13 @@ def verify_to_heap(
     *,
     collapse: bool = True,
     budget: int | None = None,
-    omegas=None,
 ) -> VerificationReport:
-    """Run both induction halves for every asserted N element.
-
-    ``omegas`` restricts the N-to-P half to a subset of elements so a long
-    verification can be resumed piecemeal; the report then only speaks for
-    those elements.
-    """
+    """Run both induction halves for every asserted N element."""
     ctx = _Context(qa, n)
     pairs = _distinct_pairs(qa, ctx.heap_targets.items())
     pp = check_no_PP(qa, n, pairs)
-    watch = frozenset(qa.partition.n_set if omegas is None else omegas)
     scan = _scan_collapsed if collapse else _scan_naive
-    failures, cases, stats = scan(ctx, watch, budget)
+    failures, cases, stats = scan(ctx, qa.partition.n_set, budget)
 
     # All-dead positions have no moves: their label must be N under misere
     # play (the player to move has already won) and P under normal play.

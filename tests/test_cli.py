@@ -9,7 +9,8 @@ from misere_quotients.builder import (
     analysis_to_json,
     kayles_analysis,
 )
-from misere_quotients.cli import main
+from misere_quotients.cli import _tree_from_json, main
+from misere_quotients.oracle import nim_heap_tree
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,22 @@ class TestGenus:
         path.write_text("[[], [[]]]")  # *2 = {0, *1}
         assert main(["genus", "0.123", "--tree", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "2^{20}"
+
+    def test_tree_from_json_builds_the_tree(self):
+        assert _tree_from_json([[], [[]]]) is nim_heap_tree(2)
+
+    def test_deep_tree_file(self, capsys, tmp_path):
+        # 600 single-option trees above the endgame.
+        path = tmp_path / "chain.json"
+        path.write_text("[" * 601 + "]" * 601)
+        assert main(["genus", "0.123", "--tree", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "0^{120}"
+
+    def test_tree_file_too_deep_to_decode(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 3000 + "]" * 3000)
+        assert main(["genus", "0.123", "--tree", str(path)]) == 4
+        assert "nested too deeply" in capsys.readouterr().err
 
     def test_bad_tree_payload(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

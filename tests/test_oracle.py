@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from misere_quotients import oracle
 from misere_quotients.octal import Position, moves_from_heap, parse_game_code
 from misere_quotients.oracle import (
     KAYLES,
@@ -23,6 +24,7 @@ from misere_quotients.oracle import (
     outcome,
     position_options,
     sibert_conway_outcome,
+    tree_grundy,
     tree_of_position,
     tree_outcome,
     tree_sum,
@@ -233,6 +235,42 @@ class TestTrees:
             assert tree_outcome(tree_of_position(G123, p), MISERE) is outcome(
                 G123, p, MISERE
             )
+
+    def test_deep_heap_tree(self):
+        # Heap 1500 of 0.123 unfolds into a tree 500 to 750 moves deep.
+        p = Position.of(1500)
+        tree = tree_of_position(G123, p)
+        assert outcome(G123, p, MISERE) is Outcome.P
+        assert tree_outcome(tree, MISERE) is Outcome.P
+        assert grundy(G123, 1500) == 1
+        assert tree_grundy(tree) == 1
+
+    def test_deep_chain_genus(self):
+        tree = GameTree()
+        for _ in range(600):
+            tree = GameTree([tree])
+        assert str(genus_of_tree(tree)) == "0^{120}"
+
+    def test_tree_budget_counts_new_positions(self, monkeypatch):
+        p = Position.of(4, 7)
+        reached, frontier = {p}, [p]
+        while frontier:
+            for o in position_options(G123, frontier.pop()):
+                if o not in reached:
+                    reached.add(o)
+                    frontier.append(o)
+
+        def naive_tree(q):
+            return GameTree(naive_tree(o) for o in position_options(G123, q))
+
+        want = naive_tree(p)
+        monkeypatch.setattr(oracle, "_tree_of_caches", {})
+        assert tree_of_position(G123, p, budget=len(reached)) == want
+        monkeypatch.setattr(oracle, "_tree_of_caches", {})
+        with pytest.raises(BudgetExceededError):
+            tree_of_position(G123, p, budget=len(reached) - 1)
+        # The positions stored before the error are sound and reused.
+        assert tree_of_position(G123, p) == want
 
 
 class TestSibertConway:

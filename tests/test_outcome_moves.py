@@ -12,7 +12,7 @@ import pytest
 from misere_quotients import oracle
 from misere_quotients.builder import analysis_to_json, phi_of_position
 from misere_quotients.cli import _describe_move, main
-from misere_quotients.octal import Position, moves_from_heap
+from misere_quotients.octal import Position, _heap_moves
 from misere_quotients.oracle import MISERE, Outcome, outcome, position_options
 from misere_quotients.verifier import certify_period, winning_moves
 
@@ -89,9 +89,9 @@ def test_large_heap_reads_only_its_own_moves(
     def spy(code, f):
         # Fail at the first other row instead of building all of them.
         assert f in heaps, f"moves of heap {f} computed"
-        return moves_from_heap(code, f)
+        return _heap_moves(code, f)
 
-    monkeypatch.setattr(oracle, "moves_from_heap", spy)
+    monkeypatch.setattr(oracle, "_heap_moves", spy)
     assert printed_move(capsys, str(path), heaps).startswith("winning move: ")
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, repeat
 
 from .octal import GameCode, Position, parse_game_code
 from .oracle import (
@@ -41,7 +41,6 @@ from .semigroup import (
     knuth_bendix,
     parse_presentation,
     parse_word,
-    reduce_word,
     word_key,
     word_mul,
 )
@@ -630,14 +629,15 @@ def kayles_analysis() -> QuotientAnalysis:
 
     The monoid is enumerated from the packaged presentation; the pretending
     function and P-element set come from the packaged table to heap 96 with
-    its claimed period.  Not verified; certification is a separate step.
+    its claimed period, each word read as a product in the monoid's table.
+    Not verified; certification is a separate step.
     """
-    rws = knuth_bendix(packaged_presentation("0.77"))
-    monoid = enumerate_elements(rws, cap=200)
-    index = {w: i for i, w in enumerate(monoid.words)}
+    monoid = enumerate_elements(knuth_bendix(packaged_presentation("0.77")), cap=200)
+    gen_els = [monoid.generator_map[name] for name in monoid.generators]
 
     def el(text: str) -> int:
-        return index[reduce_word(rws, parse_word(text, monoid.generators))]
+        w = parse_word(text, monoid.generators)
+        return monoid.product(chain.from_iterable(map(repeat, gen_els, w)))
 
     period: tuple[int, int] | None = None
     p_words: list[str] = []

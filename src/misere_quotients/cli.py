@@ -252,7 +252,6 @@ def _tree_from_json(doc) -> GameTree:
 
 
 def cmd_genus(args) -> int:
-    code = parse_game_code(args.game)
     if args.tree is not None:
         with open(args.tree, encoding="utf-8") as f:
             try:
@@ -262,8 +261,9 @@ def cmd_genus(args) -> int:
         tree = _tree_from_json(doc)
         print(str(genus_of_tree(tree)))
         return EXIT_OK
-    if args.heap is None:
-        raise ValueError("give a heap size or --tree FILE")
+    if args.game is None or args.heap is None:
+        raise ValueError("give a game code and heap size, or --tree FILE")
+    code = parse_game_code(args.game)
     if args.heap < 0:
         raise ValueError("heap sizes are nonnegative")
     print(str(genus(code, Position.of(args.heap) if args.heap else Position.of())))
@@ -379,7 +379,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_outcome)
 
     p = sub.add_parser("genus", help="genus symbol of a heap or tree")
-    p.add_argument("game")
+    p.add_argument("game", nargs="?", help="game code; not needed with --tree")
     p.add_argument("heap", nargs="?", type=int)
     p.add_argument("--tree", help="JSON file: nested lists of options")
     p.set_defaults(func=cmd_genus)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .oracle import BudgetExceededError
@@ -58,7 +59,7 @@ def word_mul(u: Word, v: Word) -> Word:
 
 
 def word_divides(u: Word, v: Word) -> bool:
-    return all(a <= b for a, b in zip(u, v))
+    return all(map(int.__le__, u, v))
 
 
 def _word_sub(v: Word, u: Word) -> Word:
@@ -159,9 +160,7 @@ def reduce_word(rws: RewriteSystem, w: Word, rng: random.Random | None = None) -
     Rules are tried first-match by default; pass ``rng`` to pick each applied
     rule at random instead.  Confluence makes the result identical either way.
     """
-    for w, _ in _reduction_steps(rws, w, rng):
-        pass
-    return w
+    return _reduce_by(rws.rules, w, rng)
 
 
 def reduction_trace(
@@ -170,28 +169,34 @@ def reduction_trace(
     """Steps taken while rewriting ``w``: pairs of (result, rule applied).
 
     The starting word is not included; an already-normal word gives []."""
-    return list(_reduction_steps(rws, w, rng))
+    return list(_reduction_steps(rws.rules, w, rng))
 
 
-def _reduction_steps(rws: RewriteSystem, w: Word, rng: random.Random | None):
-    # The one rewrite loop: yields (result, rule applied) per step.
+def _reduction_steps(
+    rules: Sequence[tuple[Word, Word]], w: Word, rng: random.Random | None
+):
+    # The one rewrite loop: yields (result, rule applied) per step.  Without
+    # rng it stops scanning at the first matching rule; with rng it lists the
+    # matching rules in rule order and picks one.
     while True:
-        hits = [k for k, (lhs, _) in enumerate(rws.rules) if word_divides(lhs, w)]
-        if not hits:
+        hits = (rule for rule in rules if word_divides(rule[0], w))
+        if rng is None:
+            rule = next(hits, None)
+        else:
+            hits = list(hits)
+            rule = rng.choice(hits) if hits else None
+        if rule is None:
             return
-        lhs, rhs = rws.rules[hits[0] if rng is None else rng.choice(hits)]
+        lhs, rhs = rule
         w = word_mul(_word_sub(w, lhs), rhs)
-        yield w, (lhs, rhs)
+        yield w, rule
 
 
-def _reduce_by(rules: list[tuple[Word, Word]], w: Word) -> Word:
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in rules:
-            if word_divides(lhs, w):
-                w = word_mul(_word_sub(w, lhs), rhs)
-                changed = True
+def _reduce_by(
+    rules: Sequence[tuple[Word, Word]], w: Word, rng: random.Random | None = None
+) -> Word:
+    for w, _ in _reduction_steps(rules, w, rng):
+        pass
     return w
 
 
@@ -339,6 +344,15 @@ def enumerate_elements(rws: RewriteSystem, cap: int) -> FiniteCommutativeMonoid:
 
     Raises BudgetExceededError once more than ``cap`` normal forms appear,
     i.e. the monoid was not shown finite within budget.
+
+    The closure reduces w*g once for every element w and generator g, and
+    keeps the results as the generator actions act_g.  Confluence makes each
+    action a well-defined map on normal forms.  Every element v other than
+    the identity was first reached as p*g from an element p found before it,
+    so its row of the table is folded from p's row: v*u = (p*u)*g, by
+    commutativity and associativity, that is row(v)[u] = act_g[row(p)[u]].  The table thus costs k*|A| reductions and
+    k*k list lookups instead of k*k reductions, for k elements and |A|
+    generators.  The constructor still checks the result by Light's test.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -347,33 +361,35 @@ def enumerate_elements(rws: RewriteSystem, cap: int) -> FiniteCommutativeMonoid:
         tuple(1 if j == i else 0 for j in range(len(gens))) for i in range(len(gens))
     ]
     identity = tuple(0 for _ in gens)
-    seen = {identity}
+    # acts[g][w] = normal form of w*g; reached[v] = (p, g) with v = p*g.
+    acts: list[dict[Word, Word]] = [{} for _ in gens]
+    reached: dict[Word, tuple[Word, int] | None] = {identity: None}
     frontier = deque([identity])
     while frontier:
         w = frontier.popleft()
-        for unit in units:
-            nxt = reduce_word(rws, word_mul(w, unit))
-            if nxt not in seen:
-                if len(seen) >= cap:
+        for g, unit in enumerate(units):
+            nxt = acts[g][w] = reduce_word(rws, word_mul(w, unit))
+            if nxt not in reached:
+                if len(reached) >= cap:
                     raise BudgetExceededError(
                         f"more than {cap} elements; monoid not shown finite"
                     )
-                seen.add(nxt)
+                reached[nxt] = (w, g)
                 frontier.append(nxt)
-    elements = tuple(sorted(seen, key=word_key))
+    elements = tuple(sorted(reached, key=word_key))
     index = {w: i for i, w in enumerate(elements)}
-    table = tuple(
-        tuple(index[reduce_word(rws, word_mul(u, v))] for v in elements)
-        for u in elements
-    )
-    generator_map = {
-        name: index[reduce_word(rws, unit)] for name, unit in zip(gens, units)
-    }
+    act_rows = [[index[act[w]] for w in elements] for act in acts]
+    rows: dict[Word, list[int]] = {identity: list(range(len(elements)))}
+    for v, (p, g) in itertools.islice(reached.items(), 1, None):
+        rows[v] = list(map(act_rows[g].__getitem__, rows[p]))
+    identity_index = index[identity]
     return FiniteCommutativeMonoid(
         names=tuple(format_word(w, gens) for w in elements),
-        table=table,
-        generator_map=generator_map,
-        identity_index=index[identity],
+        table=tuple(tuple(rows[w]) for w in elements),
+        generator_map={
+            name: act_row[identity_index] for name, act_row in zip(gens, act_rows)
+        },
+        identity_index=identity_index,
         words=elements,
         generators=gens,
     )

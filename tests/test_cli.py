@@ -140,6 +140,20 @@ class TestGenus:
     def test_heap_required(self, capsys):
         assert main(["genus", "0.123"]) == 4
 
+    def test_tree_file_needs_no_game(self, capsys, tmp_path):
+        path = tmp_path / "star2.json"
+        path.write_text("[[], [[]]]")
+        assert main(["genus", "--tree", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "2^{20}"
+        # A game code given alongside a tree is ignored, not parsed.
+        assert main(["genus", "0.918", "--tree", str(path)]) == 0
+        assert capsys.readouterr().out.strip() == "2^{20}"
+
+    def test_heap_without_game(self, capsys):
+        assert main(["genus"]) == 4
+        assert main(["genus", "20"]) == 4
+        assert "give a game code and heap size" in capsys.readouterr().err
+
 
 class TestReduce:
     def test_trace_0123(self, capsys):
@@ -166,7 +180,15 @@ class TestReduce:
         rc = main(["reduce", "0.123", "x z^2 a b^3", "--seed", "7"])
         out = capsys.readouterr().out.splitlines()
         assert rc == 0
-        assert out[-1] == "normal form: zb2"
+        # Every line, so the rule rng.choice picks at each step stays fixed.
+        assert out == [
+            "xz2ab3",
+            "  -> xab3   [z2b -> b]",
+            "  -> xzb3   [ab -> zb]",
+            "  -> x2zb2   [b3 -> xb2]",
+            "  -> zb2   [x2 -> e]",
+            "normal form: zb2",
+        ]
 
     def test_already_normal(self, capsys):
         rc = main(["reduce", "0.123", "z b^2"])

@@ -1,5 +1,6 @@
 """Commutative words, rewriting, completion, and monoid tables."""
 
+import itertools
 import random
 from functools import lru_cache
 
@@ -10,6 +11,7 @@ from misere_quotients.builder import packaged_presentation
 from misere_quotients.oracle import BudgetExceededError
 from misere_quotients.semigroup import (
     FiniteCommutativeMonoid,
+    Presentation,
     _check_associative,
     action_table,
     enumerate_elements,
@@ -395,3 +397,66 @@ class TestLightsTest:
         for game in ("0.123", "0.77"):
             m = packaged_monoid(game)
             _check_associative(m.table, set(m.generator_map.values()))
+
+
+def _brute_table(rws, words):
+    # The independent path: reduce every product of two normal forms.
+    index = {w: i for i, w in enumerate(words)}
+    return tuple(
+        tuple(index[reduce_word(rws, word_mul(u, v))] for v in words) for u in words
+    )
+
+
+@st.composite
+def finite_presentations(draw):
+    """1-3 generators, each with a relation g^a = g^b (b < a <= 4) so the
+    monoid is finite, plus up to three random relations between words of
+    degree at least two, which seldom collapse the monoid."""
+    n = draw(st.integers(1, 3))
+    gens = tuple("xyz"[:n])
+    relations = []
+    bounds = []
+    for i in range(n):
+        a = draw(st.integers(1, 4))
+        b = draw(st.integers(0, a - 1))
+        power = [0] * n
+        power[i] = a
+        relations.append((tuple(power), tuple(b if j == i else 0 for j in range(n))))
+        bounds.append(a)
+    word = st.tuples(*[st.integers(0, 3)] * n).filter(lambda w: sum(w) >= 2)
+    relations += draw(st.lists(st.tuples(word, word), max_size=3))
+    return Presentation(gens, tuple(relations)), bounds
+
+
+class TestFoldedTable:
+    @pytest.mark.parametrize("game", ["0.123", "0.77"])
+    def test_packaged_tables_match_brute_products(self, game):
+        rws = knuth_bendix(packaged_presentation(game))
+        m = enumerate_elements(rws, cap=200)
+        assert m.table == _brute_table(rws, m.words)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=finite_presentations())
+    def test_random_presentations_match_brute(self, case):
+        pres, bounds = case
+        rws = knuth_bendix(pres)
+        m = enumerate_elements(rws, cap=200)
+        # Every element has a word with each exponent below its g^a bound.
+        words = sorted(
+            {reduce_word(rws, w) for w in itertools.product(*map(range, bounds))},
+            key=word_key,
+        )
+        assert m.words == tuple(words)
+        assert m.names == tuple(format_word(w, pres.generators) for w in words)
+        assert m.table == _brute_table(rws, m.words)
+        index = {w: i for i, w in enumerate(words)}
+        assert m.generator_map == {
+            name: index[reduce_word(rws, parse_word(name, pres.generators))]
+            for name in pres.generators
+        }
+
+    def test_kayles_cap_boundary(self):
+        rws = knuth_bendix(packaged_presentation("0.77"))
+        assert len(enumerate_elements(rws, cap=40)) == 40
+        with pytest.raises(BudgetExceededError):
+            enumerate_elements(rws, cap=39)

@@ -10,6 +10,7 @@ from .oracle import (
     MISERE,
     NORMAL,
     BudgetExceededError,
+    InternalError,
     GameTree,
     GenusSymbol,
     Outcome,
@@ -37,6 +38,7 @@ __all__ = [
     "MISERE",
     "NORMAL",
     "BudgetExceededError",
+    "InternalError",
     "GameTree",
     "GenusSymbol",
     "Outcome",

@@ -24,6 +24,7 @@ from .oracle import (
     NORMAL,
     BudgetExceededError,
     GenusSymbol,
+    InternalError,
     Outcome,
     PlayConvention,
     _SEARCH_BUDGET,
@@ -251,7 +252,7 @@ def _run_round(sigs: _Signatures, max_classes: int) -> _RoundResult | None:
         for cls, rep in enumerate(reps):
             g = nim_value(code, Position(rep))
             if by_nim.setdefault(g, cls) != cls:
-                raise RuntimeError("distinct classes share a nim value")
+                raise InternalError("distinct classes share a nim value")
 
     # Distinct single-heap classes, tagged by the first heap attaining each.
     candidates: list[tuple[int, int]] = []
@@ -308,7 +309,7 @@ def _run_round(sigs: _Signatures, max_classes: int) -> _RoundResult | None:
                 ):
                     candidates[target] = w
         if not candidates:
-            raise RuntimeError("letter classes do not generate the monoid")
+            raise InternalError("letter classes do not generate the monoid")
         for cls, w in candidates.items():
             min_word[cls] = w
         layer = sorted(candidates, key=lambda c: word_key(min_word[c]))

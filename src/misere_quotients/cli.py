@@ -7,7 +7,7 @@ produced once and queried many times.
 
 Exit codes are a stable contract: 0 success (and verified, where the
 subcommand verifies anything), 2 verification failure, 3 budget exceeded,
-4 bad input.
+4 bad input, 5 internal error.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .oracle import (
     BudgetExceededError,
     GameTree,
     GenusTailError,
+    InternalError,
     Outcome,
     _move_row,
     genus,
@@ -46,6 +47,7 @@ EXIT_OK = 0
 EXIT_FAILED = 2
 EXIT_BUDGET = 3
 EXIT_INPUT = 4
+EXIT_INTERNAL = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,14 +148,10 @@ def cmd_analyze(args) -> int:
     code = parse_game_code(args.game)
     play = NORMAL if args.normal else MISERE
     qa = builder.build_quotient(code, args.n, play)
-    rep = verifier.verify_to_heap(
-        qa, args.n, collapse=not args.naive, budget=args.budget
-    )
+    rep = verifier.verify_to_heap(qa, args.n, budget=args.budget)
     qa = replace(qa, verified_to=args.n if rep.passed else None)
     if rep.passed and args.certify is not None:
-        cert = verifier.certify_period(
-            qa, *args.certify, collapse=not args.naive, budget=args.budget
-        )
+        cert = verifier.certify_period(qa, *args.certify, budget=args.budget)
         if cert is None:
             _print_summary(qa)
             print(f"certification of period {args.certify} FAILED")
@@ -170,9 +168,7 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     qa = _load_analysis(args.analysis)
     n = args.n if args.n is not None else qa.n
-    rep = verifier.verify_to_heap(
-        qa, n, collapse=not args.naive, budget=args.budget
-    )
+    rep = verifier.verify_to_heap(qa, n, budget=args.budget)
     _print_report(qa, rep)
     return EXIT_OK if rep.passed else EXIT_FAILED
 
@@ -185,9 +181,7 @@ def cmd_certify(args) -> int:
     r0, p = period
     window = verifier._certificate_window(qa.code, r0, p)
     print(f"certifying period r0={r0} p={p}: verifying to heap {window}")
-    cert = verifier.certify_period(
-        qa, r0, p, collapse=not args.naive, budget=args.budget
-    )
+    cert = verifier.certify_period(qa, r0, p, budget=args.budget)
     if cert is None:
         print("FAILED")
         return EXIT_FAILED
@@ -353,7 +347,6 @@ def _build_parser() -> _Parser:
     p.add_argument("-n", type=int, default=12, help="heap bound")
     p.add_argument("--normal", action="store_true", help="normal play")
     p.add_argument("--certify", type=_parse_period, metavar="R0,P")
-    p.add_argument("--naive", action="store_true", help="no subset collapsing")
     p.add_argument("--budget", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
@@ -361,14 +354,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="re-verify an analysis to a heap bound")
     p.add_argument("analysis", help="analysis JSON path or game code")
     p.add_argument("-n", type=int)
-    p.add_argument("--naive", action="store_true")
     p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify", help="certify a period, settling all heaps")
     p.add_argument("analysis")
     p.add_argument("--certify", type=_parse_period, metavar="R0,P")
-    p.add_argument("--naive", action="store_true")
     p.add_argument("--budget", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
@@ -408,6 +399,9 @@ def main(argv=None) -> int:
     except (GameCodeError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except RuntimeError as exc:
         print(f"failed: {exc}", file=sys.stderr)
         return EXIT_FAILED

@@ -28,6 +28,7 @@ __all__ = [
     "MISERE",
     "Outcome",
     "BudgetExceededError",
+    "InternalError",
     "position_options",
     "outcome",
     "grundy",
@@ -71,6 +72,11 @@ class Outcome(enum.Enum):
 
 class BudgetExceededError(RuntimeError):
     """A search exceeded its node budget before finishing."""
+
+
+class InternalError(RuntimeError):
+    """A consistency check of the package's own results failed: a bug, not
+    bad input or a failed verification."""
 
 
 class GenusTailError(RuntimeError):

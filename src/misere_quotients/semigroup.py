@@ -25,7 +25,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .oracle import BudgetExceededError
+from .oracle import BudgetExceededError, InternalError
 
 __all__ = [
     "Word",
@@ -236,7 +236,7 @@ def knuth_bendix(pres: Presentation, max_rules: int = 10000) -> RewriteSystem:
                 )
         rules.append((left, right))
         if len(rules) > max_rules:
-            raise RuntimeError("completion exceeded max_rules; this is a bug")
+            raise InternalError("completion exceeded max_rules; this is a bug")
     final = sorted(
         ((lhs, _reduce_by(rules, rhs)) for lhs, rhs in rules),
         key=lambda rule: word_key(rule[0]),
@@ -253,7 +253,7 @@ def _assert_confluent(rws: RewriteSystem) -> None:
         a = reduce_word(rws, word_mul(r1, _word_sub(overlap, l1)))
         b = reduce_word(rws, word_mul(r2, _word_sub(overlap, l2)))
         if a != b:
-            raise RuntimeError("completion produced a non-confluent system")
+            raise InternalError("completion produced a non-confluent system")
 
 
 class FiniteCommutativeMonoid:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .oracle import GenusSymbol
+from .oracle import GenusSymbol, InternalError
 from .semigroup import FiniteCommutativeMonoid
 
 __all__ = [
@@ -190,7 +190,7 @@ def principal_series(m: FiniteCommutativeMonoid) -> PrincipalSeries:
             )
         ]
         if not removable:
-            raise RuntimeError("no removable divisibility class")
+            raise InternalError("no removable divisibility class")
         choice = min(removable, key=min)
         remaining.remove(choice)
         removed.append(choice)

@@ -12,8 +12,10 @@ multiplier s drawn from the submonoid S(U) generated by U's elements, since
 every position with support U and extra copies of its heaps factors that way,
 and every such (U, s) is realized by some concrete position.
 
-The N-to-P half first runs a memoized search that only decides whether some
-case (U, s) fails; the full listing of failing cases runs only when it does.
+The N-to-P half is one memoized search over sets of distinct heap values.
+It skips every subtree that holds no failing case (U, s) and lists the
+failing cases of the rest, so a failing run walks the paths to its failures
+rather than the whole tree.
 
 Heaps with no moves at all need care under (2): a position made entirely of
 them has no move to anything, yet the player to move has already won under
@@ -266,63 +268,42 @@ def _multiplicities(ctx: _Context, v: int) -> tuple[int, ...]:
     return (1, 2) if len(ctx.by_value[v]) >= 2 else (1,)
 
 
-def _list_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
-    """Every failing case of the collapsed scan, with its counters."""
+def _witness(ctx: _Context, chosen, s: int) -> tuple[int, ...]:
+    """Heaps of a failing collapsed case: for each chosen (v, mu), the first
+    mu heaps of value v with no move into P at base s*d, d the rest of the
+    chosen product."""
     table = ctx.table
-    failures: list[tuple[int, tuple[int, ...], int]] = []
-    cases: dict[int, int] = {}
-    stats = {"nodes": 0, "evaluations": 0}
-    identity = ctx.qa.monoid.identity_index
-    values = sorted(ctx.by_value)
-
-    def descend(i, chosen, submonoid, product, derivs):
-        for j in range(i, len(values)):
-            v = values[j]
-            sub2 = ctx.closure_add(submonoid, v)
-            for mu in _multiplicities(ctx, v):
-                v_mu = table[v][v] if mu == 2 else v
-                chosen2 = chosen + ((v, mu),)
-                derivs2 = tuple(table[d][v_mu] for d in derivs) + (
-                    table[product][v] if mu == 2 else product,
-                )
-                product2 = table[product][v_mu]
-                stats["nodes"] += 1
-                for s in _bits(sub2):
-                    omega = table[s][product2]
-                    if omega not in watch:
-                        continue
-                    stats["evaluations"] += 1
-                    if budget is not None and stats["evaluations"] > budget:
-                        raise BudgetExceededError("subset scan exceeded budget")
-                    cases[omega] = cases.get(omega, 0) + 1
-                    witness: list[int] = []
-                    for (v2, mu2), d in zip(chosen2, derivs2):
-                        bad = ctx.bad_heaps(v2, table[s][d])
-                        if len(bad) < mu2:
-                            witness = []
-                            break
-                        witness.extend(bad[:mu2])
-                    if witness:
-                        failures.append((omega, tuple(sorted(witness)), s))
-                descend(j + 1, chosen2, sub2, product2, derivs2)
-
-    descend(0, (), 1 << identity, identity, ())
-    return failures, cases, stats
+    heaps: list[int] = []
+    for i, (v, mu) in enumerate(chosen):
+        base = s
+        for j, (v2, mu2) in enumerate(chosen):
+            for _ in range(mu2 - (i == j)):
+                base = table[base][v2]
+        heaps.extend(ctx.bad_heaps(v, base)[:mu])
+    return tuple(sorted(heaps))
 
 
-def _find_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
-    """Whether the collapsed scan has a failing case, by memoized search.
+def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
+    """Enumerate sets of distinct phi values with a one-heap or two-heap flag,
+    by memoized search.
+
+    Sound and complete against the naive scan: extra copies of a value fold
+    into s (the value generates part of S(U)), and a failing combination is
+    realizable exactly when each chosen value has at least as many heaps
+    failing against its base as the flag demands.
 
     Call G the set of elements x at which every chosen (v, mu) still fails:
     at least mu heaps of value v have no move into P at base x*d, with d the
-    rest of the product.  A subtree of the listing depends only on the next
-    value index, the product P so far, S(U) so far and G.  Adding (v, mu)
-    maps G to {x : x*v^mu in G and (v, mu) fails at x*P*v^(mu-1)}, and the
-    new node fails exactly when G meets S(U) and {s : s*P in watch}.  Those
-    four are the memo key, as bitmasks; a node with G empty has no failing
-    descendant and is pruned.  An evaluation is one (state, s) pair: a node
-    that survives the pruning, and s in S(U) with s*P in watch.  They are
-    counted per omega in ``cases``.
+    rest of the product.  Whether a subtree holds a failing case depends only
+    on the next value index, the product P so far, S(U) so far and G.  Adding
+    (v, mu) maps G to {x : x*v^mu in G and (v, mu) fails at x*P*v^(mu-1)},
+    and the new node fails at exactly the s in G, in S(U) and with s*P in
+    watch.  Those four are the memo key, as bitmasks.  A subtree is skipped
+    when its G is empty or its key is memoized as holding no failure; one
+    that holds a failure is walked again, since witnesses depend on the path.
+    An evaluation is one (state, s) pair: a node that survives the pruning,
+    and s in S(U) with s*P in watch.  They are counted per omega in
+    ``cases``.
     """
     table = ctx.table
     k = len(table)
@@ -352,15 +333,17 @@ def _find_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
     fails_at: dict[tuple[int, int, int], int] = {}
     watch_mask = sum(1 << w for w in watch)
     watched_by: dict[int, int] = {}
+    failures: list[tuple[int, tuple[int, ...], int]] = []
     cases: dict[int, int] = {}
     stats = {"nodes": 0, "evaluations": 0}
     memo: dict[tuple[int, int, int, int], bool] = {}
+    chosen: list[tuple[int, int]] = []
 
     def descend(i, g_mask, product, submonoid):
         key = (i, g_mask, product, submonoid)
-        got = memo.get(key)
-        if got is not None:
-            return got
+        if memo.get(key) is False:
+            return
+        listed = len(failures)
         for j in range(i, len(values)):
             v = values[j]
             sub2 = ctx.closure_add(submonoid, v)
@@ -388,36 +371,17 @@ def _find_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
                         raise BudgetExceededError("subset scan exceeded budget")
                     omega = row[s]
                     cases[omega] = cases.get(omega, 0) + 1
-                if g2 & hits or descend(j + 1, g2, product2, sub2):
-                    memo[key] = True
-                    return True
-        memo[key] = False
-        return False
+                chosen.append((v, mu))
+                for s in _bits(g2 & hits):
+                    failures.append((row[s], _witness(ctx, chosen, s), s))
+                descend(j + 1, g2, product2, sub2)
+                chosen.pop()
+        memo[key] = len(failures) > listed
 
     identity = ctx.qa.monoid.identity_index
-    found = descend(0, (1 << k) - 1, identity, 1 << identity)
+    descend(0, (1 << k) - 1, identity, 1 << identity)
     stats["states"] = len(memo)
-    return found, cases, stats
-
-
-def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
-    """Enumerate sets of distinct phi values with a one-heap or two-heap flag.
-
-    Sound and complete against the naive scan: extra copies of a value fold
-    into s (the value generates part of S(U)), and a failing combination is
-    realizable exactly when each chosen value has at least as many heaps
-    failing against its base as the flag demands.
-
-    The memoized search of _find_collapsed decides first.  Only when it finds
-    a failure does the full listing run, so a failing report lists the same
-    cases, with the same counters, as a listing alone; ``states`` is then
-    still the search's memo size.
-    """
-    found, cases, stats = _find_collapsed(ctx, watch, budget)
-    if not found:
-        return [], cases, stats
-    failures, cases, listed = _list_collapsed(ctx, watch, budget)
-    return failures, cases, dict(listed, states=stats["states"])
+    return failures, cases, stats
 
 
 def submonoid_of(qa: QuotientAnalysis, heaps) -> tuple[int, ...]:
@@ -486,7 +450,10 @@ def verify_to_heap(
     collapse: bool = True,
     budget: int | None = None,
 ) -> VerificationReport:
-    """Run both induction halves for every asserted N element."""
+    """Run both induction halves for every asserted N element.
+
+    ``collapse=False`` runs the naive subset scan, the reference that the
+    collapsed scan is tested against."""
     ctx = _Context(qa, n)
     pairs = _distinct_pairs(qa, ctx.heap_targets.items())
     pp = check_no_PP(qa, n, pairs)
@@ -535,7 +502,6 @@ def certify_period(
     r0: int,
     p: int,
     *,
-    collapse: bool = True,
     budget: int | None = None,
 ) -> QuotientAnalysis | None:
     """Prove the analysis correct for every heap size.
@@ -554,7 +520,7 @@ def certify_period(
     # Raises ValueError when the stored values break the period.
     claimed = replace(qa.phi, claimed_period=(r0, p))
     candidate = replace(qa, phi=claimed)
-    report = verify_to_heap(candidate, n_window, collapse=collapse, budget=budget)
+    report = verify_to_heap(candidate, n_window, budget=budget)
     if not report.passed:
         return None
     return replace(

@@ -11,6 +11,7 @@ from misere_quotients.builder import (
 )
 from misere_quotients.cli import _tree_from_json, main
 from misere_quotients.oracle import nim_heap_tree
+from misere_quotients.semigroup import knuth_bendix
 
 
 @pytest.fixture(scope="module")
@@ -202,6 +203,14 @@ class TestReduce:
     def test_missing_presentation_file(self, capsys):
         assert main(["reduce", "nope.txt", "x"]) == 4
 
+    def test_internal_fault_exits_5(self, capsys, monkeypatch):
+        # Completion capped at zero rules trips a check only a bug can trip.
+        monkeypatch.setattr(knuth_bendix, "__defaults__", (0,))
+        assert main(["reduce", "0.123", "x"]) == 5
+        assert "internal error: completion exceeded max_rules" in (
+            capsys.readouterr().err
+        )
+
 
 class TestVerifyAndCertify:
     def test_verify_from_file(self, capsys, analysis_file):
@@ -290,7 +299,7 @@ class TestBadInput:
         assert main(["outcome", "0.999", "3"]) == 4
 
     def test_removed_analyze_flags(self):
-        for flag in (["--misere"], ["--seed", "3"]):
+        for flag in (["--misere"], ["--seed", "3"], ["--naive"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(["analyze", "0.123", *flag])
             assert excinfo.value.code == 4

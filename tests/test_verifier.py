@@ -1,18 +1,24 @@
 """Induction checks for the 0.123 analysis against the published tables."""
 
+import itertools
+import math
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from misere_quotients.builder import OutcomePartition, PretendingFunction
+from misere_quotients.builder import (
+    OutcomePartition,
+    PretendingFunction,
+    QuotientAnalysis,
+)
 from misere_quotients.octal import parse_game_code
-from misere_quotients.oracle import BudgetExceededError
+from misere_quotients.oracle import MISERE, BudgetExceededError
+from misere_quotients.semigroup import FiniteCommutativeMonoid
 from misere_quotients.verifier import (
     MovePair,
     _Context,
-    _find_collapsed,
-    _list_collapsed,
+    _scan_collapsed,
     _scan_naive,
     certify_period,
     check_N_to_P,
@@ -307,21 +313,37 @@ class TestCertification:
 
 
 # ---------------------------------------------------------------------------
-# the memoized N-to-P search against the listing and naive scans
+# the memoized N-to-P search against the naive scan
 
 
-def scan_verdicts(qa, n, *, naive=True):
-    """Whether each scan finds a stuck N case: the memoized search, the
-    collapsed listing, and (optionally) the naive scan."""
+def scan_verdicts(qa, n):
+    """Run the collapsed and the naive scan and check that they agree: a
+    stuck N case in both or neither, for the same elements, every collapsed
+    failure a naive one, and every naive failure, with value copies past the
+    second folded into s, listed once by the collapsed scan.  Returns whether
+    a stuck case exists."""
     ctx = _Context(qa, n)
     watch = frozenset(qa.partition.n_set)
-    found, _, _ = _find_collapsed(ctx, watch, None)
-    listed, _, _ = _list_collapsed(ctx, watch, None)
-    verdicts = [found, bool(listed)]
-    if naive:
-        naive_failures, _, _ = _scan_naive(ctx, watch, None)
-        verdicts.append(bool(naive_failures))
-    return verdicts
+    fast, _, _ = _scan_collapsed(ctx, watch, None)
+    slow, _, _ = _scan_naive(ctx, watch, None)
+    assert bool(fast) == bool(slow)
+    assert {omega for omega, _, _ in fast} == {omega for omega, _, _ in slow}
+    assert set(fast) <= set(slow)
+
+    def collapsed_case(failure):
+        omega, heaps, s = failure
+        kept: list[int] = []
+        for v in sorted(ctx.heap_phi[h] for h in heaps):
+            if kept[-2:] == [v, v]:
+                s = ctx.table[s][v]
+            else:
+                kept.append(v)
+        return omega, tuple(kept), s
+
+    listed = [collapsed_case(f) for f in fast]
+    assert len(set(listed)) == len(listed)
+    assert set(listed) == {collapsed_case(f) for f in slow}
+    return bool(fast)
 
 
 def flip_labels(qa, elements):
@@ -355,13 +377,66 @@ def label_flips(k):
     return st.frozensets(st.integers(0, k - 1), min_size=1, max_size=3)
 
 
+def cyclic_product(shape):
+    """The product of cyclic monoids <x | x^(a+p) = x^a>, one per (a, p) in
+    shape, on exponent vectors."""
+
+    def fold(x, a, p):
+        return x if x < a + p else a + (x - a) % p
+
+    elements = list(itertools.product(*(range(a + p) for a, p in shape)))
+    index = {e: i for i, e in enumerate(elements)}
+    table = tuple(
+        tuple(
+            index[tuple(fold(x + y, a, p) for x, y, (a, p) in zip(u, v, shape))]
+            for v in elements
+        )
+        for u in elements
+    )
+    generators = {
+        f"x{i}": index[
+            tuple(fold(int(i == j), a, p) for j, (a, p) in enumerate(shape))
+        ]
+        for i in range(len(shape))
+    }
+    names = tuple(".".join(map(str, e)) for e in elements)
+    return FiniteCommutativeMonoid(names, table, generators)
+
+
+SYNTHETIC_CODES = [parse_game_code(c) for c in ("0.123", "0.77", "0.137", "0.07", "0.4")]
+
+
+@st.composite
+def synthetic_quotients(draw):
+    """A candidate analysis on a product of one to three cyclic monoids, with
+    a random pretending function and a random P set."""
+    # At most 36 elements keeps the naive scan to a few milliseconds.
+    shape = draw(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3)),
+                 min_size=1, max_size=3)
+        .filter(lambda shape: math.prod(a + p for a, p in shape) <= 36)
+    )
+    monoid = cyclic_product(shape)
+    k = len(monoid)
+    n = draw(st.integers(9, 12))
+    values = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    in_p = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    p_set = frozenset(e for e in range(k) if in_p[e])
+    return QuotientAnalysis(
+        code=draw(st.sampled_from(SYNTHETIC_CODES)),
+        play=MISERE,
+        n=n,
+        monoid=monoid,
+        phi=PretendingFunction(tuple(values)),
+        partition=OutcomePartition(p_set, frozenset(range(k)) - p_set),
+    )
+
+
 class TestMemoizedScan:
     def test_every_single_flip_agrees(self, qa123_12):
         stuck = 0
         for e in range(len(qa123_12.monoid)):
-            verdicts = scan_verdicts(flip_labels(qa123_12, {e}), 12)
-            assert len(set(verdicts)) == 1, (qa123_12.monoid.names[e], verdicts)
-            stuck += verdicts[0]
+            stuck += scan_verdicts(flip_labels(qa123_12, {e}), 12)
         assert stuck > 0  # some flips leave an N element stuck
 
     @settings(max_examples=60, deadline=None)
@@ -371,18 +446,21 @@ class TestMemoizedScan:
         qa = flip_labels(qa123_12, flips)
         for edit in edits:
             qa = edit_phi(qa, edit)
-        verdicts = scan_verdicts(qa, 12)
-        assert len(set(verdicts)) == 1, verdicts
+        scan_verdicts(qa, 12)
 
     @settings(max_examples=40, deadline=None)
     @given(flips=st.one_of(st.just(frozenset()), label_flips(40)),
-           edits=st.lists(phi_edits(14, 40), max_size=2))
+           edits=st.lists(phi_edits(12, 40), max_size=2))
     def test_perturbed_kayles_agrees(self, kayles, flips, edits):
         qa = flip_labels(kayles, flips)
         for edit in edits:
             qa = edit_phi(qa, edit)
-        verdicts = scan_verdicts(qa, 14, naive=False)
-        assert len(set(verdicts)) == 1, verdicts
+        scan_verdicts(qa, 12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(qa=synthetic_quotients())
+    def test_synthetic_quotients_agree(self, qa):
+        scan_verdicts(qa, qa.n)
 
     def test_kayles_certificate_window(self, kayles):
         assert kayles.phi.claimed_period == (73, 12)
@@ -392,11 +470,21 @@ class TestMemoizedScan:
         assert report.stats["nodes"] < 10**5
 
     def test_failing_report_lists_every_case(self, qa123_12):
-        # A failure found by the search hands over to the full listing.
         bad = flip_labels(qa123_12, {qa123_12.monoid.index_of("b2")})
         ctx = _Context(bad, 12)
         watch = frozenset(bad.partition.n_set)
-        listed, _, _ = _list_collapsed(ctx, watch, None)
+        listed, _, _ = _scan_collapsed(ctx, watch, None)
         report = verify_to_heap(bad, 12)
         assert listed and set(listed) <= set(report.np_failures)
         assert report.stats["states"] > 0
+
+    def test_single_stuck_case_is_found_without_the_whole_tree(self, kayles):
+        # Kayles cut at heap 30, with heap 30 sent to the wrong element: one
+        # stuck case, which a walk of the whole collapsed tree (1 119 743
+        # nodes) would list too.
+        values = list(kayles.phi.values[:30])
+        values[29] = kayles.monoid.index_of("vf")
+        bad = replace(kayles, phi=PretendingFunction(tuple(values)))
+        report = verify_to_heap(bad, 30)
+        assert report.np_failures == [(2, (1, 11, 30), 0)]
+        assert report.stats["nodes"] < 10**5

@@ -1,7 +1,7 @@
 """Ground-truth game analysis by direct search.
 
 Everything here is computed straight from the move rules, with no algebra:
-outcome classes by brute-force recursion, normal-play heap values and their
+outcome classes by exhaustive search, normal-play heap values and their
 eventual period, game trees, the misere mex value, genus symbols, and the
 hand-made outcome rule for 0.77 (Kayles).  The rest of the package is checked
 against these slower but independently trustworthy routines.
@@ -149,6 +149,8 @@ _outcome_caches: dict[tuple[GameCode, PlayConvention], dict[tuple[int, ...], boo
 def _postorder(cache: dict, root, options, value, limit: int | None = None):
     """``cache[root]``, filling ``cache`` without recursion.
 
+    This serves the searches that need the value of every option, such as a
+    mex; the outcome search stops earlier and has its own loop in _solve.
     Every node below ``root`` not yet in ``cache`` is stored as
     ``value([cache[o] for o in options(node)])`` once all its options are
     stored.  Raises BudgetExceededError if ``cache`` would grow past
@@ -181,14 +183,65 @@ def _solve(
 ) -> bool:
     """Whether the player to move wins the sorted position ``heaps``.
 
-    Fills ``cache`` with every position the search reaches; raises
-    BudgetExceededError if it would grow past ``budget`` entries.
+    A position is settled as a win at its first option known to lose, so
+    the search builds no further options of it and visits none of their
+    subtrees.  Every position it settles goes into ``cache``, exactly;
+    positions it never needed are not stored.  Raises BudgetExceededError
+    if ``cache`` would grow past ``budget`` entries; what it stored up to
+    then stays correct.
     """
+    won = cache.get(heaps)
+    if won is not None:
+        return won
     moves = _move_table(code, heaps[-1] if heaps else 0)
-    return _postorder(
-        cache, heaps, lambda node: _options(moves, node),
-        lambda wins: not all(wins) if wins else misere, budget,
-    )
+    get = cache.get
+    # (position, its options not yet known when it was last looked at)
+    stack: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
+    node = heaps
+    while True:
+        # node is not in cache: build its options until one is known to lose.
+        won = None
+        pending = []
+        prev = 0
+        for i, size in enumerate(node):
+            if size == prev:  # node is sorted: an equal heap gives equal options
+                continue
+            prev = size
+            rest = node[:i] + node[i + 1 :]
+            for repl in moves[size]:
+                option = tuple(sorted(rest + repl))
+                option_won = get(option)
+                if option_won is None:
+                    pending.append(option)
+                elif not option_won:
+                    won = True
+                    break
+            if won:
+                break
+        if won is None:
+            if pending:
+                stack.append((node, pending))
+                node = pending.pop()
+                continue
+            won = False if any(moves[h] for h in node) else misere
+        # Store node, then settle each ancestor that this decides.
+        while True:
+            if len(cache) >= budget:
+                raise BudgetExceededError(f"search memo would outgrow {budget} entries")
+            cache[node] = won
+            if not stack:
+                return won
+            node, pending = stack.pop()
+            # A losing option wins node.  After a winning one, look up node's
+            # next options: a sibling subtree may have settled them meanwhile.
+            while won and pending:
+                child = pending.pop()
+                won = get(child)
+            if won is None:
+                stack.append((node, pending))
+                node = child
+                break
+            won = not won
 
 
 def outcome(
@@ -403,7 +456,7 @@ def is_wild_genus(symbol: GenusSymbol) -> bool:
 def _trim_exponents(values: list[int], cap: int, what: str) -> tuple[int, ...]:
     # Stored prefix is g_0..g_k for the smallest k >= 1 such that the next two
     # values repeat g_{k-1}, g_k; from there the tail alternates forever.
-    for k in range(1, len(values) - 2 + 1):
+    for k in range(1, len(values) - 2):
         if values[k + 1] == values[k - 1] and values[k + 2] == values[k]:
             return tuple(values[: k + 1])
     raise GenusTailError(f"{what}: no settled tail within {cap} exponents")

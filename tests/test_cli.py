@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from misere_quotients import cli, oracle
 from misere_quotients.builder import (
     analysis_from_json,
     analysis_to_json,
@@ -149,6 +150,16 @@ class TestGenus:
         # A game code given alongside a tree is ignored, not parsed.
         assert main(["genus", "0.918", "--tree", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "2^{20}"
+
+    def test_unsettled_tree_genus_exits_3(self, capsys, tmp_path, monkeypatch):
+        # At cap 2 the endgame's exponents do not settle within the prefix.
+        monkeypatch.setattr(
+            cli, "genus_of_tree", lambda tree: oracle.genus_of_tree(tree, cap=2)
+        )
+        path = tmp_path / "endgame.json"
+        path.write_text("[]")
+        assert main(["genus", "--tree", str(path)]) == 3
+        assert "no settled tail" in capsys.readouterr().err
 
     def test_heap_without_game(self, capsys):
         assert main(["genus"]) == 4

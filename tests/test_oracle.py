@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from misere_quotients import oracle
 from misere_quotients.octal import Position, moves_from_heap, parse_game_code
 from misere_quotients.oracle import (
+    ENDGAME_TREE,
     KAYLES,
     MISERE,
     NORMAL,
@@ -117,6 +118,15 @@ def naive_won(code, heaps, misere, memo):
     return memo[heaps]
 
 
+def full_closure_won(code, heaps, misere, memo):
+    """Whether the player to move wins: every option's value, then the rule."""
+    moves = oracle._move_table(code, heaps[-1] if heaps else 0)
+    return oracle._postorder(
+        memo, heaps, lambda node: oracle._options(moves, node),
+        lambda wins: not all(wins) if wins else misere,
+    )
+
+
 class TestSolver:
     @settings(max_examples=120, deadline=None)
     @given(code=st.sampled_from(SOLVER_GAMES), misere=st.booleans(), heaps=small_positions)
@@ -150,13 +160,52 @@ class TestSolver:
 
     def test_memo_stays_sound_after_budget_error(self):
         code = parse_game_code("0.137")
-        cache = {}
-        with pytest.raises(BudgetExceededError):
-            _solve(code, cache, True, (6, 7), 20)
         naive = {}
-        for node, won in cache.items():
-            assert won == naive_won(code, node, True, naive)
-        assert _solve(code, cache, True, (6, 7), 10**6) == naive_won(code, (6, 7), True, naive)
+        want = naive_won(code, (6, 7), True, naive)
+        fresh = {}
+        _solve(code, fresh, True, (6, 7), 10**6)
+        # The search raises exactly when the budget is below what it stores.
+        for budget in range(1, len(fresh) + 1):
+            cache = {}
+            if budget < len(fresh):
+                with pytest.raises(BudgetExceededError):
+                    _solve(code, cache, True, (6, 7), budget)
+            else:
+                assert _solve(code, cache, True, (6, 7), budget) == want
+            assert len(cache) <= budget
+            for node, won in cache.items():
+                assert won == naive_won(code, node, True, naive), (budget, node)
+            assert _solve(code, cache, True, (6, 7), 10**6) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        code=st.sampled_from(SOLVER_GAMES),
+        misere=st.booleans(),
+        positions=st.lists(
+            st.lists(st.integers(1, 10), max_size=3).map(lambda hs: tuple(sorted(hs))),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_shared_memo_matches_full_closure(self, code, misere, positions):
+        # One memo across several searches, as the builder uses it: later
+        # searches stop early against a memo that earlier ones filled in part.
+        memo, full = {}, {}
+        for heaps in positions:
+            want = full_closure_won(code, heaps, misere, full)
+            assert _solve(code, memo, misere, heaps, 10**6) == want, heaps
+        for node, won in memo.items():
+            assert won == full_closure_won(code, node, misere, full), node
+
+    def test_search_stops_at_first_losing_option(self):
+        # The full closure of misere Kayles 8+9+10 holds 3 781 positions; a
+        # search that builds every option of every position stores them all.
+        cache = {}
+        assert _solve(KAYLES, cache, True, (8, 9, 10), 10**6)
+        full = {}
+        full_closure_won(KAYLES, (8, 9, 10), True, full)
+        assert len(full) == 3781
+        assert len(cache) < len(full)
 
 
 class TestGenus:
@@ -308,3 +357,11 @@ class TestGenusTail:
     def test_cap_raises(self):
         with pytest.raises(GenusTailError):
             genus(G123, Position.of(8), cap=1)
+
+    def test_unsettled_prefix_raises_tail_error(self):
+        # The values g_0..g_3 of the endgame are 1, 2, 0, 2: the last pair
+        # repeats its predecessor, but no value past the prefix confirms it.
+        with pytest.raises(GenusTailError):
+            genus_of_tree(ENDGAME_TREE, cap=2)
+        with pytest.raises(GenusTailError):
+            oracle._trim_exponents([1, 0, 1], 1, "x")

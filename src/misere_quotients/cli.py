@@ -393,8 +393,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (BudgetExceededError, GenusTailError) as exc:
+    except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except GenusTailError as exc:
+        print(f"genus tail not settled: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (GameCodeError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -477,8 +477,23 @@ _gminus_ext_caches: dict[GameCode, dict[tuple[tuple[int, ...], int, int], int]] 
 
 
 def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
-    """Misere mex value of (heaps + n1 one-token nim heaps + n2 two-token nim
-    heaps), computed without building trees.  State key: (heaps, n1, n2)."""
+    """Misere mex value of (heaps + n2 two-token nim heaps), computed without
+    building trees.
+
+    The search runs over states (heaps, n1, n2): heaps plus n1 copies of *1
+    and n2 copies of *2.  It keeps n1 mod 2 only, because
+    g-(X + *1 + *1) = g-(X) for every game X.  By induction on X:
+
+    - The options of X + *1 + *1 are X' + *1 + *1, of value g-(X') by
+      induction, and X + *1.
+    - X is an option of X + *1, so g-(X + *1) != g-(X).
+    - If X has options, g-(X) = mex{g-(X')}.  One more option value that
+      differs from that mex leaves the mex unchanged.
+    - If X is the endgame, g-(*1 + *1) = mex{g-(*1)} = mex{0} = 1 = g-(0).
+
+    The search fills the memo for every state below (heaps, 0, n2), so each
+    later call with fewer two-token heaps is a memo hit.
+    """
     # Many states share their heaps; their heap options are found once.
     heap_options: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
 
@@ -489,9 +504,9 @@ def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
             moved = heap_options[hs] = _tuple_options(code, hs)
         opts = [(t, n1, m2) for t in moved]
         if n1:
-            opts.append((hs, n1 - 1, m2))
+            opts.append((hs, 0, m2))
         if m2:
-            opts.append((hs, n1 + 1, m2 - 1))
+            opts.append((hs, n1 ^ 1, m2 - 1))
             opts.append((hs, n1, m2 - 1))
         return opts
 
@@ -500,8 +515,14 @@ def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
 
 
 def genus(code: GameCode, position: Position, cap: int = 16) -> GenusSymbol:
-    """Genus symbol of a heap position, computed by direct search."""
-    values = [_gminus_ext(code, position.heaps, n2) for n2 in range(cap + 2)]
+    """Genus symbol of a heap position, computed by direct search.
+
+    One search, for the position plus cap + 1 two-token nim heaps, fills the
+    memo for all cap + 2 exponents; the others are then read from it.
+    """
+    # Largest n2 first; for cap < -1 the range is empty, so no n2 is negative.
+    values = [_gminus_ext(code, position.heaps, n2) for n2 in range(cap + 1, -1, -1)]
+    values.reverse()
     return GenusSymbol(
         nim_value(code, position), _trim_exponents(values, cap, f"genus of {position}")
     )

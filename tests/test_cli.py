@@ -159,7 +159,9 @@ class TestGenus:
         path = tmp_path / "endgame.json"
         path.write_text("[]")
         assert main(["genus", "--tree", str(path)]) == 3
-        assert "no settled tail" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "genus tail not settled" in err and "no settled tail" in err
+        assert "budget exceeded" not in err
 
     def test_heap_without_game(self, capsys):
         assert main(["genus"]) == 4

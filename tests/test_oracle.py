@@ -234,6 +234,67 @@ class TestGenus:
         assert wild == [8, 9, 13, 14]
 
 
+GENUS_GAMES = [parse_game_code(c) for c in ("0.123", "0.77", "0.137", "0.07")]
+
+
+def _genus_or_tail_error(compute, *args):
+    try:
+        return str(compute(*args))
+    except GenusTailError:
+        return GenusTailError
+
+
+class TestGenusSearch:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        code=st.sampled_from(GENUS_GAMES),
+        heaps=st.lists(st.integers(1, 9), max_size=3),
+        nim=st.integers(0, 3),
+    )
+    def test_matches_tree_genus(self, code, heaps, nim):
+        # The tree path builds the sums with *2 as trees: no state is folded.
+        p = Position.from_heaps(heaps)
+        tree = tree_of_position(code, p)
+        assert _genus_or_tail_error(genus, code, p) == _genus_or_tail_error(
+            genus_of_tree, tree
+        )
+        # The identity the search folds by: g-(X + *1 + *1) = g-(X).
+        star1 = nim_heap_tree(1)
+        for x in (tree, tree_sum(tree, nim_heap_tree(nim))):
+            twice = tree_sum(tree_sum(x, star1), star1)
+            assert misere_gminus(twice) == misere_gminus(x)
+
+    def test_one_search_on_n1_mod_2(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_gminus_ext_caches", {})
+        calls = []
+        tuple_options = oracle._tuple_options
+
+        def counted(code, heaps):
+            calls.append(heaps)
+            return tuple_options(code, heaps)
+
+        monkeypatch.setattr(oracle, "_tuple_options", counted)
+        assert str(genus(KAYLES, Position.of(20))) == "1^{031}"
+        memo = oracle._gminus_ext_caches[KAYLES]
+        assert {n1 for _, n1, _ in memo} == {0, 1}
+        # Keyed on n1 itself the memo would hold 135 432 states, and one
+        # search per exponent, each with its own heap options, 14 256 calls.
+        assert len(memo) == 27720
+        assert len(calls) == len(set(calls)) == 792
+
+    def test_small_caps_raise(self, monkeypatch):
+        gminus_ext = oracle._gminus_ext
+
+        def nonnegative(code, heaps, n2):
+            assert n2 >= 0, "a search from a negative n2 never ends"
+            return gminus_ext(code, heaps, n2)
+
+        monkeypatch.setattr(oracle, "_gminus_ext", nonnegative)
+        for cap in (-3, -1, 0, 1):
+            with pytest.raises(GenusTailError):
+                genus(G123, Position.of(8), cap=cap)
+
+
 class TestTrees:
     def nim(self, k):
         return nim_heap_tree(k)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from itertools import chain, combinations_with_replacement, repeat
+from itertools import chain, combinations_with_replacement, islice, repeat
 
 from .octal import GameCode, Position, parse_game_code
 from .oracle import (
@@ -28,6 +28,7 @@ from .oracle import (
     Outcome,
     PlayConvention,
     _SEARCH_BUDGET,
+    _move_table,
     _outcome_caches,
     _solve,
     genus,
@@ -37,13 +38,12 @@ from .semigroup import (
     FiniteCommutativeMonoid,
     Word,
     _closure,
+    _least_words,
     enumerate_elements,
     format_word,
     knuth_bendix,
     parse_presentation,
     parse_word,
-    word_key,
-    word_mul,
 )
 
 __all__ = [
@@ -168,6 +168,7 @@ class _Signatures:
         self.contexts: list[tuple[int, ...]] = [()]
         self._sigs: dict[tuple[int, ...], bytes] = {}
         self._memo = _outcome_caches.setdefault((code, play), {})
+        self._moves = _move_table(code, n)
 
     def widen(self, m: int) -> None:
         """Extend the contexts to every position of at most m heaps."""
@@ -179,13 +180,13 @@ class _Signatures:
     def sig(self, u: tuple[int, ...]) -> bytes:
         got = self._sigs.get(u, b"")
         if len(got) < len(self.contexts):
-            code, memo, misere = self.code, self._memo, self.play is MISERE
+            moves, memo, misere = self._moves, self._memo, self.play is MISERE
             won = []
             for w in self.contexts[len(got) :]:
                 key = tuple(sorted(u + w))
                 v = memo.get(key)
                 if v is None:
-                    v = _solve(code, memo, misere, key, _SEARCH_BUDGET)
+                    v = _solve(moves, memo, misere, key, _SEARCH_BUDGET)
                 won.append(v)
             got += bytes(won)
             self._sigs[u] = got
@@ -205,34 +206,27 @@ class _RoundResult:
     p_set: frozenset[int]
 
 
-def _run_round(sigs: _Signatures, max_classes: int) -> _RoundResult | None:
+def _run_round(sigs: _Signatures) -> _RoundResult | None:
     """The candidate at the current contexts of ``sigs``, or None when the
     class set fails to close under multiplication there."""
     code, n, play = sigs.code, sigs.n, sigs.play
     class_of: dict[bytes, int] = {}
     reps: list[tuple[int, ...]] = []
 
-    def classify(u: tuple[int, ...]) -> int:
+    def classify(u: tuple[int, ...]) -> None:
         s = sigs.sig(u)
-        got = class_of.get(s)
-        if got is None:
-            if len(reps) >= max_classes:
-                raise BudgetExceededError(f"more than {max_classes} classes")
-            got = len(reps)
-            class_of[s] = got
+        if s not in class_of:
+            if len(reps) >= _MAX_CLASSES:
+                raise BudgetExceededError(f"more than {_MAX_CLASSES} classes")
+            class_of[s] = len(reps)
             reps.append(u)
-        return got
 
-    identity_cls = classify(())
-    frontier = [identity_cls]
-    seen = {identity_cls}
-    while frontier:
-        cls = frontier.pop(0)
+    # Class 0 is the identity.  reps grows as classes appear, so this loop
+    # is the breadth-first search over them.
+    classify(())
+    for rep in reps:
         for h in range(1, n + 1):
-            nxt = classify(_merge(reps[cls], (h,)))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
+            classify(_merge(rep, (h,)))
 
     k = len(reps)
     table_cls = [[0] * k for _ in range(k)]
@@ -254,87 +248,45 @@ def _run_round(sigs: _Signatures, max_classes: int) -> _RoundResult | None:
             if by_nim.setdefault(g, cls) != cls:
                 raise InternalError("distinct classes share a nim value")
 
-    # Distinct single-heap classes, tagged by the first heap attaining each.
-    candidates: list[tuple[int, int]] = []
-    cand_cls: set[int] = set()
-    for h in range(1, n + 1):
-        cls = phi_cls[h - 1]
-        if cls != identity_cls and cls not in cand_cls:
-            cand_cls.add(cls)
-            candidates.append((h, cls))
+    # Distinct single-heap classes other than the identity, each with the
+    # first heap attaining it.
+    first_heap: dict[int, int] = {}
+    for h, cls in enumerate(phi_cls, 1):
+        if cls:
+            first_heap.setdefault(cls, h)
 
     # Letters go to a minimal generating set among the single-heap classes,
     # in first-heap order; redundant classes (products of the others, like a
-    # square of a later generator) are named by minimal words instead.
-    kept = list(candidates)
-    dropped = True
-    while dropped:
-        dropped = False
-        for i in range(len(kept)):
-            others = [c for j, (_, c) in enumerate(kept) if j != i]
-            if kept[i][1] in _closure(table_cls, identity_cls, others):
-                del kept[i]
-                dropped = True
-                break
+    # square of a later generator) are named by least words instead.  A class
+    # kept stays irredundant when a later one is dropped, since fewer letters
+    # generate less, so one forward pass suffices.
+    letter_cls = list(first_heap)
+    for cls in list(letter_cls):
+        others = [c for c in letter_cls if c != cls]
+        if cls in _closure(table_cls, 0, others):
+            letter_cls.remove(cls)
+    letters = tuple(islice(_letter_names(), len(letter_cls)))
 
-    letters: list[str] = []
-    letter_cls: list[int] = []
-    generator_heaps: dict[str, int] = {}
-    names = _letter_names()
-    for h, cls in kept:
-        letter = next(names)
-        letters.append(letter)
-        letter_cls.append(cls)
-        generator_heaps[letter] = h
-
-    # Minimal word per class, layered by degree; multiplying a minimal word
-    # by a generator preserves minimality within the next layer.
-    zero = tuple(0 for _ in letters)
-    units = [
-        tuple(1 if j == i else 0 for j in range(len(letters)))
-        for i in range(len(letters))
-    ]
-    min_word: dict[int, Word] = {identity_cls: zero}
-    layer = [identity_cls]
-    while len(min_word) < k:
-        candidates: dict[int, Word] = {}
-        for cls in layer:
-            for unit, lcls in zip(units, letter_cls):
-                target = table_cls[cls][lcls]
-                if target in min_word:
-                    continue
-                w = word_mul(min_word[cls], unit)
-                if target not in candidates or word_key(w) < word_key(
-                    candidates[target]
-                ):
-                    candidates[target] = w
-        if not candidates:
-            raise InternalError("letter classes do not generate the monoid")
-        for cls, w in candidates.items():
-            min_word[cls] = w
-        layer = sorted(candidates, key=lambda c: word_key(min_word[c]))
-
-    order = sorted(range(k), key=lambda cls: word_key(min_word[cls]))
-    index_of = {cls: i for i, cls in enumerate(order)}
-    words = tuple(min_word[cls] for cls in order)
-    table = tuple(
-        tuple(index_of[table_cls[a][b]] for b in order) for a in order
-    )
-    phi = tuple(index_of[cls] for cls in phi_cls)
-    p_set = frozenset(
-        index_of[cls] for cls, rep in enumerate(reps) if not sigs.sig(rep)[0]
-    )
-    generator_map = {
-        letter: index_of[cls] for letter, cls in zip(letters, letter_cls)
-    }
+    least = _least_words(table_cls, 0, letter_cls)
+    if len(least) < k:
+        raise InternalError("letter classes do not generate the monoid")
+    index_of = {cls: i for i, cls in enumerate(least)}
     return _RoundResult(
-        letters=tuple(letters),
-        generator_heaps=generator_heaps,
-        words=words,
-        table=table,
-        generator_map=generator_map,
-        phi=phi,
-        p_set=p_set,
+        letters=letters,
+        generator_heaps={
+            letter: first_heap[cls] for letter, cls in zip(letters, letter_cls)
+        },
+        words=tuple(least.values()),
+        table=tuple(
+            tuple(index_of[table_cls[a][b]] for b in least) for a in least
+        ),
+        generator_map={
+            letter: index_of[cls] for letter, cls in zip(letters, letter_cls)
+        },
+        phi=tuple(index_of[cls] for cls in phi_cls),
+        p_set=frozenset(
+            index_of[cls] for cls, rep in enumerate(reps) if not sigs.sig(rep)[0]
+        ),
     )
 
 
@@ -356,7 +308,7 @@ def build_quotient(
     sigs = _Signatures(code, n, play)
     for m in range(_START_CONTEXT, _MAX_CONTEXT + 1):
         sigs.widen(m)
-        result = _run_round(sigs, _MAX_CLASSES)
+        result = _run_round(sigs)
         if result is not None and result == previous:
             words = result.words
             monoid = FiniteCommutativeMonoid(
@@ -513,8 +465,9 @@ def _ints_within(values, low: int, high: int | None = None) -> bool:
 
 def _check_analysis_doc(doc) -> None:
     """Raise ValueError unless doc has the fields analysis_to_json writes,
-    with their types, and every element index in range.  The cost is linear
-    in the size of the document; the proof itself is not re-checked."""
+    with their types, every element index in range, and generator_map
+    images that generate the table.  The cost is linear in the size of the
+    document; the proof itself is not re-checked."""
     if not isinstance(doc, dict):
         raise ValueError("an analysis file holds a JSON object")
     for key, kinds in _FIELDS.items():
@@ -563,6 +516,11 @@ def _check_analysis_doc(doc) -> None:
     indices("phi", doc["phi"], k)
     indices("p_set", doc["p_set"], k)
     indices("generator_map", doc["generator_map"].values(), k)
+    # The monoid checks associativity by Light's test only when these images
+    # generate the table, and exhaustively only up to 64 elements, so a file
+    # whose images do not generate could hide a broken product.
+    require(len(_closure(table, 0, doc["generator_map"].values())) == k,
+            "generator_map", "does not generate the table")
     positive("generator_heaps", doc["generator_heaps"].values())
     positive("n", [doc["n"]])
     for key in ("claimed_period", "certified_period"):

@@ -95,26 +95,8 @@ class Position:
     def from_heaps(cls, heaps: Iterable[int]) -> "Position":
         return cls(tuple(heaps))
 
-    def exponents(self) -> dict[int, int]:
-        """Sparse heap-size -> multiplicity view."""
-        out: dict[int, int] = {}
-        for h in self.heaps:
-            out[h] = out.get(h, 0) + 1
-        return out
-
     def __mul__(self, other: "Position") -> "Position":
         return Position(self.heaps + other.heaps)
-
-    def add_heaps(self, heaps: Iterable[int]) -> "Position":
-        return Position(self.heaps + tuple(heaps))
-
-    def remove_one(self, size: int) -> "Position":
-        """The position with one heap of the given size taken out."""
-        i = self.heaps.index(size)
-        return Position(self.heaps[:i] + self.heaps[i + 1 :])
-
-    def tokens(self) -> int:
-        return sum(self.heaps)
 
     def is_empty(self) -> bool:
         return not self.heaps

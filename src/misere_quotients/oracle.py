@@ -175,7 +175,7 @@ def _postorder(cache: dict, root, options, value, limit: int | None = None):
 
 
 def _solve(
-    code: GameCode,
+    moves: list[tuple[tuple[int, ...], ...]],
     cache: dict[tuple[int, ...], bool],
     misere: bool,
     heaps: tuple[int, ...],
@@ -189,11 +189,14 @@ def _solve(
     positions it never needed are not stored.  Raises BudgetExceededError
     if ``cache`` would grow past ``budget`` entries; what it stored up to
     then stays correct.
+
+    ``moves`` is the code's move table from _move_table.  It must cover
+    ``max(heaps)``; no move makes a heap larger, so it then covers every
+    position the search reaches.
     """
     won = cache.get(heaps)
     if won is not None:
         return won
-    moves = _move_table(code, heaps[-1] if heaps else 0)
     get = cache.get
     # (position, its options not yet known when it was last looked at)
     stack: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
@@ -257,7 +260,9 @@ def outcome(
     Raises BudgetExceededError if the memo table would outgrow ``budget``.
     """
     cache = _outcome_caches.setdefault((code, play), {})
-    won = _solve(code, cache, play is MISERE, position.heaps, budget)
+    heaps = position.heaps
+    moves = _move_table(code, heaps[-1] if heaps else 0)
+    won = _solve(moves, cache, play is MISERE, heaps, budget)
     return Outcome.N if won else Outcome.P
 
 

@@ -10,6 +10,9 @@ The element order used everywhere is graded, ties broken by giving higher
 powers of earlier generators precedence.  With generators x, z, a, b this
 lists e, x, z, a, b, xz, xa, xb, z2, za, zb, b2, ... which is the order the
 rest of the package (tables, reports, element numbering) relies on.
+``_least_words`` is the one place that finds each element's least word in
+that order over a set of letter elements of a table; the builder names its
+classes with it and ``is_isomorphic`` builds its image words with it.
 
 >>> pres = parse_presentation("gens: x\\nx^2 = 1")
 >>> monoid = enumerate_elements(knuth_bendix(pres), cap=10)
@@ -422,28 +425,6 @@ def _element_profile(m: FiniteCommutativeMonoid, i: int) -> tuple[int, int, int]
     return (tail, cycle, rank)
 
 
-def _generating_sequence(
-    m: FiniteCommutativeMonoid,
-) -> tuple[list[int], dict[int, tuple[int, ...]]]:
-    # Greedy generating set; expr[e] lists positions into the generator list
-    # whose product is e.  Deterministic: always adjoin the smallest missing.
-    gens: list[int] = []
-    expr: dict[int, tuple[int, ...]] = {m.identity_index: ()}
-    while len(expr) < len(m):
-        new = min(i for i in range(len(m)) if i not in expr)
-        gens.append(new)
-        expr[new] = (len(gens) - 1,)
-        frontier = deque(expr)
-        while frontier:
-            u = frontier.popleft()
-            for slot, g in enumerate(gens):
-                v = m.table[u][g]
-                if v not in expr:
-                    expr[v] = expr[u] + (slot,)
-                    frontier.append(v)
-    return gens, expr
-
-
 def _closure(table, identity: int, gens) -> set[int]:
     """The submonoid of a multiplication table generated by gens."""
     seen = {identity}
@@ -456,6 +437,32 @@ def _closure(table, identity: int, gens) -> set[int]:
                 seen.add(v)
                 frontier.append(v)
     return seen
+
+
+def _least_words(table, identity: int, letters) -> dict[int, Word]:
+    """Each element generated by ``letters`` mapped to its least word, as an
+    exponent vector over ``letters``; the keys are in word_key order.
+
+    A word is held as the sorted tuple of its letter indices.  Within one
+    degree these tuples in lexicographic order are in word_key order, and
+    dropping the last letter of a least word leaves a least word.  So each
+    degree extends the least words of the degree below, in order, by every
+    letter from their last one on, and the first tuple to reach an element
+    is its least word.
+    """
+    found: dict[int, tuple[int, ...]] = {identity: ()}
+    layer = [(identity, ())]
+    while layer:
+        below, layer = layer, []
+        for el, combo in below:
+            row = table[el]
+            for i in range(combo[-1] if combo else 0, len(letters)):
+                v = row[letters[i]]
+                if v not in found:
+                    found[v] = combo + (i,)
+                    layer.append((v, found[v]))
+    width = range(len(letters))
+    return {el: tuple(map(combo.count, width)) for el, combo in found.items()}
 
 
 def is_isomorphic(
@@ -475,11 +482,17 @@ def is_isomorphic(
     prof2 = [_element_profile(m2, i) for i in range(len(m2))]
     if sorted(prof1) != sorted(prof2):
         return None
-    gens, expr = _generating_sequence(m1)
-    order = sorted(expr, key=lambda e: len(expr[e]))
+    # Greedy generating set: adjoin the smallest element not yet generated.
+    gens: list[int] = []
+    while len(reached := _closure(m1.table, m1.identity_index, gens)) < len(m1):
+        gens.append(min(set(range(len(m1))) - reached))
+    words = _least_words(m1.table, m1.identity_index, gens)
 
     def check(images: list[int]) -> dict[int, int] | None:
-        phi = {e: m2.product(images[slot] for slot in expr[e]) for e in order}
+        phi = {
+            e: m2.product(itertools.chain(*map(itertools.repeat, images, w)))
+            for e, w in words.items()
+        }
         if len(set(phi.values())) != len(m1):
             return None
         for i in range(len(m1)):

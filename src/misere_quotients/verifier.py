@@ -101,10 +101,9 @@ def _distinct_pairs(qa: QuotientAnalysis, targets_by_heap) -> set[MovePair]:
     return {MovePair(lhs, rhs, src) for (lhs, rhs), src in found.items()}
 
 
-def move_pairs(code: GameCode, qa: QuotientAnalysis, n: int) -> set[MovePair]:
-    """One pair per distinct (phi(h_f), phi(t)) over all moves with f <= n.
-
-    Moves are those of ``qa.code``; ``code`` is kept for compatibility."""
+def move_pairs(qa: QuotientAnalysis, n: int) -> set[MovePair]:
+    """One pair per distinct (phi(h_f), phi(t)) over all moves of ``qa.code``
+    with f <= n."""
     return _distinct_pairs(qa, ((f, _move_targets(qa, f)) for f in range(1, n + 1)))
 
 
@@ -127,7 +126,7 @@ def check_no_PP(
 ) -> list[Translate]:
     """All translates u*(pair) landing P -> P; empty list proves half (1)."""
     if pairs is None:
-        pairs = move_pairs(qa.code, qa, n)
+        pairs = move_pairs(qa, n)
     table = qa.monoid.table
     p_set = qa.partition.p_set
     bad = []

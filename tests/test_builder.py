@@ -27,6 +27,7 @@ from misere_quotients.semigroup import (
     is_isomorphic,
     knuth_bendix,
 )
+from misere_quotients.verifier import verify_to_heap
 
 G123 = parse_game_code("0.123")
 
@@ -71,6 +72,31 @@ ELEMENT_GENERA = {
     "z2": "0^{02}", "za": "0^{420}", "zb": "3^{02}", "b2": "0^{02}",
     "xz2": "1^{13}", "xza": "1^{531}", "xzb": "2^{13}", "xb2": "1^{13}",
     "z3": "2^{20}", "zb2": "2^{20}", "xz3": "3^{31}", "xzb2": "3^{31}",
+}
+
+
+# Analyses of other games, recorded before the builder named its classes by
+# one least-word search: element names, phi as names, P names and claimed
+# period, keyed by (code, n, play).
+OTHER_GAMES = {
+    ("0.137", 9, MISERE): (
+        "e x z a xz xa z2 za xz2 xza z3 xz3",
+        "x x xz e z x x e a",
+        "x xa z2",
+        None,
+    ),
+    ("0.77", 7, MISERE): (
+        "e x z a xz xa z2 za xz2 xza z2a xz2a",
+        "x xz z x a z xz",
+        "x xa z2",
+        None,
+    ),
+    ("0.4", 8, MISERE): ("e x z xz z2 xz2", "e e x x xz e z x", "x z2", None),
+    ("0.15", 8, MISERE): ("e x z xz z2 xz2", "x x e x x z z x", "x z2", None),
+    ("0.31", 8, MISERE): ("e x z xz z2 xz2", "x z z2 xz2 z2 xz2 z2 xz2", "x z2", (3, 2)),
+    ("0.52", 8, MISERE): ("e x z xz z2 xz2", "x e xz xz x z2 z xz", "x z2", None),
+    ("0.75", 8, MISERE): ("e x z a xz xa z2 xz2", "x z x z a z a z", "x z2", (5, 2)),
+    ("0.123", 12, NORMAL): ("e x z xz", "x e z z x e e z x x e e", "e", (11, 1)),
 }
 
 
@@ -179,9 +205,9 @@ class TestSignatureKernel:
     def test_consecutive_rounds_compare_by_value(self):
         sigs = _Signatures(G123, 6, MISERE)
         sigs.widen(3)
-        first = _run_round(sigs, 500)
+        first = _run_round(sigs)
         sigs.widen(4)
-        second = _run_round(sigs, 500)
+        second = _run_round(sigs)
         assert first is not None and first is not second
         assert first == second
 
@@ -203,6 +229,22 @@ class TestSignatureKernel:
         assert all(len(values) == 1 for values in nim_of.values())
         assert len(set.union(*nim_of.values())) == len(nim_of)
         assert len(qa.monoid) == 4
+
+
+class TestOtherGames:
+    @pytest.mark.parametrize(
+        "code, n, play", OTHER_GAMES,
+        ids=[f"{code}-{n}-{play.value}" for code, n, play in OTHER_GAMES],
+    )
+    def test_recorded_analysis_verifies(self, code, n, play):
+        names, phi, p_names, period = OTHER_GAMES[code, n, play]
+        qa = build_quotient(code, n, play)
+        got = qa.monoid.names
+        assert " ".join(got) == names
+        assert " ".join(got[i] for i in qa.phi.values) == phi
+        assert {got[i] for i in qa.partition.p_set} == set(p_names.split())
+        assert qa.phi.claimed_period == period
+        assert verify_to_heap(qa, n).passed
 
 
 class TestSmallWindows:
@@ -320,3 +362,7 @@ class TestSerialization:
     def test_kayles_round_trip(self, kayles):
         text = analysis_to_json(kayles)
         assert analysis_to_json(analysis_from_json(text)) == text
+
+    def test_rejects_images_that_do_not_generate(self, forged_analysis_text):
+        with pytest.raises(ValueError, match="does not generate the table"):
+            analysis_from_json(forged_analysis_text)

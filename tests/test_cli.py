@@ -362,6 +362,18 @@ class TestMalformedAnalysis:
         assert out == ""
         assert "'phi'" in err
 
+    def test_generator_map_that_does_not_generate(self, capsys, tmp_path,
+                                                  forged_analysis_text):
+        # The 65-element table is past the exhaustive associativity check,
+        # so without the loader's check its broken 2 * 3 answered P.
+        path = tmp_path / "forged.json"
+        path.write_text(forged_analysis_text, encoding="utf-8")
+        rc = main(["outcome", str(path), "2", "3"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        assert "'generator_map' does not generate the table" in captured.err
+
     def test_well_formed_files_still_load(self, analysis_file):
         text = analysis_to_json(kayles_analysis())
         assert analysis_to_json(analysis_from_json(text)) == text

@@ -79,7 +79,7 @@ class TestPosition:
         p = Position.of(1, 3) * Position.of(3)
         assert p.heaps == (1, 3, 3)
         assert Position.of() == EMPTY
-        assert EMPTY.is_empty
+        assert EMPTY.is_empty()
 
     def test_str(self):
         assert str(Position.of(4, 1, 3)) == "[1,3,4]"

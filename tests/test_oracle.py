@@ -132,7 +132,8 @@ class TestSolver:
     @given(code=st.sampled_from(SOLVER_GAMES), misere=st.booleans(), heaps=small_positions)
     def test_matches_naive_recursion(self, code, misere, heaps):
         cache, naive = {}, {}
-        won = _solve(code, cache, misere, heaps, 10**6)
+        moves = oracle._move_table(code, max(heaps, default=0))
+        won = _solve(moves, cache, misere, heaps, 10**6)
         assert won == naive_won(code, heaps, misere, naive)
         # Every position the search memoized is right, not just the root.
         for node, node_won in cache.items():
@@ -156,26 +157,27 @@ class TestSolver:
         with pytest.raises(BudgetExceededError):
             outcome(code, Position.of(30, 31, 32), MISERE, budget=10)
         with pytest.raises(BudgetExceededError):
-            _solve(code, {}, True, (9, 9), 5)
+            _solve(oracle._move_table(code, 9), {}, True, (9, 9), 5)
 
     def test_memo_stays_sound_after_budget_error(self):
         code = parse_game_code("0.137")
         naive = {}
         want = naive_won(code, (6, 7), True, naive)
+        moves = oracle._move_table(code, 7)
         fresh = {}
-        _solve(code, fresh, True, (6, 7), 10**6)
+        _solve(moves, fresh, True, (6, 7), 10**6)
         # The search raises exactly when the budget is below what it stores.
         for budget in range(1, len(fresh) + 1):
             cache = {}
             if budget < len(fresh):
                 with pytest.raises(BudgetExceededError):
-                    _solve(code, cache, True, (6, 7), budget)
+                    _solve(moves, cache, True, (6, 7), budget)
             else:
-                assert _solve(code, cache, True, (6, 7), budget) == want
+                assert _solve(moves, cache, True, (6, 7), budget) == want
             assert len(cache) <= budget
             for node, won in cache.items():
                 assert won == naive_won(code, node, True, naive), (budget, node)
-            assert _solve(code, cache, True, (6, 7), 10**6) == want
+            assert _solve(moves, cache, True, (6, 7), 10**6) == want
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -191,9 +193,10 @@ class TestSolver:
         # One memo across several searches, as the builder uses it: later
         # searches stop early against a memo that earlier ones filled in part.
         memo, full = {}, {}
+        moves = oracle._move_table(code, 10)
         for heaps in positions:
             want = full_closure_won(code, heaps, misere, full)
-            assert _solve(code, memo, misere, heaps, 10**6) == want, heaps
+            assert _solve(moves, memo, misere, heaps, 10**6) == want, heaps
         for node, won in memo.items():
             assert won == full_closure_won(code, node, misere, full), node
 
@@ -201,7 +204,7 @@ class TestSolver:
         # The full closure of misere Kayles 8+9+10 holds 3 781 positions; a
         # search that builds every option of every position stores them all.
         cache = {}
-        assert _solve(KAYLES, cache, True, (8, 9, 10), 10**6)
+        assert _solve(oracle._move_table(KAYLES, 10), cache, True, (8, 9, 10), 10**6)
         full = {}
         full_closure_won(KAYLES, (8, 9, 10), True, full)
         assert len(full) == 3781

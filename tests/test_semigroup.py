@@ -1,6 +1,7 @@
 """Commutative words, rewriting, completion, and monoid tables."""
 
 import itertools
+import math
 import random
 from functools import lru_cache
 
@@ -13,6 +14,8 @@ from misere_quotients.semigroup import (
     FiniteCommutativeMonoid,
     Presentation,
     _check_associative,
+    _closure,
+    _least_words,
     action_table,
     enumerate_elements,
     format_word,
@@ -460,3 +463,68 @@ class TestFoldedTable:
         assert len(enumerate_elements(rws, cap=40)) == 40
         with pytest.raises(BudgetExceededError):
             enumerate_elements(rws, cap=39)
+
+
+def _cyclic_product_table(shape):
+    """Table of the product of cyclic monoids <x | x^(a+p) = x^a>, one per
+    (a, p) in shape; element 0 is the identity."""
+
+    def fold(x, a, p):
+        return x if x < a + p else a + (x - a) % p
+
+    elements = list(itertools.product(*(range(a + p) for a, p in shape)))
+    index = {e: i for i, e in enumerate(elements)}
+    return [
+        [index[tuple(fold(x + y, a, p) for x, y, (a, p) in zip(u, v, shape))]
+         for v in elements]
+        for u in elements
+    ]
+
+
+def _brute_least_words(table, letters):
+    """The first sorted letter tuple to reach each element, trying every
+    tuple of each degree in lexicographic order, degree by degree, until a
+    degree reaches no new element (then no later degree can)."""
+    found = {0: ()}
+    for degree in itertools.count(1):
+        size = len(found)
+        for combo in itertools.combinations_with_replacement(range(len(letters)), degree):
+            el = 0
+            for i in combo:
+                el = table[el][letters[i]]
+            found.setdefault(el, combo)
+        if len(found) == size:
+            width = range(len(letters))
+            return {el: tuple(map(combo.count, width)) for el, combo in found.items()}
+
+
+class TestLeastWords:
+    @pytest.mark.parametrize("game", ["0.123", "0.77"])
+    def test_packaged_normal_forms_are_least_words(self, game):
+        # The rewriting path (normal forms) and the table path agree.
+        m = packaged_monoid(game)
+        letters = [m.generator_map[name] for name in m.generators]
+        least = _least_words(m.table, m.identity_index, letters)
+        assert list(least) == list(range(len(m)))
+        assert tuple(least.values()) == m.words
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3)),
+                       min_size=1, max_size=3)
+        .filter(lambda shape: math.prod(a + p for a, p in shape) <= 36),
+        data=st.data(),
+    )
+    def test_matches_brute_enumeration(self, shape, data):
+        table = _cyclic_product_table(shape)
+        letters = data.draw(st.lists(st.integers(0, len(table) - 1), max_size=5))
+        least = _least_words(table, 0, letters)
+        assert list(least.items()) == list(_brute_least_words(table, letters).items())
+        assert set(least) == _closure(table, 0, letters)
+
+    def test_non_generating_letters_give_their_submonoid(self):
+        m = packaged_monoid("0.123")
+        x, a = m.generator_map["x"], m.generator_map["a"]
+        least = _least_words(m.table, 0, [x, a])
+        assert sorted(m.names[el] for el in least) == ["a", "e", "x", "xa"]
+        assert list(least.values()) == [(0, 0), (1, 0), (0, 1), (1, 1)]

@@ -110,7 +110,7 @@ def names_of(qa, indices):
 
 class TestMovePairs:
     def test_fifteen_distinct_pairs(self, qa123_12):
-        pairs = move_pairs(G123, qa123_12, 12)
+        pairs = move_pairs(qa123_12, 12)
         assert len(pairs) == 15
         m = qa123_12.monoid
         as_names = {(m.names[p.lhs], m.names[p.rhs]): p.source for p in pairs}
@@ -121,9 +121,9 @@ class TestMovePairs:
 
     def test_pairs_stabilize_past_the_window(self, qa123):
         # 2*r0 + p + places - 1 = 19 for 0.123: longer prefixes add nothing.
-        at_window = move_pairs(G123, qa123, 19)
-        assert move_pairs(G123, qa123, 24) == at_window
-        assert move_pairs(G123, qa123, 29) == at_window
+        at_window = move_pairs(qa123, 19)
+        assert move_pairs(qa123, 24) == at_window
+        assert move_pairs(qa123, 29) == at_window
 
 
 class TestTranslates:

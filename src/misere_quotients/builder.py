@@ -28,7 +28,7 @@ from .oracle import (
     Outcome,
     PlayConvention,
     _SEARCH_BUDGET,
-    _move_table,
+    _canonical_table,
     _outcome_caches,
     _solve,
     genus,
@@ -66,8 +66,9 @@ __all__ = [
 class PretendingFunction:
     """Element index pretended by each single heap, heap 1 first.
 
-    claimed_period = (r0, p) asserts values[k] = values[k+p] from heap r0 on;
-    it is an empirical observation until certification.
+    claimed_period = (r0, p) asserts values[k] = values[k+p] from heap r0 on,
+    with at least one full period, heaps r0..r0+p-1, stored; it is an
+    empirical observation until certification.
     """
 
     values: tuple[int, ...]
@@ -78,9 +79,11 @@ class PretendingFunction:
             r0, p = self.claimed_period
             if r0 < 1 or p < 1:
                 raise ValueError("period indices must be positive")
+            if len(self.values) < r0 + p - 1:
+                raise ValueError("stored values do not cover one full period")
             for k in range(r0, len(self.values) - p + 1):
                 if self.value(k) != self.value(k + p):
-                    raise ValueError(f"claimed period fails at heap {k}")
+                    raise ValueError(f"period fails at heap {k}")
 
     def value(self, heap: int) -> int:
         if not 1 <= heap <= len(self.values):
@@ -153,11 +156,19 @@ class _Signatures:
     """Outcome signatures over a growing list of contexts.
 
     The contexts are the empty position, then every position of one heap,
-    two heaps, ... up to m heaps, all heap sizes <= n.  Raising m only
-    appends contexts, so a signature kept from an earlier round is extended
-    by the new contexts alone.  A signature is bytes, one byte per context:
-    1 when u + w is an N position.  Outcomes are read from the oracle's memo
-    and searched only on a miss.
+    two heaps, ... up to m heaps, all heap sizes <= n, each in the oracle's
+    canonical form (see oracle._Canonical), and a context whose canonical
+    form repeats an earlier one is dropped.  Raising m only appends
+    contexts, so a signature kept from an earlier round is extended by the
+    new contexts alone.  A signature is bytes, one byte per context: 1 when
+    u + w is an N position.  Outcomes are read from the oracle's memo and
+    searched only on a miss.
+
+    The canonical form is exact: a dead heap adds no move, heaps with equal
+    option sets are equal games, and X + *1 + *1 has the outcome of X.  So
+    two contexts of one canonical form give every u the same byte, and
+    dropping the repeat leaves signature equality, and with it every class,
+    unchanged.  Positions u of one canonical form share one signature.
     """
 
     def __init__(self, code: GameCode, n: int, play: PlayConvention):
@@ -168,25 +179,31 @@ class _Signatures:
         self.contexts: list[tuple[int, ...]] = [()]
         self._sigs: dict[tuple[int, ...], bytes] = {}
         self._memo = _outcome_caches.setdefault((code, play), {})
-        self._moves = _move_table(code, n)
+        self._table = _canonical_table(code, n)
 
     def widen(self, m: int) -> None:
         """Extend the contexts to every position of at most m heaps."""
-        heaps = range(1, self.n + 1)
+        heaps, key = range(1, self.n + 1), self._table.key
+        # A dict keeps each canonical context at its first place.
+        contexts = dict.fromkeys(self.contexts)
         while self.m < m:
             self.m += 1
-            self.contexts.extend(combinations_with_replacement(heaps, self.m))
+            combos = combinations_with_replacement(heaps, self.m)
+            contexts.update(dict.fromkeys(map(key, combos)))
+        self.contexts = list(contexts)
 
     def sig(self, u: tuple[int, ...]) -> bytes:
+        table = self._table
+        u = table.key(u)
         got = self._sigs.get(u, b"")
         if len(got) < len(self.contexts):
-            moves, memo, misere = self._moves, self._memo, self.play is MISERE
+            memo, misere, join = self._memo, self.play is MISERE, table.join
             won = []
             for w in self.contexts[len(got) :]:
-                key = tuple(sorted(u + w))
+                key = join(u, w)
                 v = memo.get(key)
                 if v is None:
-                    v = _solve(moves, memo, misere, key, _SEARCH_BUDGET)
+                    v = _solve(table, memo, misere, key, _SEARCH_BUDGET)
                 won.append(v)
             got += bytes(won)
             self._sigs[u] = got
@@ -465,9 +482,8 @@ def _ints_within(values, low: int, high: int | None = None) -> bool:
 
 def _check_analysis_doc(doc) -> None:
     """Raise ValueError unless doc has the fields analysis_to_json writes,
-    with their types, every element index in range, and generator_map
-    images that generate the table.  The cost is linear in the size of the
-    document; the proof itself is not re-checked."""
+    with their types and every element index in range.  The cost is linear
+    in the size of the document; the proof itself is not re-checked."""
     if not isinstance(doc, dict):
         raise ValueError("an analysis file holds a JSON object")
     for key, kinds in _FIELDS.items():
@@ -516,11 +532,6 @@ def _check_analysis_doc(doc) -> None:
     indices("phi", doc["phi"], k)
     indices("p_set", doc["p_set"], k)
     indices("generator_map", doc["generator_map"].values(), k)
-    # The monoid checks associativity by Light's test only when these images
-    # generate the table, and exhaustively only up to 64 elements, so a file
-    # whose images do not generate could hide a broken product.
-    require(len(_closure(table, 0, doc["generator_map"].values())) == k,
-            "generator_map", "does not generate the table")
     positive("generator_heaps", doc["generator_heaps"].values())
     positive("n", [doc["n"]])
     for key in ("claimed_period", "certified_period"):
@@ -544,16 +555,31 @@ def analysis_from_json(text: str) -> QuotientAnalysis:
         words=words or None,
         generators=generators,
     )
-    claimed = doc["claimed_period"]
+    # The monoid checks associativity by Light's test only when these images
+    # generate the table, and exhaustively only up to 64 elements, so a file
+    # whose images do not generate could hide a broken product.
+    if not monoid.map_generates:
+        raise ValueError("analysis field 'generator_map' does not generate the table")
+    values = tuple(doc["phi"])
+
+    def phi(key: str) -> PretendingFunction:
+        # Stored phi must repeat with a period over at least one full period,
+        # as certify_period requires; a certified period would otherwise
+        # extend phi past the verified heaps with values never checked.
+        period = doc[key]
+        try:
+            return PretendingFunction(values, tuple(period) if period else None)
+        except ValueError as exc:
+            raise ValueError(f"analysis field {key!r}: {exc}") from None
+
+    phi("certified_period")
     p_set = frozenset(doc["p_set"])
     return QuotientAnalysis(
         code=parse_game_code(doc["code"]),
         play=MISERE if doc["play"] == "misere" else NORMAL,
         n=doc["n"],
         monoid=monoid,
-        phi=PretendingFunction(
-            tuple(doc["phi"]), tuple(claimed) if claimed else None
-        ),
+        phi=phi("claimed_period"),
         partition=OutcomePartition(
             p_set=p_set, n_set=frozenset(range(len(monoid))) - p_set
         ),

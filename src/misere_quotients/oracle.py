@@ -116,7 +116,87 @@ def _move_table(code: GameCode, size: int) -> list[tuple[tuple[int, ...], ...]]:
     return table
 
 
+class _Canonical:
+    """The exact canonical form of one code's positions, by heap size.
+
+    ``heap[h]`` is 0 when heap h has no move, and otherwise the least heap
+    whose canonical options are the same set; ``rows[h]`` is that set, as a
+    sorted tuple of canonical positions.  ``s1`` is the least heap with a
+    move (0 while there is none).  Its options hold dead heaps only, so it
+    is *1, it is the least canonical heap, and every *1 heap maps to it.
+
+    A canonical position maps each heap through ``heap``, drops the zeros
+    and keeps the *1 tokens, which sort first, by parity only.  Each step
+    is exact under both conventions, by induction on heap size: a heap with
+    no move adds no move; heaps whose options are equal games are equal
+    games; and X + *1 + *1 has the outcome and misere mex value of X (see
+    _gminus_ext).  ``key`` canonicalises heap sizes and ``join`` adds two
+    canonical positions; no other code builds the form.
+    """
+
+    __slots__ = ("heap", "rows", "s1", "_least")
+
+    def __init__(self) -> None:
+        self.heap = [0]
+        self.rows: list[tuple[tuple[int, ...], ...]] = [()]
+        self.s1 = 0
+        self._least: dict[tuple[tuple[int, ...], ...], int] = {}
+
+    def key(self, heaps: Iterable[int]) -> tuple[int, ...]:
+        """The canonical form of a position given by its heap sizes, each
+        covered by the table.
+
+        >>> _canonical_table(parse_game_code("0.123"), 7).key((1, 1, 2, 4, 7))
+        (3, 7)
+        """
+        heap = self.heap
+        out = sorted([heap[h] for h in heaps if heap[h]])
+        n1 = out.count(self.s1)
+        return tuple(out[n1 - n1 % 2 :])
+
+    def join(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """The canonical form of the sum of canonical positions a and b.
+
+        Each holds at most one *1, so the sum holds at most two, at its
+        front, and one test folds them.
+
+        >>> _canonical_table(parse_game_code("0.123"), 7).join((1, 7), (1, 3))
+        (3, 7)
+        """
+        out = tuple(sorted(a + b))
+        return out[2:] if len(out) > 1 and out[1] == self.s1 else out
+
+    def extend(self, moves: list[tuple[tuple[int, ...], ...]], size: int) -> None:
+        """Cover heaps up to ``size``, read from the move table ``moves``.
+        Each new heap's row is built from its moves, which reach smaller
+        heaps only."""
+        heap = self.heap
+        while len(heap) <= size:
+            h = len(heap)
+            row = tuple(sorted({self.key(repl) for repl in moves[h]}))
+            if row and not self.s1:
+                self.s1 = h
+            heap.append(self._least.setdefault(row, h) if row else 0)
+            self.rows.append(row)
+
+
+# Per code, the canonical table of its heaps so far.
+_canonical_tables: dict[GameCode, _Canonical] = {}
+
+
+def _canonical_table(code: GameCode, size: int) -> _Canonical:
+    """The code's canonical table, extended to cover heaps up to ``size``."""
+    table = _canonical_tables.get(code)
+    if table is None:
+        table = _canonical_tables[code] = _Canonical()
+    if len(table.heap) <= size:
+        table.extend(_move_table(code, size), size)
+    return table
+
+
 def _options(moves: list, heaps: tuple[int, ...]) -> set[tuple[int, ...]]:
+    # moves holds a row per heap size: the raw move table, or the rows of a
+    # canonical table, which _gminus_ext reads.
     # heaps is sorted, so equal sizes are adjacent and give the same options.
     out: set[tuple[int, ...]] = set()
     prev = 0
@@ -130,19 +210,17 @@ def _options(moves: list, heaps: tuple[int, ...]) -> set[tuple[int, ...]]:
     return out
 
 
-def _tuple_options(code: GameCode, heaps: tuple[int, ...]) -> set[tuple[int, ...]]:
-    return _options(_move_table(code, heaps[-1] if heaps else 0), heaps)
-
-
 def position_options(code: GameCode, position: Position) -> set[Position]:
     """All positions reachable in one move."""
-    return {Position(t) for t in _tuple_options(code, position.heaps)}
+    heaps = position.heaps
+    moves = _move_table(code, heaps[-1] if heaps else 0)
+    return {Position(t) for t in _options(moves, heaps)}
 
 
 # The default node budget of one outcome search.
 _SEARCH_BUDGET = 10**8
 
-# Per (code, play): sorted heap tuple -> True when the player to move wins.
+# Per (code, play): canonical position -> True when the player to move wins.
 _outcome_caches: dict[tuple[GameCode, PlayConvention], dict[tuple[int, ...], bool]] = {}
 
 
@@ -175,13 +253,21 @@ def _postorder(cache: dict, root, options, value, limit: int | None = None):
 
 
 def _solve(
-    moves: list[tuple[tuple[int, ...], ...]],
+    table: _Canonical,
     cache: dict[tuple[int, ...], bool],
     misere: bool,
     heaps: tuple[int, ...],
     budget: int,
 ) -> bool:
-    """Whether the player to move wins the sorted position ``heaps``.
+    """Whether the player to move wins the canonical position ``heaps``.
+
+    The search runs over canonical positions (see _Canonical) and reads the
+    canonical rows, so positions that differ only by dead heaps, by pairs
+    of *1 heaps or by heaps of equal options are searched and stored once.
+    The outcome is exact for each of them: a dead heap adds no move, heaps
+    with equal option sets are equal games, and X + *1 + *1 has the outcome
+    of X under both conventions (for misere play, g-(X + *1 + *1) = g-(X),
+    proved at _gminus_ext; for normal play, *1 + *1 = 0).
 
     A position is settled as a win at its first option known to lose, so
     the search builds no further options of it and visits none of their
@@ -190,14 +276,14 @@ def _solve(
     if ``cache`` would grow past ``budget`` entries; what it stored up to
     then stays correct.
 
-    ``moves`` is the code's move table from _move_table.  It must cover
+    ``table`` is the code's table from _canonical_table.  It must cover
     ``max(heaps)``; no move makes a heap larger, so it then covers every
     position the search reaches.
     """
     won = cache.get(heaps)
     if won is not None:
         return won
-    get = cache.get
+    get, rows, join = cache.get, table.rows, table.join
     # (position, its options not yet known when it was last looked at)
     stack: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
     node = heaps
@@ -211,8 +297,8 @@ def _solve(
                 continue
             prev = size
             rest = node[:i] + node[i + 1 :]
-            for repl in moves[size]:
-                option = tuple(sorted(rest + repl))
+            for repl in rows[size]:
+                option = join(rest, repl)
                 option_won = get(option)
                 if option_won is None:
                     pending.append(option)
@@ -226,7 +312,8 @@ def _solve(
                 stack.append((node, pending))
                 node = pending.pop()
                 continue
-            won = False if any(moves[h] for h in node) else misere
+            # Every canonical heap has a move.
+            won = False if node else misere
         # Store node, then settle each ancestor that this decides.
         while True:
             if len(cache) >= budget:
@@ -261,8 +348,8 @@ def outcome(
     """
     cache = _outcome_caches.setdefault((code, play), {})
     heaps = position.heaps
-    moves = _move_table(code, heaps[-1] if heaps else 0)
-    won = _solve(moves, cache, play is MISERE, heaps, budget)
+    table = _canonical_table(code, heaps[-1] if heaps else 0)
+    won = _solve(table, cache, play is MISERE, table.key(heaps), budget)
     return Outcome.N if won else Outcome.P
 
 
@@ -496,18 +583,30 @@ def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
       differs from that mex leaves the mex unchanged.
     - If X is the endgame, g-(*1 + *1) = mex{g-(*1)} = mex{0} = 1 = g-(0).
 
-    The search fills the memo for every state below (heaps, 0, n2), so each
+    ``heaps`` are canonical (see _Canonical) with the game's own *1 heaps
+    moved into n1, so a state's heaps hold no *1.  The other two reductions
+    keep the value too: a dead heap adds no option, and a heap maps to one
+    whose options have the same canonical forms, so by induction the two
+    states have the same option values and the same mex.
+
+    The search fills the memo for every state below (heaps, n1, n2), so each
     later call with fewer two-token heaps is a memo hit.
     """
-    # Many states share their heaps; their heap options are found once.
-    heap_options: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+    table = _canonical_table(code, heaps[-1] if heaps else 0)
+    star1 = (table.s1,)
+    # Many states share their heaps; their heap options are found once, each
+    # with its *1 token, if any, split off into the parity.
+    heap_options: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
 
     def options(node):
         hs, n1, m2 = node
         moved = heap_options.get(hs)
         if moved is None:
-            moved = heap_options[hs] = _tuple_options(code, hs)
-        opts = [(t, n1, m2) for t in moved]
+            moved = heap_options[hs] = [
+                (t[1:], 1) if t[:1] == star1 else (t, 0)
+                for t in _options(table.rows, hs)
+            ]
+        opts = [(t, n1 ^ flip, m2) for t, flip in moved]
         if n1:
             opts.append((hs, 0, m2))
         if m2:
@@ -515,8 +614,10 @@ def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
             opts.append((hs, n1, m2 - 1))
         return opts
 
+    root = table.key(heaps)
+    n1 = int(root[:1] == star1)
     cache = _gminus_ext_caches.setdefault(code, {})
-    return _postorder(cache, (heaps, 0, n2), options, _misere_mex)
+    return _postorder(cache, (root[n1:], n1, n2), options, _misere_mex)
 
 
 def genus(code: GameCode, position: Position, cap: int = 16) -> GenusSymbol:

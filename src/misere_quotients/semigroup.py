@@ -267,7 +267,7 @@ class FiniteCommutativeMonoid:
     subgroups and quotient factors).  The table is validated on construction:
     commutativity and the identity law always; associativity by Light's test
     on the ``generator_map`` images when they generate the table, otherwise
-    exhaustively for at most 64 elements.
+    exhaustively for at most 64 elements.  ``map_generates`` records which.
     """
 
     def __init__(
@@ -298,7 +298,8 @@ class FiniteCommutativeMonoid:
         gens = set(self.generator_map.values())
         if not gens <= set(range(k)):
             raise ValueError("generator map points outside the table")
-        if len(_closure(table, identity_index, gens)) == k:
+        self.map_generates = len(_closure(table, identity_index, gens)) == k
+        if self.map_generates:
             _check_associative(table, gens)
         elif k <= 64:
             _check_associative(table, range(k))

@@ -511,13 +511,10 @@ def certify_period(
     quotient decides all larger heaps too.  Returns the certified analysis,
     or None when the verification fails.
     """
-    if r0 < 1 or p < 1:
-        raise ValueError("period indices must be positive")
-    if len(qa.phi) < r0 + p - 1:
-        raise ValueError("stored values do not cover one full period")
-    n_window = _certificate_window(qa.code, r0, p)
-    # Raises ValueError when the stored values break the period.
+    # Raises ValueError when the stored values break the period or do not
+    # cover one full period.
     claimed = replace(qa.phi, claimed_period=(r0, p))
+    n_window = _certificate_window(qa.code, r0, p)
     candidate = replace(qa, phi=claimed)
     report = verify_to_heap(candidate, n_window, budget=budget)
     if not report.passed:

@@ -374,6 +374,25 @@ class TestMalformedAnalysis:
         assert captured.out == ""
         assert "'generator_map' does not generate the table" in captured.err
 
+    @pytest.mark.parametrize("key", ["certified_period", "claimed_period"])
+    @pytest.mark.parametrize("period, complaint", [
+        # Stored phi covers heaps 1..12; heap 6 is b2 and heap 10 is x.
+        ([6, 4], "period fails at heap 6"),
+        # Heaps 10..14 make one period; phi repeats vacuously over 1..12.
+        ([10, 5], "stored values do not cover one full period"),
+    ])
+    def test_forged_period(self, capsys, analysis_file, tmp_path, key,
+                           period, complaint):
+        def edit(doc):
+            doc[key] = period
+
+        path = self._damaged(analysis_file, tmp_path, edit)
+        rc = main(["outcome", path, "1000", "3"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.out == ""
+        assert f"analysis field {key!r}: {complaint}" in captured.err
+
     def test_well_formed_files_still_load(self, analysis_file):
         text = analysis_to_json(kayles_analysis())
         assert analysis_to_json(analysis_from_json(text)) == text

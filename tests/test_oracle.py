@@ -132,8 +132,8 @@ class TestSolver:
     @given(code=st.sampled_from(SOLVER_GAMES), misere=st.booleans(), heaps=small_positions)
     def test_matches_naive_recursion(self, code, misere, heaps):
         cache, naive = {}, {}
-        moves = oracle._move_table(code, max(heaps, default=0))
-        won = _solve(moves, cache, misere, heaps, 10**6)
+        table = oracle._canonical_table(code, max(heaps, default=0))
+        won = _solve(table, cache, misere, table.key(heaps), 10**6)
         assert won == naive_won(code, heaps, misere, naive)
         # Every position the search memoized is right, not just the root.
         for node, node_won in cache.items():
@@ -157,27 +157,28 @@ class TestSolver:
         with pytest.raises(BudgetExceededError):
             outcome(code, Position.of(30, 31, 32), MISERE, budget=10)
         with pytest.raises(BudgetExceededError):
-            _solve(oracle._move_table(code, 9), {}, True, (9, 9), 5)
+            _solve(oracle._canonical_table(code, 9), {}, True, (9, 9), 5)
 
     def test_memo_stays_sound_after_budget_error(self):
         code = parse_game_code("0.137")
         naive = {}
         want = naive_won(code, (6, 7), True, naive)
-        moves = oracle._move_table(code, 7)
+        table = oracle._canonical_table(code, 7)
+        assert table.key((6, 7)) == (6, 7)
         fresh = {}
-        _solve(moves, fresh, True, (6, 7), 10**6)
+        _solve(table, fresh, True, (6, 7), 10**6)
         # The search raises exactly when the budget is below what it stores.
         for budget in range(1, len(fresh) + 1):
             cache = {}
             if budget < len(fresh):
                 with pytest.raises(BudgetExceededError):
-                    _solve(moves, cache, True, (6, 7), budget)
+                    _solve(table, cache, True, (6, 7), budget)
             else:
-                assert _solve(moves, cache, True, (6, 7), budget) == want
+                assert _solve(table, cache, True, (6, 7), budget) == want
             assert len(cache) <= budget
             for node, won in cache.items():
                 assert won == naive_won(code, node, True, naive), (budget, node)
-            assert _solve(moves, cache, True, (6, 7), 10**6) == want
+            assert _solve(table, cache, True, (6, 7), 10**6) == want
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -193,22 +194,88 @@ class TestSolver:
         # One memo across several searches, as the builder uses it: later
         # searches stop early against a memo that earlier ones filled in part.
         memo, full = {}, {}
-        moves = oracle._move_table(code, 10)
+        table = oracle._canonical_table(code, 10)
         for heaps in positions:
             want = full_closure_won(code, heaps, misere, full)
-            assert _solve(moves, memo, misere, heaps, 10**6) == want, heaps
+            assert _solve(table, memo, misere, table.key(heaps), 10**6) == want, heaps
         for node, won in memo.items():
             assert won == full_closure_won(code, node, misere, full), node
 
     def test_search_stops_at_first_losing_option(self):
-        # The full closure of misere Kayles 8+9+10 holds 3 781 positions; a
-        # search that builds every option of every position stores them all.
-        cache = {}
-        assert _solve(oracle._move_table(KAYLES, 10), cache, True, (8, 9, 10), 10**6)
+        # The full closure of misere Kayles 8+9+10 over canonical positions
+        # holds 1 919 of them; a search that builds every option of every
+        # position it reaches stores them all.
+        table = oracle._canonical_table(KAYLES, 10)
+        assert table.key((8, 9, 10)) == (8, 9, 10)
         full = {}
-        full_closure_won(KAYLES, (8, 9, 10), True, full)
-        assert len(full) == 3781
+        oracle._postorder(
+            full, (8, 9, 10),
+            lambda node: {table.join(o, ()) for o in oracle._options(table.rows, node)},
+            lambda wins: not all(wins) if wins else True,
+        )
+        assert len(full) == 1919
+        cache = {}
+        assert _solve(table, cache, True, (8, 9, 10), 10**6)
         assert len(cache) < len(full)
+
+
+# Per code: its *1 heap and the heaps <= 14 that the canonical table does not
+# map to themselves (0 for a dead heap).
+CANONICAL_MAPS = {
+    "0.123": (1, {2: 0, 4: 3}),
+    "0.137": (1, {2: 1}),
+    "0.07": (2, {1: 0, 3: 2}),
+    "0.77": (1, {}),
+}
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("code", sorted(CANONICAL_MAPS))
+    def test_pinned_maps(self, code):
+        s1, changed = CANONICAL_MAPS[code]
+        table = oracle._canonical_table(parse_game_code(code), 14)
+        assert table.s1 == s1
+        assert table.heap[:15] == [changed.get(h, h) for h in range(15)]
+
+    @pytest.mark.parametrize("code", sorted(CANONICAL_MAPS))
+    def test_merged_heaps_match_their_representatives(self, code):
+        # The tree path unfolds raw moves, so it shares nothing with the map.
+        game = parse_game_code(code)
+        s1, changed = CANONICAL_MAPS[code]
+        assert tree_of_position(game, Position.of(s1)) == nim_heap_tree(1)
+        for h, rep in changed.items():
+            tree = tree_of_position(game, Position.of(h))
+            if rep == 0:
+                assert tree == ENDGAME_TREE
+            else:
+                assert genus_of_tree(tree) == genus_of_tree(
+                    tree_of_position(game, Position.of(rep))
+                )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        code=st.sampled_from(sorted(CANONICAL_MAPS)),
+        misere=st.booleans(),
+    )
+    def test_outcome_matches_uncanonical_reference(self, data, code, misere):
+        game = parse_game_code(code)
+        # Heaps the canonical form drops, folds by parity or merges.
+        s1, changed = CANONICAL_MAPS[code]
+        folded = data.draw(
+            st.lists(st.sampled_from(sorted({s1, *changed})), min_size=1, max_size=3)
+        )
+        others = data.draw(st.lists(st.integers(1, 8), max_size=2))
+        heaps = tuple(sorted(folded + others))
+        full = {}
+        want = full_closure_won(game, heaps, misere, full)
+        play = MISERE if misere else NORMAL
+        assert (outcome(game, Position(heaps), play) is Outcome.N) == want
+        # Every canonical position a fresh search stores is right too.
+        table, memo = oracle._canonical_table(game, 8), {}
+        assert _solve(table, memo, misere, table.key(heaps), 10**6) == want
+        for node, won in memo.items():
+            assert won == full_closure_won(game, node, misere, full), node
 
 
 class TestGenus:
@@ -261,6 +328,9 @@ class TestGenusSearch:
         assert _genus_or_tail_error(genus, code, p) == _genus_or_tail_error(
             genus_of_tree, tree
         )
+        # The game's own *1 heaps live in the parity coordinate only.
+        s1 = oracle._canonical_table(code, 9).s1
+        assert all(s1 not in hs for hs, _, _ in oracle._gminus_ext_caches[code])
         # The identity the search folds by: g-(X + *1 + *1) = g-(X).
         star1 = nim_heap_tree(1)
         for x in (tree, tree_sum(tree, nim_heap_tree(nim))):
@@ -270,20 +340,23 @@ class TestGenusSearch:
     def test_one_search_on_n1_mod_2(self, monkeypatch):
         monkeypatch.setattr(oracle, "_gminus_ext_caches", {})
         calls = []
-        tuple_options = oracle._tuple_options
+        options = oracle._options
 
-        def counted(code, heaps):
+        def counted(moves, heaps):
             calls.append(heaps)
-            return tuple_options(code, heaps)
+            return options(moves, heaps)
 
-        monkeypatch.setattr(oracle, "_tuple_options", counted)
+        monkeypatch.setattr(oracle, "_options", counted)
         assert str(genus(KAYLES, Position.of(20))) == "1^{031}"
         memo = oracle._gminus_ext_caches[KAYLES]
         assert {n1 for _, n1, _ in memo} == {0, 1}
+        # Heap 1 of Kayles is *1, and its tokens live in n1 only.
+        assert all(1 not in hs for hs, _, _ in memo)
         # Keyed on n1 itself the memo would hold 135 432 states, and one
-        # search per exponent, each with its own heap options, 14 256 calls.
-        assert len(memo) == 27720
-        assert len(calls) == len(set(calls)) == 792
+        # search per exponent, each with its own heap options, 14 256 calls;
+        # with heap-1 tokens kept in the heaps, 27 720 states and 792 calls.
+        assert len(memo) == 10763
+        assert len(calls) == len(set(calls)) == 302
 
     def test_small_caps_raise(self, monkeypatch):
         gminus_ext = oracle._gminus_ext

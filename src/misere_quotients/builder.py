@@ -28,8 +28,7 @@ from .oracle import (
     Outcome,
     PlayConvention,
     _SEARCH_BUDGET,
-    _canonical_table,
-    _outcome_caches,
+    _game,
     _solve,
     genus,
     nim_value,
@@ -157,7 +156,7 @@ class _Signatures:
 
     The contexts are the empty position, then every position of one heap,
     two heaps, ... up to m heaps, all heap sizes <= n, each in the oracle's
-    canonical form (see oracle._Canonical), and a context whose canonical
+    canonical form (see oracle._Game), and a context whose canonical
     form repeats an earlier one is dropped.  Raising m only appends
     contexts, so a signature kept from an earlier round is extended by the
     new contexts alone.  A signature is bytes, one byte per context: 1 when
@@ -178,12 +177,11 @@ class _Signatures:
         self.m = 0
         self.contexts: list[tuple[int, ...]] = [()]
         self._sigs: dict[tuple[int, ...], bytes] = {}
-        self._memo = _outcome_caches.setdefault((code, play), {})
-        self._table = _canonical_table(code, n)
+        self._game = _game(code, n)
 
     def widen(self, m: int) -> None:
         """Extend the contexts to every position of at most m heaps."""
-        heaps, key = range(1, self.n + 1), self._table.key
+        heaps, key = range(1, self.n + 1), self._game.key
         # A dict keeps each canonical context at its first place.
         contexts = dict.fromkeys(self.contexts)
         while self.m < m:
@@ -193,17 +191,18 @@ class _Signatures:
         self.contexts = list(contexts)
 
     def sig(self, u: tuple[int, ...]) -> bytes:
-        table = self._table
-        u = table.key(u)
+        game = self._game
+        u = game.key(u)
         got = self._sigs.get(u, b"")
         if len(got) < len(self.contexts):
-            memo, misere, join = self._memo, self.play is MISERE, table.join
+            play = self.play
+            memo, misere, join = game.outcomes[play], play is MISERE, game.join
             won = []
             for w in self.contexts[len(got) :]:
                 key = join(u, w)
                 v = memo.get(key)
                 if v is None:
-                    v = _solve(table, memo, misere, key, _SEARCH_BUDGET)
+                    v = _solve(game, memo, misere, key, _SEARCH_BUDGET)
                 won.append(v)
             got += bytes(won)
             self._sigs[u] = got

@@ -28,7 +28,7 @@ from .oracle import (
     GenusTailError,
     InternalError,
     Outcome,
-    _move_row,
+    _game,
     genus,
     genus_of_tree,
 )
@@ -65,6 +65,15 @@ def _parse_period(text: str) -> tuple[int, int]:
     if r0 < 1 or p < 1:
         raise ValueError("period indices must be positive")
     return r0, p
+
+
+def _at_least(lo: int):
+    """An argparse type: an integer no smaller than ``lo``."""
+    def integer(text: str) -> int:
+        if int(text) < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {text}")
+        return int(text)
+    return integer
 
 
 def _load_analysis(source: str) -> builder.QuotientAnalysis:
@@ -219,7 +228,7 @@ def cmd_outcome(args) -> int:
             h, t, target = move
             print(f"winning move: {_describe_move(h, t)} -> {m.names[target]} (P)")
             return EXIT_OK
-        if not any(_move_row(qa.code, h) for h in heaps):
+        if not any(_game(qa.code).move_row(h) for h in heaps):
             print("no moves remain; the player to move has already won")
             return EXIT_OK
         print("no winning move found")
@@ -344,23 +353,23 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="build and verify a quotient")
     p.add_argument("game")
-    p.add_argument("-n", type=int, default=12, help="heap bound")
+    p.add_argument("-n", type=_at_least(1), default=12, help="heap bound")
     p.add_argument("--normal", action="store_true", help="normal play")
     p.add_argument("--certify", type=_parse_period, metavar="R0,P")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_at_least(0))
     p.add_argument("--out")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="re-verify an analysis to a heap bound")
     p.add_argument("analysis", help="analysis JSON path or game code")
-    p.add_argument("-n", type=int)
-    p.add_argument("--budget", type=int)
+    p.add_argument("-n", type=_at_least(1))
+    p.add_argument("--budget", type=_at_least(0))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify", help="certify a period, settling all heaps")
     p.add_argument("analysis")
     p.add_argument("--certify", type=_parse_period, metavar="R0,P")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_at_least(0))
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
 

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 from typing import Iterable
 
 from .octal import GameCode, Position, _heap_moves, parse_game_code
@@ -95,58 +96,57 @@ def _mex(values: Iterable[int]) -> int:
 # options and outcomes
 
 
-# Per code, entry f lists the replacement tuples of a heap of size f.
-_move_tables: dict[GameCode, list[tuple[tuple[int, ...], ...]]] = {}
+class _Game:
+    """Everything the oracle knows about one code, by heap size.
 
+    ``moves[h]`` holds the sorted replacement tuples of heap h and
+    ``grundy[h]`` its normal-play value.
 
-def _move_row(code: GameCode, f: int) -> tuple[tuple[int, ...], ...]:
-    """The sorted replacement tuples of a heap of size ``f``; a row past the
-    table is not stored, so one large heap does not fill every smaller row."""
-    table = _move_tables.get(code, ())
-    if f < len(table):
-        return table[f]
-    return _heap_moves(code, f)
+    The exact canonical form: ``heap[h]`` is 0 when heap h has no move, and
+    otherwise the least heap whose canonical options are the same set;
+    ``rows[h]`` is that set, as a sorted tuple of canonical positions.
+    ``s1`` is the least heap with a move (0 while there is none).  Its
+    options hold dead heaps only, so it is *1, it is the least canonical
+    heap, and every *1 heap maps to it.  A canonical position maps each heap
+    through ``heap``, drops the zeros and keeps the *1 tokens, which sort
+    first, by parity only.  Each step is exact under both conventions, by
+    induction on heap size: a heap with no move adds no move; heaps whose
+    options are equal games are equal games; and X + *1 + *1 has the
+    outcome and misere mex value of X (see _gminus_ext).  ``key``
+    canonicalises heap sizes and ``join`` adds two canonical positions; no
+    other code builds the form.
 
-
-def _move_table(code: GameCode, size: int) -> list[tuple[tuple[int, ...], ...]]:
-    """The code's move table, extended to cover heaps up to ``size``."""
-    table = _move_tables.setdefault(code, [()])
-    while len(table) <= size:
-        table.append(_move_row(code, len(table)))
-    return table
-
-
-class _Canonical:
-    """The exact canonical form of one code's positions, by heap size.
-
-    ``heap[h]`` is 0 when heap h has no move, and otherwise the least heap
-    whose canonical options are the same set; ``rows[h]`` is that set, as a
-    sorted tuple of canonical positions.  ``s1`` is the least heap with a
-    move (0 while there is none).  Its options hold dead heaps only, so it
-    is *1, it is the least canonical heap, and every *1 heap maps to it.
-
-    A canonical position maps each heap through ``heap``, drops the zeros
-    and keeps the *1 tokens, which sort first, by parity only.  Each step
-    is exact under both conventions, by induction on heap size: a heap with
-    no move adds no move; heaps whose options are equal games are equal
-    games; and X + *1 + *1 has the outcome and misere mex value of X (see
-    _gminus_ext).  ``key`` canonicalises heap sizes and ``join`` adds two
-    canonical positions; no other code builds the form.
+    The memos: ``outcomes[play]`` maps a canonical position to True when
+    the player to move wins (see _solve), ``gminus`` holds the states of
+    _gminus_ext and ``trees`` the game trees of raw sorted positions.
+    Dropping the object from ``_games`` frees all of it.
     """
 
-    __slots__ = ("heap", "rows", "s1", "_least")
+    __slots__ = ("code", "moves", "grundy", "heap", "rows", "s1", "_least",
+                 "outcomes", "gminus", "trees")
 
-    def __init__(self) -> None:
+    def __init__(self, code: GameCode) -> None:
+        self.code = code
+        self.moves: list[tuple[tuple[int, ...], ...]] = [()]
+        self.grundy = [0]
         self.heap = [0]
         self.rows: list[tuple[tuple[int, ...], ...]] = [()]
         self.s1 = 0
         self._least: dict[tuple[tuple[int, ...], ...], int] = {}
+        self.outcomes = {play: {} for play in PlayConvention}
+        self.gminus: dict[tuple[tuple[int, ...], int, int], int] = {}
+        self.trees: dict[tuple[int, ...], GameTree] = {}
+
+    def move_row(self, f: int) -> tuple[tuple[int, ...], ...]:
+        """The moves of a heap of size ``f``; a row past ``moves`` is not
+        stored, so one large heap does not fill every smaller row."""
+        return self.moves[f] if f < len(self.moves) else _heap_moves(self.code, f)
 
     def key(self, heaps: Iterable[int]) -> tuple[int, ...]:
         """The canonical form of a position given by its heap sizes, each
-        covered by the table.
+        covered by ``extend``.
 
-        >>> _canonical_table(parse_game_code("0.123"), 7).key((1, 1, 2, 4, 7))
+        >>> _game(parse_game_code("0.123"), 7).key((1, 1, 2, 4, 7))
         (3, 7)
         """
         heap = self.heap
@@ -160,43 +160,54 @@ class _Canonical:
         Each holds at most one *1, so the sum holds at most two, at its
         front, and one test folds them.
 
-        >>> _canonical_table(parse_game_code("0.123"), 7).join((1, 7), (1, 3))
+        >>> _game(parse_game_code("0.123"), 7).join((1, 7), (1, 3))
         (3, 7)
         """
         out = tuple(sorted(a + b))
         return out[2:] if len(out) > 1 and out[1] == self.s1 else out
 
-    def extend(self, moves: list[tuple[tuple[int, ...], ...]], size: int) -> None:
-        """Cover heaps up to ``size``, read from the move table ``moves``.
-        Each new heap's row is built from its moves, which reach smaller
-        heaps only."""
-        heap = self.heap
+    def extend(self, size: int) -> None:
+        """Cover heaps up to ``size``.  Each new heap's value and canonical
+        row are built from its moves, which reach smaller heaps only."""
+        heap, grundy = self.heap, self.grundy
         while len(heap) <= size:
             h = len(heap)
-            row = tuple(sorted({self.key(repl) for repl in moves[h]}))
+            moves = _heap_moves(self.code, h)
+            self.moves.append(moves)
+            grundy.append(_mex(reduce(xor, [grundy[x] for x in t], 0) for t in moves))
+            row = tuple(sorted({self.key(t) for t in moves}))
             if row and not self.s1:
                 self.s1 = h
             heap.append(self._least.setdefault(row, h) if row else 0)
             self.rows.append(row)
 
 
-# Per code, the canonical table of its heaps so far.
-_canonical_tables: dict[GameCode, _Canonical] = {}
+# Per code, what the oracle knows of it so far.
+_games: dict[GameCode, _Game] = {}
 
 
-def _canonical_table(code: GameCode, size: int) -> _Canonical:
-    """The code's canonical table, extended to cover heaps up to ``size``."""
-    table = _canonical_tables.get(code)
-    if table is None:
-        table = _canonical_tables[code] = _Canonical()
-    if len(table.heap) <= size:
-        table.extend(_move_table(code, size), size)
-    return table
+def _game(code: GameCode, size: int = 0) -> _Game:
+    """The code's game object, extended to cover heaps up to ``size``."""
+    game = _games.get(code)
+    if game is None:
+        game = _games[code] = _Game(code)
+    game.extend(size)
+    return game
+
+
+def __getattr__(name: str):
+    # Read-only views of the memos under their former names, which the
+    # benchmark's tracer still reads as dicts of dicts.
+    if name == "_outcome_caches":
+        return {(c, p): m for c, g in _games.items() for p, m in g.outcomes.items()}
+    if name == "_gminus_ext_caches":
+        return {c: g.gminus for c, g in _games.items()}
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _options(moves: list, heaps: tuple[int, ...]) -> set[tuple[int, ...]]:
-    # moves holds a row per heap size: the raw move table, or the rows of a
-    # canonical table, which _gminus_ext reads.
+    # moves holds a row per heap size: a game's raw moves, or its canonical
+    # rows, which _gminus_ext reads.
     # heaps is sorted, so equal sizes are adjacent and give the same options.
     out: set[tuple[int, ...]] = set()
     prev = 0
@@ -213,15 +224,12 @@ def _options(moves: list, heaps: tuple[int, ...]) -> set[tuple[int, ...]]:
 def position_options(code: GameCode, position: Position) -> set[Position]:
     """All positions reachable in one move."""
     heaps = position.heaps
-    moves = _move_table(code, heaps[-1] if heaps else 0)
+    moves = _game(code, heaps[-1] if heaps else 0).moves
     return {Position(t) for t in _options(moves, heaps)}
 
 
 # The default node budget of one outcome search.
 _SEARCH_BUDGET = 10**8
-
-# Per (code, play): canonical position -> True when the player to move wins.
-_outcome_caches: dict[tuple[GameCode, PlayConvention], dict[tuple[int, ...], bool]] = {}
 
 
 def _postorder(cache: dict, root, options, value, limit: int | None = None):
@@ -253,7 +261,7 @@ def _postorder(cache: dict, root, options, value, limit: int | None = None):
 
 
 def _solve(
-    table: _Canonical,
+    game: _Game,
     cache: dict[tuple[int, ...], bool],
     misere: bool,
     heaps: tuple[int, ...],
@@ -261,7 +269,7 @@ def _solve(
 ) -> bool:
     """Whether the player to move wins the canonical position ``heaps``.
 
-    The search runs over canonical positions (see _Canonical) and reads the
+    The search runs over canonical positions (see _Game) and reads the
     canonical rows, so positions that differ only by dead heaps, by pairs
     of *1 heaps or by heaps of equal options are searched and stored once.
     The outcome is exact for each of them: a dead heap adds no move, heaps
@@ -276,14 +284,14 @@ def _solve(
     if ``cache`` would grow past ``budget`` entries; what it stored up to
     then stays correct.
 
-    ``table`` is the code's table from _canonical_table.  It must cover
+    ``game`` is the code's object from _game.  It must cover
     ``max(heaps)``; no move makes a heap larger, so it then covers every
     position the search reaches.
     """
     won = cache.get(heaps)
     if won is not None:
         return won
-    get, rows, join = cache.get, table.rows, table.join
+    get, rows, join = cache.get, game.rows, game.join
     # (position, its options not yet known when it was last looked at)
     stack: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
     node = heaps
@@ -346,34 +354,21 @@ def outcome(
     won under misere play, so the empty position is P normal, N misere.
     Raises BudgetExceededError if the memo table would outgrow ``budget``.
     """
-    cache = _outcome_caches.setdefault((code, play), {})
     heaps = position.heaps
-    table = _canonical_table(code, heaps[-1] if heaps else 0)
-    won = _solve(table, cache, play is MISERE, table.key(heaps), budget)
+    game = _game(code, heaps[-1] if heaps else 0)
+    won = _solve(game, game.outcomes[play], play is MISERE, game.key(heaps), budget)
     return Outcome.N if won else Outcome.P
 
 
 # ---------------------------------------------------------------------------
 # normal play: heap values and their period
 
-_grundy_tables: dict[GameCode, list[int]] = {}
-
 
 def grundy(code: GameCode, size: int) -> int:
     """Normal-play value of a single heap (0 for the empty heap)."""
     if size < 0:
         raise ValueError("heap size must be nonnegative")
-    table = _grundy_tables.setdefault(code, [0])
-    while len(table) <= size:
-        f = len(table)
-        vals = set()
-        for repl in _move_table(code, f)[f]:
-            g = 0
-            for h in repl:
-                g ^= table[h]
-            vals.add(g)
-        table.append(_mex(vals))
-    return table[size]
+    return _game(code, size).grundy[size]
 
 
 def nim_value(code: GameCode, position: Position) -> int:
@@ -468,18 +463,15 @@ def tree_sum(a: GameTree, b: GameTree) -> GameTree:
     return _postorder(_tree_sum_cache, (a, b), _sum_options, GameTree)
 
 
-_tree_of_caches: dict[GameCode, dict[tuple[int, ...], GameTree]] = {}
-
-
 def tree_of_position(code: GameCode, position: Position, budget: int = 10**6) -> GameTree:
     """Unfold a heap position into its full game tree.
 
     Raises BudgetExceededError if more than ``budget`` distinct positions
     would need unfolding.
     """
-    cache = _tree_of_caches.setdefault(code, {})
     heaps = position.heaps
-    moves = _move_table(code, heaps[-1] if heaps else 0)
+    game = _game(code, heaps[-1] if heaps else 0)
+    cache, moves = game.trees, game.moves
     return _postorder(
         cache, heaps, lambda node: _options(moves, node), GameTree,
         len(cache) + budget,
@@ -565,9 +557,6 @@ def genus_of_tree(tree: GameTree, cap: int = 16) -> GenusSymbol:
     return GenusSymbol(tree_grundy(tree), _trim_exponents(values, cap, "tree genus"))
 
 
-_gminus_ext_caches: dict[GameCode, dict[tuple[tuple[int, ...], int, int], int]] = {}
-
-
 def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
     """Misere mex value of (heaps + n2 two-token nim heaps), computed without
     building trees.
@@ -583,7 +572,7 @@ def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
       differs from that mex leaves the mex unchanged.
     - If X is the endgame, g-(*1 + *1) = mex{g-(*1)} = mex{0} = 1 = g-(0).
 
-    ``heaps`` are canonical (see _Canonical) with the game's own *1 heaps
+    ``heaps`` are canonical (see _Game) with the game's own *1 heaps
     moved into n1, so a state's heaps hold no *1.  The other two reductions
     keep the value too: a dead heap adds no option, and a heap maps to one
     whose options have the same canonical forms, so by induction the two
@@ -592,8 +581,8 @@ def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
     The search fills the memo for every state below (heaps, n1, n2), so each
     later call with fewer two-token heaps is a memo hit.
     """
-    table = _canonical_table(code, heaps[-1] if heaps else 0)
-    star1 = (table.s1,)
+    game = _game(code, heaps[-1] if heaps else 0)
+    star1 = (game.s1,)
     # Many states share their heaps; their heap options are found once, each
     # with its *1 token, if any, split off into the parity.
     heap_options: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
@@ -604,7 +593,7 @@ def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
         if moved is None:
             moved = heap_options[hs] = [
                 (t[1:], 1) if t[:1] == star1 else (t, 0)
-                for t in _options(table.rows, hs)
+                for t in _options(game.rows, hs)
             ]
         opts = [(t, n1 ^ flip, m2) for t, flip in moved]
         if n1:
@@ -614,10 +603,9 @@ def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
             opts.append((hs, n1, m2 - 1))
         return opts
 
-    root = table.key(heaps)
+    root = game.key(heaps)
     n1 = int(root[:1] == star1)
-    cache = _gminus_ext_caches.setdefault(code, {})
-    return _postorder(cache, (root[n1:], n1, n2), options, _misere_mex)
+    return _postorder(game.gminus, (root[n1:], n1, n2), options, _misere_mex)
 
 
 def genus(code: GameCode, position: Position, cap: int = 16) -> GenusSymbol:

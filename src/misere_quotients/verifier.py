@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .octal import GameCode
-from .oracle import MISERE, BudgetExceededError, _move_row
+from .oracle import MISERE, BudgetExceededError, _game
 from .builder import QuotientAnalysis, phi_heap
 
 __all__ = [
@@ -88,7 +88,7 @@ def _move_targets(qa: QuotientAnalysis, h: int) -> list[tuple[tuple[int, ...], i
     """(t, phi(t)) for every move h -> t, ordered by t: the one place that
     computes the element a move lands on."""
     product = qa.monoid.product
-    return [(t, product(_phi(qa, x) for x in t)) for t in _move_row(qa.code, h)]
+    return [(t, product(_phi(qa, x) for x in t)) for t in _game(qa.code).move_row(h)]
 
 
 def _distinct_pairs(qa: QuotientAnalysis, targets_by_heap) -> set[MovePair]:

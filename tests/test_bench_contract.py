@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from misere_quotients import octal, oracle
+from misere_quotients.builder import analysis_to_json, build_quotient
 from misere_quotients.octal import Position, parse_game_code
 from misere_quotients.verifier import verify_to_heap
 
@@ -56,6 +57,35 @@ def test_memo_tables_are_dicts_of_dicts(tracer):
     sizes = tracer.memo_sizes()
     assert sizes["oracle.outcome.memo_entries"] > 0
     assert sizes["oracle.genus.memo_entries"] > 0
+
+
+def test_memo_sizes_read_the_game_objects(tracer, monkeypatch):
+    # The memos the tracer reads by their old names are views of _games.
+    monkeypatch.setattr(oracle, "_games", {})
+    code = parse_game_code("0.123")
+    oracle.outcome(code, Position.of(3, 5), oracle.MISERE)
+    oracle.genus(code, Position.of(4))
+    games = oracle._games.values()
+    sizes = {
+        "oracle.outcome.memo_entries": sum(
+            len(memo) for g in games for memo in g.outcomes.values()
+        ),
+        "oracle.genus.memo_entries": sum(len(g.gminus) for g in games),
+    }
+    assert tracer.memo_sizes() == sizes
+    assert min(sizes.values()) > 0
+    oracle._games.pop(code)
+    assert tracer.memo_sizes() == dict.fromkeys(sizes, 0)
+
+
+def test_rebuild_after_freeing_the_game(tracer, monkeypatch):
+    monkeypatch.setattr(oracle, "_games", {})
+    first = analysis_to_json(build_quotient("0.123", 11))
+    sizes = tracer.memo_sizes()
+    assert sizes["oracle.outcome.memo_entries"] == 14443
+    oracle._games.pop(parse_game_code("0.123"))
+    assert analysis_to_json(build_quotient("0.123", 11)) == first
+    assert tracer.memo_sizes() == sizes
 
 
 def test_verify_report_counters(tracer, qa123_12):

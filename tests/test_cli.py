@@ -1,8 +1,13 @@
 """End-to-end command line checks, driving main() in process."""
 
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misere_quotients import cli, oracle
 from misere_quotients.builder import (
@@ -317,6 +322,27 @@ class TestBadInput:
                 main(["analyze", "0.123", *flag])
             assert excinfo.value.code == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "0.123", "-n", "-3"],
+        ["verify", "0.123", "-n", "0"],
+        ["analyze", "0.123", "-n", "0"],
+        ["analyze", "0.123", "--budget", "-1"],
+        ["verify", "0.123", "--budget", "-1"],
+        ["certify", "0.123", "--budget", "-1"],
+    ])
+    def test_bound_and_budget_out_of_range(self, capsys, argv):
+        # Rejected at parse time: no report, and no "budget exceeded".
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be at least" in captured.err
+
+    def test_zero_budget_is_a_budget(self, capsys):
+        assert main(["analyze", "0.123", "-n", "3", "--budget", "0"]) == 3
+        assert "budget exceeded" in capsys.readouterr().err
+
 
 class TestMalformedAnalysis:
     """A damaged analysis file is bad input (exit 4), never a traceback and
@@ -398,3 +424,62 @@ class TestMalformedAnalysis:
         assert analysis_to_json(analysis_from_json(text)) == text
         with open(analysis_file, encoding="utf-8") as f:
             assert analysis_from_json(f.read()).certified_period == (6, 5)
+
+
+# Values a mutation writes into an analysis file: small integers, names and
+# nulls, alone or in short lists.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40)
+    | st.sampled_from(["", "x", "e", "z2"]),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutate(data, doc) -> None:
+    """Change one value of ``doc`` in place, drop it, or append to a list:
+    at a top-level key, or at a node a few levels below one."""
+    parent, key = doc, data.draw(st.sampled_from(sorted(doc)))
+    while isinstance(parent[key], (dict, list)) and parent[key]:
+        if not data.draw(st.booleans()):
+            break
+        parent = parent[key]
+        keys = sorted(parent) if isinstance(parent, dict) else range(len(parent))
+        key = data.draw(st.sampled_from(list(keys)))
+    kind = data.draw(st.sampled_from(["change", "drop", "append"]))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "append" and isinstance(parent[key], list):
+        parent[key].append(data.draw(_json_values))
+    else:
+        parent[key] = data.draw(_json_values)
+
+
+@pytest.fixture(scope="module")
+def analysis_docs(qa123, kayles):
+    return [json.loads(analysis_to_json(qa)) for qa in (qa123, kayles)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "analysis.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), which=st.sampled_from([0, 1]))
+def test_mutated_analysis_files_fail_cleanly(fuzz_path, analysis_docs, data, which):
+    """A damaged 0.123 or Kayles analysis never gives a traceback; every
+    command ends with one of the contract's exit codes."""
+    doc = copy.deepcopy(analysis_docs[which])
+    for _ in range(data.draw(st.integers(1, 3))):
+        if doc:
+            _mutate(data, doc)
+    fuzz_path.write_text(json.dumps(doc), encoding="utf-8")
+    path = str(fuzz_path)
+    for argv in (["outcome", path, "3", "4", "9"], ["structure", path],
+                 ["verify", path, "-n", "8"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        assert rc in (0, 2, 3, 4, 5), (argv, rc, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -120,7 +120,7 @@ def naive_won(code, heaps, misere, memo):
 
 def full_closure_won(code, heaps, misere, memo):
     """Whether the player to move wins: every option's value, then the rule."""
-    moves = oracle._move_table(code, heaps[-1] if heaps else 0)
+    moves = oracle._game(code, heaps[-1] if heaps else 0).moves
     return oracle._postorder(
         memo, heaps, lambda node: oracle._options(moves, node),
         lambda wins: not all(wins) if wins else misere,
@@ -132,7 +132,7 @@ class TestSolver:
     @given(code=st.sampled_from(SOLVER_GAMES), misere=st.booleans(), heaps=small_positions)
     def test_matches_naive_recursion(self, code, misere, heaps):
         cache, naive = {}, {}
-        table = oracle._canonical_table(code, max(heaps, default=0))
+        table = oracle._game(code, max(heaps, default=0))
         won = _solve(table, cache, misere, table.key(heaps), 10**6)
         assert won == naive_won(code, heaps, misere, naive)
         # Every position the search memoized is right, not just the root.
@@ -157,13 +157,13 @@ class TestSolver:
         with pytest.raises(BudgetExceededError):
             outcome(code, Position.of(30, 31, 32), MISERE, budget=10)
         with pytest.raises(BudgetExceededError):
-            _solve(oracle._canonical_table(code, 9), {}, True, (9, 9), 5)
+            _solve(oracle._game(code, 9), {}, True, (9, 9), 5)
 
     def test_memo_stays_sound_after_budget_error(self):
         code = parse_game_code("0.137")
         naive = {}
         want = naive_won(code, (6, 7), True, naive)
-        table = oracle._canonical_table(code, 7)
+        table = oracle._game(code, 7)
         assert table.key((6, 7)) == (6, 7)
         fresh = {}
         _solve(table, fresh, True, (6, 7), 10**6)
@@ -194,7 +194,7 @@ class TestSolver:
         # One memo across several searches, as the builder uses it: later
         # searches stop early against a memo that earlier ones filled in part.
         memo, full = {}, {}
-        table = oracle._canonical_table(code, 10)
+        table = oracle._game(code, 10)
         for heaps in positions:
             want = full_closure_won(code, heaps, misere, full)
             assert _solve(table, memo, misere, table.key(heaps), 10**6) == want, heaps
@@ -205,7 +205,7 @@ class TestSolver:
         # The full closure of misere Kayles 8+9+10 over canonical positions
         # holds 1 919 of them; a search that builds every option of every
         # position it reaches stores them all.
-        table = oracle._canonical_table(KAYLES, 10)
+        table = oracle._game(KAYLES, 10)
         assert table.key((8, 9, 10)) == (8, 9, 10)
         full = {}
         oracle._postorder(
@@ -233,7 +233,7 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("code", sorted(CANONICAL_MAPS))
     def test_pinned_maps(self, code):
         s1, changed = CANONICAL_MAPS[code]
-        table = oracle._canonical_table(parse_game_code(code), 14)
+        table = oracle._game(parse_game_code(code), 14)
         assert table.s1 == s1
         assert table.heap[:15] == [changed.get(h, h) for h in range(15)]
 
@@ -272,7 +272,7 @@ class TestCanonicalForm:
         play = MISERE if misere else NORMAL
         assert (outcome(game, Position(heaps), play) is Outcome.N) == want
         # Every canonical position a fresh search stores is right too.
-        table, memo = oracle._canonical_table(game, 8), {}
+        table, memo = oracle._game(game, 8), {}
         assert _solve(table, memo, misere, table.key(heaps), 10**6) == want
         for node, won in memo.items():
             assert won == full_closure_won(game, node, misere, full), node
@@ -329,8 +329,8 @@ class TestGenusSearch:
             genus_of_tree, tree
         )
         # The game's own *1 heaps live in the parity coordinate only.
-        s1 = oracle._canonical_table(code, 9).s1
-        assert all(s1 not in hs for hs, _, _ in oracle._gminus_ext_caches[code])
+        s1 = oracle._game(code, 9).s1
+        assert all(s1 not in hs for hs, _, _ in oracle._game(code).gminus)
         # The identity the search folds by: g-(X + *1 + *1) = g-(X).
         star1 = nim_heap_tree(1)
         for x in (tree, tree_sum(tree, nim_heap_tree(nim))):
@@ -338,7 +338,7 @@ class TestGenusSearch:
             assert misere_gminus(twice) == misere_gminus(x)
 
     def test_one_search_on_n1_mod_2(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_gminus_ext_caches", {})
+        monkeypatch.setattr(oracle, "_games", {})
         calls = []
         options = oracle._options
 
@@ -348,7 +348,7 @@ class TestGenusSearch:
 
         monkeypatch.setattr(oracle, "_options", counted)
         assert str(genus(KAYLES, Position.of(20))) == "1^{031}"
-        memo = oracle._gminus_ext_caches[KAYLES]
+        memo = oracle._game(KAYLES).gminus
         assert {n1 for _, n1, _ in memo} == {0, 1}
         # Heap 1 of Kayles is *1, and its tokens live in n1 only.
         assert all(1 not in hs for hs, _, _ in memo)
@@ -450,9 +450,9 @@ class TestTrees:
             return GameTree(naive_tree(o) for o in position_options(G123, q))
 
         want = naive_tree(p)
-        monkeypatch.setattr(oracle, "_tree_of_caches", {})
+        monkeypatch.setattr(oracle, "_games", {})
         assert tree_of_position(G123, p, budget=len(reached)) == want
-        monkeypatch.setattr(oracle, "_tree_of_caches", {})
+        monkeypatch.setattr(oracle, "_games", {})
         with pytest.raises(BudgetExceededError):
             tree_of_position(G123, p, budget=len(reached) - 1)
         # The positions stored before the error are sound and reused.

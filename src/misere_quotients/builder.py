@@ -156,7 +156,7 @@ class _Signatures:
 
     The contexts are the empty position, then every position of one heap,
     two heaps, ... up to m heaps, all heap sizes <= n, each in the oracle's
-    canonical form (see oracle._Game), and a context whose canonical
+    packed canonical form (see oracle._Game), and a context whose canonical
     form repeats an earlier one is dropped.  Raising m only appends
     contexts, so a signature kept from an earlier round is extended by the
     new contexts alone.  A signature is bytes, one byte per context: 1 when
@@ -175,8 +175,8 @@ class _Signatures:
         self.play = play
         self.n = n
         self.m = 0
-        self.contexts: list[tuple[int, ...]] = [()]
-        self._sigs: dict[tuple[int, ...], bytes] = {}
+        self.contexts: list[int] = [0]
+        self._sigs: dict[int, bytes] = {}
         self._game = _game(code, n)
 
     def widen(self, m: int) -> None:
@@ -196,11 +196,11 @@ class _Signatures:
         got = self._sigs.get(u, b"")
         if len(got) < len(self.contexts):
             play = self.play
-            memo, misere, join = game.outcomes[play], play is MISERE, game.join
-            won = []
+            memo, misere, fold = game.outcomes[play], play is MISERE, game.fold
+            get, won = memo.get, []
             for w in self.contexts[len(got) :]:
-                key = join(u, w)
-                v = memo.get(key)
+                key = (u + w) & fold  # as _Game.join
+                v = get(key)
                 if v is None:
                     v = _solve(game, memo, misere, key, _SEARCH_BUDGET)
                 won.append(v)

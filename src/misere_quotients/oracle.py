@@ -96,6 +96,18 @@ def _mex(values: Iterable[int]) -> int:
 # options and outcomes
 
 
+# Bits per count field of a packed canonical position (see _Game), and the
+# token total from which _Game.key refuses a position.
+_W = 16
+_FIELD = (1 << _W) - 1
+_TOKENS = 1 << (_W - 1)
+
+
+def _pack(heaps: tuple[int, ...]) -> int:
+    # Canonical heaps, each nonzero, as one int (see _Game).
+    return sum([1 << _W * h for h in heaps])
+
+
 class _Game:
     """Everything the oracle knows about one code, by heap size.
 
@@ -104,26 +116,41 @@ class _Game:
 
     The exact canonical form: ``heap[h]`` is 0 when heap h has no move, and
     otherwise the least heap whose canonical options are the same set;
-    ``rows[h]`` is that set, as a sorted tuple of canonical positions.
-    ``s1`` is the least heap with a move (0 while there is none).  Its
-    options hold dead heaps only, so it is *1, it is the least canonical
-    heap, and every *1 heap maps to it.  A canonical position maps each heap
-    through ``heap``, drops the zeros and keeps the *1 tokens, which sort
-    first, by parity only.  Each step is exact under both conventions, by
+    ``rows[h]`` is that set, as a sorted tuple of canonical positions, each
+    a sorted tuple of heaps.  ``s1`` is the least heap with a move (0 while
+    there is none).  Its options hold dead heaps only, so it is *1, it is
+    the least canonical heap, and every *1 heap maps to it.  A canonical
+    position maps each heap through ``heap``, drops the zeros and keeps the
+    *1 tokens by parity only.  Each step is exact under both conventions, by
     induction on heap size: a heap with no move adds no move; heaps whose
     options are equal games are equal games; and X + *1 + *1 has the
-    outcome and misere mex value of X (see _gminus_ext).  ``key``
-    canonicalises heap sizes and ``join`` adds two canonical positions; no
-    other code builds the form.
+    outcome and misere mex value of X (see _gminus_ext).
 
-    The memos: ``outcomes[play]`` maps a canonical position to True when
+    The searches take a canonical position packed into one int: the count
+    of canonical heap h sits in the ``_W``-bit field at bit ``_W * h``, and
+    the s1 field holds the parity.  A sum is then an addition.  Each
+    operand's s1 field is 0 or 1, so the sum's is 0, 1 or 2, and clearing
+    that field's bit of value 2, an AND with ``fold``, folds a *1 pair and
+    changes nothing else.  ``key`` packs heap sizes, ``join`` adds two
+    packed positions and ``options`` lists the moves of one; ``unpack``
+    reads one back as heaps.
+
+    No field carries into the next: ``key`` refuses a position of
+    ``_TOKENS`` (2**15) tokens or more.  Every canonical heap but s1 has at
+    least two tokens, so a field of a sum of two such positions counts
+    fewer than 2**15 heaps, and neither a move nor the canonical form adds
+    a token.  ``deltas`` packs each canonical heap's options on first use,
+    up to the largest heap a search reaches, so extending the game to a
+    large heap packs nothing.
+
+    The memos: ``outcomes[play]`` maps a packed position to True when
     the player to move wins (see _solve), ``gminus`` holds the states of
     _gminus_ext and ``trees`` the game trees of raw sorted positions.
     Dropping the object from ``_games`` frees all of it.
     """
 
     __slots__ = ("code", "moves", "grundy", "heap", "rows", "s1", "_least",
-                 "outcomes", "gminus", "trees")
+                 "_deltas", "outcomes", "gminus", "trees")
 
     def __init__(self, code: GameCode) -> None:
         self.code = code
@@ -133,8 +160,11 @@ class _Game:
         self.rows: list[tuple[tuple[int, ...], ...]] = [()]
         self.s1 = 0
         self._least: dict[tuple[tuple[int, ...], ...], int] = {}
-        self.outcomes = {play: {} for play in PlayConvention}
-        self.gminus: dict[tuple[tuple[int, ...], int, int], int] = {}
+        self._deltas: list[list[int]] = []
+        self.outcomes: dict[PlayConvention, dict[int, bool]] = {
+            play: {} for play in PlayConvention
+        }
+        self.gminus: dict[tuple[int, int, int], int] = {}
         self.trees: dict[tuple[int, ...], GameTree] = {}
 
     def move_row(self, f: int) -> tuple[tuple[int, ...], ...]:
@@ -142,29 +172,65 @@ class _Game:
         stored, so one large heap does not fill every smaller row."""
         return self.moves[f] if f < len(self.moves) else _heap_moves(self.code, f)
 
-    def key(self, heaps: Iterable[int]) -> tuple[int, ...]:
-        """The canonical form of a position given by its heap sizes, each
-        covered by ``extend``.
+    def key(self, heaps: tuple[int, ...]) -> int:
+        """The packed canonical form of a position given by its heap sizes,
+        each covered by ``extend``.  Raises ValueError from ``_TOKENS``
+        tokens on.
 
-        >>> _game(parse_game_code("0.123"), 7).key((1, 1, 2, 4, 7))
+        >>> game = _game(parse_game_code("0.123"), 7)
+        >>> game.unpack(game.key((1, 1, 2, 4, 7)))
         (3, 7)
         """
-        heap = self.heap
-        out = sorted([heap[h] for h in heaps if heap[h]])
-        n1 = out.count(self.s1)
-        return tuple(out[n1 - n1 % 2 :])
+        if sum(heaps) >= _TOKENS:
+            raise ValueError(f"a position of {_TOKENS} tokens or more is too large to pack")
+        return _pack(self._canonical(heaps))
 
-    def join(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        """The canonical form of the sum of canonical positions a and b.
+    def join(self, a: int, b: int) -> int:
+        """The packed canonical form of the sum of packed positions a and b.
 
-        Each holds at most one *1, so the sum holds at most two, at its
-        front, and one test folds them.
-
-        >>> _game(parse_game_code("0.123"), 7).join((1, 7), (1, 3))
+        >>> game = _game(parse_game_code("0.123"), 7)
+        >>> game.unpack(game.join(game.key((1, 7)), game.key((1, 3))))
         (3, 7)
         """
-        out = tuple(sorted(a + b))
-        return out[2:] if len(out) > 1 and out[1] == self.s1 else out
+        return (a + b) & self.fold
+
+    @property
+    def fold(self) -> int:
+        """The mask that clears the bit of value 2 in the s1 field."""
+        return ~(2 << _W * self.s1)
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        """The sorted canonical heaps of packed position x."""
+        out: list[int] = []
+        h = 0
+        while x:
+            out += [h] * (x & _FIELD)
+            x >>= _W
+            h += 1
+        return tuple(out)
+
+    def deltas(self, node: int) -> list[list[int]]:
+        """Per canonical heap h, its packed options less one h token, in
+        the order of ``rows[h]``, covering every heap of packed ``node``;
+        a packed option of node is then node plus a delta, folded."""
+        out, rows, heap = self._deltas, self.rows, self.heap
+        while len(out) * _W < node.bit_length():
+            h = len(out)
+            unit = 1 << _W * h
+            out.append([_pack(t) - unit for t in rows[h]] if heap[h] == h else [])
+        return out
+
+    def options(self, node: int) -> set[int]:
+        """The packed canonical positions one move from packed ``node``."""
+        deltas, fold = self.deltas(node), self.fold
+        out: set[int] = set()
+        x = node
+        while x:
+            # h is the least heap left in x; drop its field and those below.
+            h = ((x & -x).bit_length() - 1) // _W
+            x &= -1 << _W * (h + 1)
+            out.update([(node + d) & fold for d in deltas[h]])
+        return out
 
     def extend(self, size: int) -> None:
         """Cover heaps up to ``size``.  Each new heap's value and canonical
@@ -175,11 +241,19 @@ class _Game:
             moves = _heap_moves(self.code, h)
             self.moves.append(moves)
             grundy.append(_mex(reduce(xor, [grundy[x] for x in t], 0) for t in moves))
-            row = tuple(sorted({self.key(t) for t in moves}))
+            row = tuple(sorted({self._canonical(t) for t in moves}))
             if row and not self.s1:
                 self.s1 = h
             heap.append(self._least.setdefault(row, h) if row else 0)
             self.rows.append(row)
+
+    def _canonical(self, heaps: tuple[int, ...]) -> tuple[int, ...]:
+        # The canonical form as sorted heaps: the *1 tokens, which sort
+        # first, by parity.
+        heap = self.heap
+        out = sorted([heap[h] for h in heaps if heap[h]])
+        n1 = out.count(self.s1)
+        return tuple(out[n1 - n1 % 2 :])
 
 
 # Per code, what the oracle knows of it so far.
@@ -206,8 +280,7 @@ def __getattr__(name: str):
 
 
 def _options(moves: list, heaps: tuple[int, ...]) -> set[tuple[int, ...]]:
-    # moves holds a row per heap size: a game's raw moves, or its canonical
-    # rows, which _gminus_ext reads.
+    # moves holds a game's raw move row per heap size.
     # heaps is sorted, so equal sizes are adjacent and give the same options.
     out: set[tuple[int, ...]] = set()
     prev = 0
@@ -262,51 +335,54 @@ def _postorder(cache: dict, root, options, value, limit: int | None = None):
 
 def _solve(
     game: _Game,
-    cache: dict[tuple[int, ...], bool],
+    cache: dict[int, bool],
     misere: bool,
-    heaps: tuple[int, ...],
+    root: int,
     budget: int,
 ) -> bool:
-    """Whether the player to move wins the canonical position ``heaps``.
+    """Whether the player to move wins the packed canonical position ``root``.
 
-    The search runs over canonical positions (see _Game) and reads the
-    canonical rows, so positions that differ only by dead heaps, by pairs
-    of *1 heaps or by heaps of equal options are searched and stored once.
-    The outcome is exact for each of them: a dead heap adds no move, heaps
-    with equal option sets are equal games, and X + *1 + *1 has the outcome
-    of X under both conventions (for misere play, g-(X + *1 + *1) = g-(X),
-    proved at _gminus_ext; for normal play, *1 + *1 = 0).
+    The search runs over packed canonical positions (see _Game), so
+    positions that differ only by dead heaps, by pairs of *1 heaps or by
+    heaps of equal options are searched and stored once.  The outcome is
+    exact for each of them: a dead heap adds no move, heaps with equal
+    option sets are equal games, and X + *1 + *1 has the outcome of X under
+    both conventions (for misere play, g-(X + *1 + *1) = g-(X), proved at
+    _gminus_ext; for normal play, *1 + *1 = 0).  An option is the node plus
+    the delta of the moved heap: the delta takes one token out of that
+    heap's field and adds its canonical option, whose s1 field is 0 or 1, so
+    ``game.fold`` folds a *1 pair, as in _Game.join.
 
     A position is settled as a win at its first option known to lose, so
     the search builds no further options of it and visits none of their
-    subtrees.  Every position it settles goes into ``cache``, exactly;
+    subtrees.  Options are built by heap, least heap first, in the order of
+    ``rows``.  Every position it settles goes into ``cache``, exactly;
     positions it never needed are not stored.  Raises BudgetExceededError
     if ``cache`` would grow past ``budget`` entries; what it stored up to
     then stays correct.
 
-    ``game`` is the code's object from _game.  It must cover
-    ``max(heaps)``; no move makes a heap larger, so it then covers every
+    ``game`` is the code's object from _game, which must cover the heaps
+    of ``root``; no move makes a heap larger, so it then covers every
     position the search reaches.
     """
-    won = cache.get(heaps)
+    won = cache.get(root)
     if won is not None:
         return won
-    get, rows, join = cache.get, game.rows, game.join
+    get, deltas, fold, w = cache.get, game.deltas(root), game.fold, _W
     # (position, its options not yet known when it was last looked at)
-    stack: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
-    node = heaps
+    stack: list[tuple[int, list[int]]] = []
+    node = root
     while True:
         # node is not in cache: build its options until one is known to lose.
         won = None
         pending = []
-        prev = 0
-        for i, size in enumerate(node):
-            if size == prev:  # node is sorted: an equal heap gives equal options
-                continue
-            prev = size
-            rest = node[:i] + node[i + 1 :]
-            for repl in rows[size]:
-                option = join(rest, repl)
+        x = node
+        while x:
+            # h is the least heap left in x; drop its field and those below.
+            h = ((x & -x).bit_length() - 1) // w
+            x &= -1 << w * (h + 1)
+            for d in deltas[h]:
+                option = (node + d) & fold
                 option_won = get(option)
                 if option_won is None:
                     pending.append(option)
@@ -352,7 +428,8 @@ def outcome(
 
     With no moves available the player to move has lost under normal play and
     won under misere play, so the empty position is P normal, N misere.
-    Raises BudgetExceededError if the memo table would outgrow ``budget``.
+    Raises BudgetExceededError if the memo table would outgrow ``budget``,
+    and ValueError for a position too large to pack (see _Game).
     """
     heaps = position.heaps
     game = _game(code, heaps[-1] if heaps else 0)
@@ -572,28 +649,29 @@ def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
       differs from that mex leaves the mex unchanged.
     - If X is the endgame, g-(*1 + *1) = mex{g-(*1)} = mex{0} = 1 = g-(0).
 
-    ``heaps`` are canonical (see _Game) with the game's own *1 heaps
-    moved into n1, so a state's heaps hold no *1.  The other two reductions
-    keep the value too: a dead heap adds no option, and a heap maps to one
-    whose options have the same canonical forms, so by induction the two
-    states have the same option values and the same mex.
+    ``heaps`` are packed canonical (see _Game) with the game's own *1
+    heaps moved into n1, so a state's heaps hold no *1.  The other two
+    reductions keep the value too: a dead heap adds no option, and a heap
+    maps to one whose options have the same canonical forms, so by
+    induction the two states have the same option values and the same mex.
+    Since the heaps hold no *1, an option's s1 field is its moved heap's
+    *1, 0 or 1, and one bit test splits it off into n1.
 
     The search fills the memo for every state below (heaps, n1, n2), so each
     later call with fewer two-token heaps is a memo hit.
     """
     game = _game(code, heaps[-1] if heaps else 0)
-    star1 = (game.s1,)
+    one = 1 << _W * game.s1
     # Many states share their heaps; their heap options are found once, each
     # with its *1 token, if any, split off into the parity.
-    heap_options: dict[tuple[int, ...], list[tuple[tuple[int, ...], int]]] = {}
+    heap_options: dict[int, list[tuple[int, int]]] = {}
 
     def options(node):
         hs, n1, m2 = node
         moved = heap_options.get(hs)
         if moved is None:
             moved = heap_options[hs] = [
-                (t[1:], 1) if t[:1] == star1 else (t, 0)
-                for t in _options(game.rows, hs)
+                (t - one, 1) if t & one else (t, 0) for t in game.options(hs)
             ]
         opts = [(t, n1 ^ flip, m2) for t, flip in moved]
         if n1:
@@ -604,8 +682,8 @@ def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
         return opts
 
     root = game.key(heaps)
-    n1 = int(root[:1] == star1)
-    return _postorder(game.gminus, (root[n1:], n1, n2), options, _misere_mex)
+    n1 = 1 if root & one else 0
+    return _postorder(game.gminus, (root - n1 * one, n1, n2), options, _misere_mex)
 
 
 def genus(code: GameCode, position: Position, cap: int = 16) -> GenusSymbol:

@@ -1,5 +1,6 @@
 """Quotient construction for 0.123 against the published tables."""
 
+import hashlib
 import itertools
 import random
 
@@ -197,8 +198,9 @@ class TestSignatureKernel:
         for u in self.PROBES:
             got = sigs.sig(u)
             assert got[0] == (outcome(G123, Position(u), play) is Outcome.N)
+            unpack = sigs._game.unpack
             assert list(got) == [
-                outcome(G123, Position(u + w), play) is Outcome.N
+                outcome(G123, Position(u + unpack(w)), play) is Outcome.N
                 for w in sigs.contexts
             ]
 
@@ -366,3 +368,41 @@ class TestSerialization:
     def test_rejects_images_that_do_not_generate(self, forged_analysis_text):
         with pytest.raises(ValueError, match="does not generate the table"):
             analysis_from_json(forged_analysis_text)
+
+
+# sha256 of analysis_to_json(build_quotient(code, n, play)), recorded before
+# the searches packed canonical positions into ints.  A change to the
+# searches or the signature rounds must keep every analysis byte for byte.
+ANALYSIS_DIGESTS = {
+    ("0.123", 1, MISERE): "a3e26949b1309ed9931916214b036236026d1fde52ded9ba1aa79579d03e55b6",
+    ("0.123", 11, MISERE): "243a9ce1f3ab026cb1a8b55af39e1f269e3c6174c4b204013fc698d461bc08a3",
+    ("0.123", 12, MISERE): "ff5db74dabc193028ae4d46d3e6fb9aaace1ecf2a662285936fa443df3deefac",
+    ("0.123", 12, NORMAL): "e9048f996010819cea523c661b338fcd81d5958952f3e42f0cd76168ae4f5178",
+    ("0.137", 9, MISERE): "9d1cecb27f32e9bb0548ad5ae40334fddf3443beaa06be2823206f55ab97979e",
+    ("0.77", 7, MISERE): "19e6950739270137fd688e07802a52f1d1e9203b380fb7513c773a31c9b5944e",
+    ("0.07", 10, MISERE): "4a448adeda64c5ce409b1d84162b23d48d91098c6b1c7045e175210b28af70fe",
+    ("0.4", 8, MISERE): "dfc1cbaf70aac359f8eced6c2b6b995954407f66733d4679a7f11ecb89c5e2dc",
+    ("0.15", 8, MISERE): "26399eba407bd4770260896d97930357f3561b88ae08218cb12d40bd1eab9416",
+    ("0.31", 8, MISERE): "ded03d311f834ae60a65080f4bf84bbfcb84503bd5e23e6c2edc522000360968",
+    ("0.52", 8, MISERE): "a4e158f354d44b4f743c354c2104f74fc2de0500421b33f81e815fd71299876f",
+    ("0.75", 8, MISERE): "30f201d2fe0f2d98fc453cb12e02f70b3a02845ecf6444d7d024f0cb5bbeb09d",
+}
+
+# The same for build_quotient("0.123", 20), the session fixture qa123_20.
+QA123_20_DIGEST = "42ffb2ac5ee4c89ab62b40fa74de2480e8b194e8ff27dfd3746ab2503ed00dde"
+
+
+def _digest(qa) -> str:
+    return hashlib.sha256(analysis_to_json(qa).encode()).hexdigest()
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize(
+        "code, n, play", ANALYSIS_DIGESTS,
+        ids=[f"{code}-{n}-{play.value}" for code, n, play in ANALYSIS_DIGESTS],
+    )
+    def test_analysis_digest(self, code, n, play):
+        assert _digest(build_quotient(code, n, play)) == ANALYSIS_DIGESTS[code, n, play]
+
+    def test_window_20_digest(self, qa123_20):
+        assert _digest(qa123_20) == QA123_20_DIGEST

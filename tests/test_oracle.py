@@ -137,6 +137,7 @@ class TestSolver:
         assert won == naive_won(code, heaps, misere, naive)
         # Every position the search memoized is right, not just the root.
         for node, node_won in cache.items():
+            node = table.unpack(node)
             assert node_won == naive_won(code, node, misere, naive), node
         play = MISERE if misere else NORMAL
         assert (outcome(code, Position(heaps), play) is Outcome.N) == won
@@ -156,29 +157,32 @@ class TestSolver:
         # No other test searches this position, so the memo cannot hold it.
         with pytest.raises(BudgetExceededError):
             outcome(code, Position.of(30, 31, 32), MISERE, budget=10)
+        table = oracle._game(code, 9)
         with pytest.raises(BudgetExceededError):
-            _solve(oracle._game(code, 9), {}, True, (9, 9), 5)
+            _solve(table, {}, True, table.key((9, 9)), 5)
 
     def test_memo_stays_sound_after_budget_error(self):
         code = parse_game_code("0.137")
         naive = {}
         want = naive_won(code, (6, 7), True, naive)
         table = oracle._game(code, 7)
-        assert table.key((6, 7)) == (6, 7)
+        root = table.key((6, 7))
+        assert table.unpack(root) == (6, 7)
         fresh = {}
-        _solve(table, fresh, True, (6, 7), 10**6)
+        _solve(table, fresh, True, root, 10**6)
         # The search raises exactly when the budget is below what it stores.
         for budget in range(1, len(fresh) + 1):
             cache = {}
             if budget < len(fresh):
                 with pytest.raises(BudgetExceededError):
-                    _solve(table, cache, True, (6, 7), budget)
+                    _solve(table, cache, True, root, budget)
             else:
-                assert _solve(table, cache, True, (6, 7), budget) == want
+                assert _solve(table, cache, True, root, budget) == want
             assert len(cache) <= budget
             for node, won in cache.items():
+                node = table.unpack(node)
                 assert won == naive_won(code, node, True, naive), (budget, node)
-            assert _solve(table, cache, True, (6, 7), 10**6) == want
+            assert _solve(table, cache, True, root, 10**6) == want
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -199,6 +203,7 @@ class TestSolver:
             want = full_closure_won(code, heaps, misere, full)
             assert _solve(table, memo, misere, table.key(heaps), 10**6) == want, heaps
         for node, won in memo.items():
+            node = table.unpack(node)
             assert won == full_closure_won(code, node, misere, full), node
 
     def test_search_stops_at_first_losing_option(self):
@@ -206,17 +211,48 @@ class TestSolver:
         # holds 1 919 of them; a search that builds every option of every
         # position it reaches stores them all.
         table = oracle._game(KAYLES, 10)
-        assert table.key((8, 9, 10)) == (8, 9, 10)
+        root = table.key((8, 9, 10))
+        assert table.unpack(root) == (8, 9, 10)
         full = {}
         oracle._postorder(
-            full, (8, 9, 10),
-            lambda node: {table.join(o, ()) for o in oracle._options(table.rows, node)},
-            lambda wins: not all(wins) if wins else True,
+            full, root, table.options, lambda wins: not all(wins) if wins else True,
         )
         assert len(full) == 1919
         cache = {}
-        assert _solve(table, cache, True, (8, 9, 10), 10**6)
+        assert _solve(table, cache, True, root, 10**6)
         assert len(cache) < len(full)
+
+
+class TestPackedForm:
+    def test_largest_token_total(self):
+        # Kayles heaps 1 and 2 are *1 and *2.  A *1 and 16 383 twos make
+        # 2**15 - 1 tokens, the most key packs; one join of the position
+        # with itself then counts 32 766 twos in one 16-bit field.
+        heaps = (1,) + (2,) * 16383
+        table = oracle._game(KAYLES, 2)
+        packed = table.key(heaps)
+        assert table.unpack(packed) == heaps
+        assert table.unpack(table.join(packed, packed)) == (2,) * 32766
+        p = Position(heaps)
+        normal, misere = sibert_conway_outcome(p)
+        assert outcome(KAYLES, p, MISERE) is misere is Outcome.N
+        assert outcome(KAYLES, p, NORMAL) is normal is Outcome.N
+        with pytest.raises(ValueError, match="too large to pack"):
+            outcome(KAYLES, Position(heaps + (1,)), MISERE)
+        with pytest.raises(ValueError, match="too large to pack"):
+            table.key((2**15,))
+
+    def test_extending_packs_nothing(self, monkeypatch):
+        # Deltas are packed for the heaps a search reaches, not for every
+        # heap the game covers.
+        monkeypatch.setattr(oracle, "_games", {})
+        grundy(KAYLES, 1000)
+        normal_period(KAYLES)
+        table = oracle._game(KAYLES)
+        assert len(table.heap) > 1000
+        assert table._deltas == []
+        outcome(KAYLES, Position.of(3, 10), MISERE)
+        assert len(table._deltas) == 11
 
 
 # Per code: its *1 heap and the heaps <= 14 that the canonical table does not
@@ -275,6 +311,7 @@ class TestCanonicalForm:
         table, memo = oracle._game(game, 8), {}
         assert _solve(table, memo, misere, table.key(heaps), 10**6) == want
         for node, won in memo.items():
+            node = table.unpack(node)
             assert won == full_closure_won(game, node, misere, full), node
 
 
@@ -329,8 +366,9 @@ class TestGenusSearch:
             genus_of_tree, tree
         )
         # The game's own *1 heaps live in the parity coordinate only.
-        s1 = oracle._game(code, 9).s1
-        assert all(s1 not in hs for hs, _, _ in oracle._game(code).gminus)
+        table = oracle._game(code, 9)
+        heaps_seen = {hs for hs, _, _ in table.gminus}
+        assert all(table.s1 not in table.unpack(hs) for hs in heaps_seen)
         # The identity the search folds by: g-(X + *1 + *1) = g-(X).
         star1 = nim_heap_tree(1)
         for x in (tree, tree_sum(tree, nim_heap_tree(nim))):
@@ -340,18 +378,19 @@ class TestGenusSearch:
     def test_one_search_on_n1_mod_2(self, monkeypatch):
         monkeypatch.setattr(oracle, "_games", {})
         calls = []
-        options = oracle._options
+        options = oracle._Game.options
 
-        def counted(moves, heaps):
+        def counted(game, heaps):
             calls.append(heaps)
-            return options(moves, heaps)
+            return options(game, heaps)
 
-        monkeypatch.setattr(oracle, "_options", counted)
+        monkeypatch.setattr(oracle._Game, "options", counted)
         assert str(genus(KAYLES, Position.of(20))) == "1^{031}"
-        memo = oracle._game(KAYLES).gminus
+        table = oracle._game(KAYLES)
+        memo = table.gminus
         assert {n1 for _, n1, _ in memo} == {0, 1}
         # Heap 1 of Kayles is *1, and its tokens live in n1 only.
-        assert all(1 not in hs for hs, _, _ in memo)
+        assert all(1 not in table.unpack(hs) for hs, _, _ in memo)
         # Keyed on n1 itself the memo would hold 135 432 states, and one
         # search per exponent, each with its own heap options, 14 256 calls;
         # with heap-1 tokens kept in the heaps, 27 720 states and 792 calls.

@@ -16,10 +16,11 @@ against these slower but independently trustworthy routines.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import xor
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .octal import GameCode, Position, _heap_moves, parse_game_code
 
@@ -124,7 +125,7 @@ class _Game:
     *1 tokens by parity only.  Each step is exact under both conventions, by
     induction on heap size: a heap with no move adds no move; heaps whose
     options are equal games are equal games; and X + *1 + *1 has the
-    outcome and misere mex value of X (see _gminus_ext).
+    outcome and misere mex value of X (see _gminus_states).
 
     The searches take a canonical position packed into one int: the count
     of canonical heap h sits in the ``_W``-bit field at bit ``_W * h``, and
@@ -146,7 +147,7 @@ class _Game:
     The memos: ``outcomes[play]`` maps a packed position to True when
     the player to move wins (see _solve), ``gminus`` holds the states of
     _gminus_ext and ``trees`` the game trees of raw sorted positions.
-    Dropping the object from ``_games`` frees all of it.
+    Dropping the object from ``_games`` frees all of it, the trees too.
     """
 
     __slots__ = ("code", "moves", "grundy", "heap", "rows", "s1", "_least",
@@ -308,8 +309,8 @@ _SEARCH_BUDGET = 10**8
 def _postorder(cache: dict, root, options, value, limit: int | None = None):
     """``cache[root]``, filling ``cache`` without recursion.
 
-    This serves the searches that need the value of every option, such as a
-    mex; the outcome search stops earlier and has its own loop in _solve.
+    This serves the searches that need every option's value: trees, tree
+    sums and genus states.  The outcome search stops earlier, in _solve.
     Every node below ``root`` not yet in ``cache`` is stored as
     ``value([cache[o] for o in options(node)])`` once all its options are
     stored.  Raises BudgetExceededError if ``cache`` would grow past
@@ -348,10 +349,10 @@ def _solve(
     exact for each of them: a dead heap adds no move, heaps with equal
     option sets are equal games, and X + *1 + *1 has the outcome of X under
     both conventions (for misere play, g-(X + *1 + *1) = g-(X), proved at
-    _gminus_ext; for normal play, *1 + *1 = 0).  An option is the node plus
-    the delta of the moved heap: the delta takes one token out of that
-    heap's field and adds its canonical option, whose s1 field is 0 or 1, so
-    ``game.fold`` folds a *1 pair, as in _Game.join.
+    _gminus_states; for normal play, *1 + *1 = 0).  An option is the node
+    plus the delta of the moved heap: the delta takes one token out of that
+    heap's field and adds its canonical option, whose s1 field is 0 or 1,
+    so ``game.fold`` folds a *1 pair, as in _Game.join.
 
     A position is settled as a win at its first option known to lose, so
     the search builds no further options of it and visits none of their
@@ -479,19 +480,25 @@ def normal_period(code: GameCode, r0_max: int = 200) -> tuple[int, int] | None:
 # Trees are hash-consed: one object per distinct option set.  Equality is then
 # identity, so comparing two trees never walks them; a structural comparison
 # could take exponential time on a shared-subtree DAG, and recurse past the
-# interpreter's stack on a deep chain.
-_tree_intern: dict[frozenset, "GameTree"] = {}
+# interpreter's stack on a deep chain.  Trees are held weakly: only live ones.
+_tree_intern: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _misere_mex(values: list[int]) -> int:
+    # The endgame is a win for the player to move under misere play.
+    return _mex(values) if values else 1
 
 
 class GameTree:
     """An abstract game: nothing but a finite set of option subtrees.
 
-    Constructing a tree with the options of an existing one returns that
-    tree, so equal trees are the same object.  The hash is computed once, from
-    the options, so deep trees stay cheap to use as dict keys.
+    Constructing a tree with the options of a live one returns that tree, so
+    equal trees are the same object, and the identity hash serves as a dict
+    key at any depth.  The normal-play and misere mex values are computed
+    once, from the options, which carry their own.
     """
 
-    __slots__ = ("options", "_hash")
+    __slots__ = ("options", "_grundy", "_gminus", "__weakref__")
 
     def __new__(cls, options: Iterable["GameTree"] = ()) -> "GameTree":
         options = frozenset(options)
@@ -499,11 +506,9 @@ class GameTree:
         if tree is None:
             tree = _tree_intern[options] = object.__new__(cls)
             object.__setattr__(tree, "options", options)
-            object.__setattr__(tree, "_hash", hash(options))
+            object.__setattr__(tree, "_grundy", _mex([o._grundy for o in options]))
+            object.__setattr__(tree, "_gminus", _misere_mex([o._gminus for o in options]))
         return tree
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GameTree is immutable")
@@ -519,15 +524,14 @@ class GameTree:
 ENDGAME_TREE = GameTree()
 
 
-@lru_cache(maxsize=None)
 def nim_heap_tree(size: int) -> GameTree:
     """The tree of a single nim heap: *size."""
     if size < 0:
         raise ValueError("nim heap size must be nonnegative")
-    return GameTree(nim_heap_tree(j) for j in range(size))
-
-
-_tree_sum_cache: dict[tuple[GameTree, GameTree], GameTree] = {}
+    tree = ENDGAME_TREE
+    for _ in range(size):
+        tree = GameTree(tree.options | {tree})  # *(k + 1) = {*0, ..., *k}
+    return tree
 
 
 def _sum_options(pair: tuple[GameTree, GameTree]) -> list[tuple[GameTree, GameTree]]:
@@ -537,7 +541,7 @@ def _sum_options(pair: tuple[GameTree, GameTree]) -> list[tuple[GameTree, GameTr
 
 def tree_sum(a: GameTree, b: GameTree) -> GameTree:
     """Disjunctive sum: move in one component, the other rides along."""
-    return _postorder(_tree_sum_cache, (a, b), _sum_options, GameTree)
+    return _postorder({}, (a, b), _sum_options, GameTree)
 
 
 def tree_of_position(code: GameCode, position: Position, budget: int = 10**6) -> GameTree:
@@ -555,33 +559,21 @@ def tree_of_position(code: GameCode, position: Position, budget: int = 10**6) ->
     )
 
 
-_tree_grundy_cache: dict[GameTree, int] = {}
-_tree_gminus_cache: dict[GameTree, int] = {}
-
-
-def _misere_mex(values: list[int]) -> int:
-    # The endgame is a win for the player to move under misere play.
-    return _mex(values) if values else 1
-
-
 def tree_grundy(tree: GameTree) -> int:
     """Normal-play value of an abstract game tree."""
-    return _postorder(_tree_grundy_cache, tree, lambda t: t.options, _mex)
+    return tree._grundy
 
 
 def misere_gminus(tree: GameTree) -> int:
-    """Misere mex value: 1 at the endgame, otherwise mex over the options.
-
-    A tree is a misere P-position exactly when this value is 0.
-    """
-    return _postorder(_tree_gminus_cache, tree, lambda t: t.options, _misere_mex)
+    """Misere mex value: 1 at the endgame, otherwise mex over the options;
+    0 exactly at a misere P-position."""
+    return tree._gminus
 
 
 def tree_outcome(tree: GameTree, play: PlayConvention) -> Outcome:
     """Outcome class of an abstract game tree."""
-    if play is MISERE:
-        return Outcome.P if misere_gminus(tree) == 0 else Outcome.N
-    return Outcome.P if tree_grundy(tree) == 0 else Outcome.N
+    value = tree._gminus if play is MISERE else tree._grundy
+    return Outcome.P if value == 0 else Outcome.N
 
 
 # ---------------------------------------------------------------------------
@@ -623,24 +615,12 @@ def _trim_exponents(values: list[int], cap: int, what: str) -> tuple[int, ...]:
     raise GenusTailError(f"{what}: no settled tail within {cap} exponents")
 
 
-def genus_of_tree(tree: GameTree, cap: int = 16) -> GenusSymbol:
-    """Genus symbol of an abstract game tree."""
-    values = []
-    t = tree
-    star2 = nim_heap_tree(2)
-    for _ in range(cap + 2):
-        values.append(misere_gminus(t))
-        t = tree_sum(t, star2)
-    return GenusSymbol(tree_grundy(tree), _trim_exponents(values, cap, "tree genus"))
+def _gminus_states(memo: dict, root: tuple, x_options: Callable) -> int:
+    """Misere mex value of the state ``root``, computed without building sums.
 
-
-def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
-    """Misere mex value of (heaps + n2 two-token nim heaps), computed without
-    building trees.
-
-    The search runs over states (heaps, n1, n2): heaps plus n1 copies of *1
-    and n2 copies of *2.  It keeps n1 mod 2 only, because
-    g-(X + *1 + *1) = g-(X) for every game X.  By induction on X:
+    A state (x, n1, n2) is the game x plus n1 copies of *1 and n2 copies of
+    *2.  The search keeps n1 mod 2 only, because g-(X + *1 + *1) = g-(X) for
+    every game X.  By induction on X:
 
     - The options of X + *1 + *1 are X' + *1 + *1, of value g-(X') by
       induction, and X + *1.
@@ -649,54 +629,72 @@ def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
       differs from that mex leaves the mex unchanged.
     - If X is the endgame, g-(*1 + *1) = mex{g-(*1)} = mex{0} = 1 = g-(0).
 
-    ``heaps`` are packed canonical (see _Game) with the game's own *1
-    heaps moved into n1, so a state's heaps hold no *1.  The other two
-    reductions keep the value too: a dead heap adds no option, and a heap
-    maps to one whose options have the same canonical forms, so by
-    induction the two states have the same option values and the same mex.
-    Since the heaps hold no *1, an option's s1 field is its moved heap's
-    *1, 0 or 1, and one bit test splits it off into n1.
+    ``x_options(x)``, called once per distinct x, lists x's options as
+    pairs (x', flip): x' plus flip (0 or 1) copies of *1.  The search fills
+    ``memo`` for every state below ``root``, so a later call with fewer
+    copies of *2 is a memo hit.
+    """
+    moved: dict = {}
 
-    The search fills the memo for every state below (heaps, n1, n2), so each
-    later call with fewer two-token heaps is a memo hit.
+    def options(node):
+        x, n1, n2 = node
+        if x not in moved:
+            moved[x] = x_options(x)
+        opts = [(t, n1 ^ flip, n2) for t, flip in moved[x]]
+        if n1:
+            opts.append((x, 0, n2))
+        if n2:
+            opts.append((x, n1 ^ 1, n2 - 1))
+            opts.append((x, n1, n2 - 1))
+        return opts
+
+    return _postorder(memo, root, options, _misere_mex)
+
+
+def _genus_symbol(g_plus: int, gminus: Callable, cap: int, what: str) -> GenusSymbol:
+    # gminus(n2): the misere mex value with n2 copies of *2 added.  Largest n2
+    # first, so one search fills the memo; for cap < -1 no n2 is negative.
+    values = [gminus(n2) for n2 in range(cap + 1, -1, -1)]
+    values.reverse()
+    return GenusSymbol(g_plus, _trim_exponents(values, cap, what))
+
+
+def genus_of_tree(tree: GameTree, cap: int = 16) -> GenusSymbol:
+    """Genus symbol of an abstract game tree, by _gminus_states over its
+    subtrees, with a memo freed on return."""
+    memo: dict[tuple[GameTree, int, int], int] = {}
+
+    def gminus(n2: int) -> int:
+        # A move in a tree sets no *1 aside: every flip is 0.
+        return _gminus_states(memo, (tree, 0, n2), lambda t: [(o, 0) for o in t.options])
+
+    return _genus_symbol(tree._grundy, gminus, cap, "tree genus")
+
+
+def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
+    """Misere mex value of (heaps + n2 two-token nim heaps), by _gminus_states
+    in the code's memo ``gminus``.
+
+    A state's x is packed canonical (see _Game, whose reductions keep the
+    value) with the game's own *1 heaps moved into n1.  So x holds no *1, an
+    option's s1 field is its moved heap's *1, 0 or 1, and one bit test
+    splits it off into n1.
     """
     game = _game(code, heaps[-1] if heaps else 0)
     one = 1 << _W * game.s1
-    # Many states share their heaps; their heap options are found once, each
-    # with its *1 token, if any, split off into the parity.
-    heap_options: dict[int, list[tuple[int, int]]] = {}
-
-    def options(node):
-        hs, n1, m2 = node
-        moved = heap_options.get(hs)
-        if moved is None:
-            moved = heap_options[hs] = [
-                (t - one, 1) if t & one else (t, 0) for t in game.options(hs)
-            ]
-        opts = [(t, n1 ^ flip, m2) for t, flip in moved]
-        if n1:
-            opts.append((hs, 0, m2))
-        if m2:
-            opts.append((hs, n1 ^ 1, m2 - 1))
-            opts.append((hs, n1, m2 - 1))
-        return opts
-
     root = game.key(heaps)
     n1 = 1 if root & one else 0
-    return _postorder(game.gminus, (root - n1 * one, n1, n2), options, _misere_mex)
+    return _gminus_states(
+        game.gminus, (root - n1 * one, n1, n2),
+        lambda x: [(t - one, 1) if t & one else (t, 0) for t in game.options(x)],
+    )
 
 
 def genus(code: GameCode, position: Position, cap: int = 16) -> GenusSymbol:
-    """Genus symbol of a heap position, computed by direct search.
-
-    One search, for the position plus cap + 1 two-token nim heaps, fills the
-    memo for all cap + 2 exponents; the others are then read from it.
-    """
-    # Largest n2 first; for cap < -1 the range is empty, so no n2 is negative.
-    values = [_gminus_ext(code, position.heaps, n2) for n2 in range(cap + 1, -1, -1)]
-    values.reverse()
-    return GenusSymbol(
-        nim_value(code, position), _trim_exponents(values, cap, f"genus of {position}")
+    """Genus symbol of a heap position, computed by direct search."""
+    return _genus_symbol(
+        nim_value(code, position), lambda n2: _gminus_ext(code, position.heaps, n2),
+        cap, f"genus of {position}",
     )
 
 

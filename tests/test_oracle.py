@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -344,6 +346,18 @@ class TestGenus:
 GENUS_GAMES = [parse_game_code(c) for c in ("0.123", "0.77", "0.137", "0.07")]
 
 
+def genus_by_tree_sums(tree, cap=16):
+    """The genus of a tree from the sums of the tree with 0..cap + 1 copies
+    of *2, each built as a tree: no state is folded.  This is tree_sum with
+    one memo for all the sums, which share most of their pairs."""
+    values, t, star2, sums = [], tree, nim_heap_tree(2), {}
+    for _ in range(cap + 2):
+        values.append(misere_gminus(t))
+        t = oracle._postorder(sums, (t, star2), oracle._sum_options, GameTree)
+    exponents = oracle._trim_exponents(values, cap, "tree genus")
+    return GenusSymbol(tree_grundy(tree), exponents)
+
+
 def _genus_or_tail_error(compute, *args):
     try:
         return str(compute(*args))
@@ -359,12 +373,16 @@ class TestGenusSearch:
         nim=st.integers(0, 3),
     )
     def test_matches_tree_genus(self, code, heaps, nim):
-        # The tree path builds the sums with *2 as trees: no state is folded.
+        # Both state searches against the sums with *2 built as trees.
         p = Position.from_heaps(heaps)
         tree = tree_of_position(code, p)
-        assert _genus_or_tail_error(genus, code, p) == _genus_or_tail_error(
-            genus_of_tree, tree
-        )
+        want = _genus_or_tail_error(genus_by_tree_sums, tree)
+        assert _genus_or_tail_error(genus, code, p) == want
+        assert _genus_or_tail_error(genus_of_tree, tree) == want
+        # The values a tree gets when it is built match the position searches.
+        assert tree_grundy(tree) == nim_value(code, p)
+        assert tree_outcome(tree, MISERE) is outcome(code, p, MISERE)
+        assert tree_outcome(tree, NORMAL) is outcome(code, p, NORMAL)
         # The game's own *1 heaps live in the parity coordinate only.
         table = oracle._game(code, 9)
         heaps_seen = {hs for hs, _, _ in table.gminus}
@@ -408,6 +426,22 @@ class TestGenusSearch:
         for cap in (-3, -1, 0, 1):
             with pytest.raises(GenusTailError):
                 genus(G123, Position.of(8), cap=cap)
+
+    def test_small_caps_raise_on_trees(self, monkeypatch):
+        gminus_states = oracle._gminus_states
+        n2s = set()
+
+        def nonnegative(memo, root, x_options):
+            assert root[2] >= 0, "a search from a negative n2 never ends"
+            n2s.add(root[2])
+            return gminus_states(memo, root, x_options)
+
+        monkeypatch.setattr(oracle, "_gminus_states", nonnegative)
+        tree = tree_of_position(G123, Position.of(8))
+        for cap in (-3, -1, 0, 1):
+            with pytest.raises(GenusTailError):
+                genus_of_tree(tree, cap=cap)
+        assert n2s == {0, 1, 2}
 
 
 class TestTrees:
@@ -454,6 +488,13 @@ class TestTrees:
     def test_gminus_of_endgame(self):
         assert misere_gminus(GameTree(frozenset())) == 1
 
+    def test_nim_heap_values(self):
+        # Misere *0 and *1 swap their values; from *2 on g- = g+.
+        for k in range(6):
+            tree = nim_heap_tree(k)
+            assert tree_grundy(tree) == k
+            assert misere_gminus(tree) == (k ^ 1 if k < 2 else k)
+
     def test_tree_outcome_matches_position_outcome(self):
         for heaps in [(1,), (3,), (2,), (3, 4), (1, 2, 5), (6,), (4, 4, 4)]:
             p = Position.from_heaps(heaps)
@@ -475,6 +516,21 @@ class TestTrees:
         for _ in range(600):
             tree = GameTree([tree])
         assert str(genus_of_tree(tree)) == "0^{120}"
+        assert genus_of_tree(tree) == genus_by_tree_sums(tree)
+
+    def test_trees_are_freed_with_their_game(self, monkeypatch):
+        # The intern table holds trees weakly, and genus_of_tree keeps no
+        # memo: popping the code's game object frees every tree it built.
+        monkeypatch.setattr(oracle, "_games", {})
+        gc.collect()
+        before = len(oracle._tree_intern)
+        tree = tree_of_position(KAYLES, Position.of(20))
+        assert str(genus_of_tree(tree)) == "1^{031}"
+        assert len(oracle._tree_intern) > before
+        del tree
+        oracle._games.pop(KAYLES)
+        gc.collect()
+        assert len(oracle._tree_intern) == before
 
     def test_tree_budget_counts_new_positions(self, monkeypatch):
         p = Position.of(4, 7)

@@ -147,10 +147,6 @@ def _letter_names():
         i += 1
 
 
-def _merge(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted(u + v))
-
-
 class _Signatures:
     """Outcome signatures over a growing list of contexts.
 
@@ -190,12 +186,11 @@ class _Signatures:
             contexts.update(dict.fromkeys(map(key, combos)))
         self.contexts = list(contexts)
 
-    def sig(self, u: tuple[int, ...]) -> bytes:
-        game = self._game
-        u = game.key(u)
+    def sig(self, u: int) -> bytes:
+        """The signature of packed canonical position ``u``."""
         got = self._sigs.get(u, b"")
         if len(got) < len(self.contexts):
-            play = self.play
+            game, play = self._game, self.play
             memo, misere, fold = game.outcomes[play], play is MISERE, game.fold
             get, won = memo.get, []
             for w in self.contexts[len(got) :]:
@@ -224,12 +219,14 @@ class _RoundResult:
 
 def _run_round(sigs: _Signatures) -> _RoundResult | None:
     """The candidate at the current contexts of ``sigs``, or None when the
-    class set fails to close under multiplication there."""
-    code, n, play = sigs.code, sigs.n, sigs.play
+    class set fails to close under multiplication there.  Each class is
+    represented by a packed canonical position (see oracle._Game)."""
+    code, n, play, game = sigs.code, sigs.n, sigs.play, sigs._game
     class_of: dict[bytes, int] = {}
-    reps: list[tuple[int, ...]] = []
+    reps: list[int] = []
+    singles = [game.key((h,)) for h in range(1, n + 1)]
 
-    def classify(u: tuple[int, ...]) -> None:
+    def classify(u: int) -> None:
         s = sigs.sig(u)
         if s not in class_of:
             if len(reps) >= _MAX_CLASSES:
@@ -239,28 +236,29 @@ def _run_round(sigs: _Signatures) -> _RoundResult | None:
 
     # Class 0 is the identity.  reps grows as classes appear, so this loop
     # is the breadth-first search over them.
-    classify(())
+    classify(0)
     for rep in reps:
-        for h in range(1, n + 1):
-            classify(_merge(rep, (h,)))
+        for single in singles:
+            classify(game.join(rep, single))
 
     k = len(reps)
     table_cls = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            s = sigs.sig(_merge(reps[i], reps[j]))
+            s = sigs.sig(game.join(reps[i], reps[j]))
             cls = class_of.get(s)
             if cls is None:
                 return None  # product fell outside the closure: escalate
             table_cls[i][j] = table_cls[j][i] = cls
 
-    phi_cls = [class_of[sigs.sig((h,))] for h in range(1, n + 1)]
+    phi_cls = [class_of[sigs.sig(single)] for single in singles]
 
     if play is NORMAL:
-        # Cross-check: classes must coincide with nim values on the reps.
+        # Cross-check: classes must coincide with nim values on the reps.  A
+        # canonical position has the nim value of every position it keys.
         by_nim: dict[int, int] = {}
         for cls, rep in enumerate(reps):
-            g = nim_value(code, Position(rep))
+            g = nim_value(code, Position(game.unpack(rep)))
             if by_nim.setdefault(g, cls) != cls:
                 raise InternalError("distinct classes share a nim value")
 

@@ -19,7 +19,7 @@ import random
 import sys
 from dataclasses import replace
 
-from .octal import GameCodeError, Position, parse_game_code
+from .octal import GameCodeError, Position, _heap_moves, parse_game_code
 from .oracle import (
     MISERE,
     NORMAL,
@@ -28,7 +28,6 @@ from .oracle import (
     GenusTailError,
     InternalError,
     Outcome,
-    _game,
     genus,
     genus_of_tree,
 )
@@ -228,7 +227,7 @@ def cmd_outcome(args) -> int:
             h, t, target = move
             print(f"winning move: {_describe_move(h, t)} -> {m.names[target]} (P)")
             return EXIT_OK
-        if not any(_game(qa.code).move_row(h) for h in heaps):
+        if not any(_heap_moves(qa.code, h) for h in heaps):
             print("no moves remain; the player to move has already won")
             return EXIT_OK
         print("no winning move found")

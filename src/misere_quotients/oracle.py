@@ -112,8 +112,8 @@ def _pack(heaps: tuple[int, ...]) -> int:
 class _Game:
     """Everything the oracle knows about one code, by heap size.
 
-    ``moves[h]`` holds the sorted replacement tuples of heap h and
-    ``grundy[h]`` its normal-play value.
+    ``grundy[h]`` is the normal-play value of heap h.  The raw moves are
+    not kept: code that needs them reads them from the rules.
 
     The exact canonical form: ``heap[h]`` is 0 when heap h has no move, and
     otherwise the least heap whose canonical options are the same set;
@@ -150,12 +150,11 @@ class _Game:
     Dropping the object from ``_games`` frees all of it, the trees too.
     """
 
-    __slots__ = ("code", "moves", "grundy", "heap", "rows", "s1", "_least",
+    __slots__ = ("code", "grundy", "heap", "rows", "s1", "_least",
                  "_deltas", "outcomes", "gminus", "trees")
 
     def __init__(self, code: GameCode) -> None:
         self.code = code
-        self.moves: list[tuple[tuple[int, ...], ...]] = [()]
         self.grundy = [0]
         self.heap = [0]
         self.rows: list[tuple[tuple[int, ...], ...]] = [()]
@@ -167,11 +166,6 @@ class _Game:
         }
         self.gminus: dict[tuple[int, int, int], int] = {}
         self.trees: dict[tuple[int, ...], GameTree] = {}
-
-    def move_row(self, f: int) -> tuple[tuple[int, ...], ...]:
-        """The moves of a heap of size ``f``; a row past ``moves`` is not
-        stored, so one large heap does not fill every smaller row."""
-        return self.moves[f] if f < len(self.moves) else _heap_moves(self.code, f)
 
     def key(self, heaps: tuple[int, ...]) -> int:
         """The packed canonical form of a position given by its heap sizes,
@@ -235,12 +229,12 @@ class _Game:
 
     def extend(self, size: int) -> None:
         """Cover heaps up to ``size``.  Each new heap's value and canonical
-        row are built from its moves, which reach smaller heaps only."""
+        row are built from its moves, which reach smaller heaps only and
+        are not kept."""
         heap, grundy = self.heap, self.grundy
         while len(heap) <= size:
             h = len(heap)
             moves = _heap_moves(self.code, h)
-            self.moves.append(moves)
             grundy.append(_mex(reduce(xor, [grundy[x] for x in t], 0) for t in moves))
             row = tuple(sorted({self._canonical(t) for t in moves}))
             if row and not self.s1:
@@ -280,8 +274,14 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _options(moves: list, heaps: tuple[int, ...]) -> set[tuple[int, ...]]:
-    # moves holds a game's raw move row per heap size.
+def _move_rows(code: GameCode, heaps: tuple[int, ...]) -> list:
+    """The raw move rows of every heap size up to the largest of ``heaps``,
+    indexed by size, for one search's _options."""
+    return [()] + [_heap_moves(code, h) for h in range(1, max(heaps, default=0) + 1)]
+
+
+def _options(moves, heaps: tuple[int, ...]) -> set[tuple[int, ...]]:
+    # moves maps each heap size of heaps to its raw move row.
     # heaps is sorted, so equal sizes are adjacent and give the same options.
     out: set[tuple[int, ...]] = set()
     prev = 0
@@ -298,7 +298,7 @@ def _options(moves: list, heaps: tuple[int, ...]) -> set[tuple[int, ...]]:
 def position_options(code: GameCode, position: Position) -> set[Position]:
     """All positions reachable in one move."""
     heaps = position.heaps
-    moves = _game(code, heaps[-1] if heaps else 0).moves
+    moves = {h: _heap_moves(code, h) for h in set(heaps)}
     return {Position(t) for t in _options(moves, heaps)}
 
 
@@ -551,8 +551,7 @@ def tree_of_position(code: GameCode, position: Position, budget: int = 10**6) ->
     would need unfolding.
     """
     heaps = position.heaps
-    game = _game(code, heaps[-1] if heaps else 0)
-    cache, moves = game.trees, game.moves
+    cache, moves = _game(code).trees, _move_rows(code, heaps)
     return _postorder(
         cache, heaps, lambda node: _options(moves, node), GameTree,
         len(cache) + budget,

@@ -31,8 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .octal import GameCode
-from .oracle import MISERE, BudgetExceededError, _game
+from .octal import GameCode, _heap_moves
+from .oracle import MISERE, BudgetExceededError
 from .builder import QuotientAnalysis, phi_heap
 
 __all__ = [
@@ -88,23 +88,18 @@ def _move_targets(qa: QuotientAnalysis, h: int) -> list[tuple[tuple[int, ...], i
     """(t, phi(t)) for every move h -> t, ordered by t: the one place that
     computes the element a move lands on."""
     product = qa.monoid.product
-    return [(t, product(_phi(qa, x) for x in t)) for t in _game(qa.code).move_row(h)]
-
-
-def _distinct_pairs(qa: QuotientAnalysis, targets_by_heap) -> set[MovePair]:
-    """move_pairs from (f, _move_targets(qa, f)) items in increasing f."""
-    found: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for f, targets in targets_by_heap:
-        lhs = _phi(qa, f)
-        for t, rhs in targets:
-            found.setdefault((lhs, rhs), (f, t))
-    return {MovePair(lhs, rhs, src) for (lhs, rhs), src in found.items()}
+    return [(t, product(_phi(qa, x) for x in t)) for t in _heap_moves(qa.code, h)]
 
 
 def move_pairs(qa: QuotientAnalysis, n: int) -> set[MovePair]:
     """One pair per distinct (phi(h_f), phi(t)) over all moves of ``qa.code``
     with f <= n."""
-    return _distinct_pairs(qa, ((f, _move_targets(qa, f)) for f in range(1, n + 1)))
+    found: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+    for f in range(1, n + 1):
+        lhs = _phi(qa, f)
+        for t, rhs in _move_targets(qa, f):
+            found.setdefault((lhs, rhs), (f, t))
+    return {MovePair(lhs, rhs, src) for (lhs, rhs), src in found.items()}
 
 
 def translates_for_basis(
@@ -184,15 +179,15 @@ class _Context:
         self.live: list[int] = []
         self.dead: list[int] = []
         self.heap_phi: dict[int, int] = {}
-        self.heap_targets: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+        # heap_targetmask[h]: bit e set iff some move of heap h lands on e.
         self.heap_targetmask: dict[int, int] = {}
         for h in range(1, n + 1):
             self.heap_phi[h] = _phi(qa, h)
-            targets = self.heap_targets[h] = _move_targets(qa, h)
-            self.heap_targetmask[h] = 0
-            for _, el in targets:
-                self.heap_targetmask[h] |= 1 << el
-            (self.live if targets else self.dead).append(h)
+            mask = 0
+            for _, el in _move_targets(qa, h):
+                mask |= 1 << el
+            self.heap_targetmask[h] = mask
+            (self.live if mask else self.dead).append(h)
         self.by_value: dict[int, list[int]] = {}
         for h in self.live:
             self.by_value.setdefault(self.heap_phi[h], []).append(h)
@@ -429,16 +424,13 @@ def check_N_to_P(
     n: int,
     omega: int,
     *,
-    collapse: bool = True,
     budget: int | None = None,
 ) -> list[tuple[int, tuple[int, ...], int]]:
     """Failing cases (omega, U, s) with no winning move; empty proves the
     N-to-P half for this element."""
     if omega not in qa.partition.n_set:
         raise ValueError("check_N_to_P expects an asserted N element")
-    ctx = _Context(qa, n)
-    scan = _scan_collapsed if collapse else _scan_naive
-    failures, _, _ = scan(ctx, frozenset([omega]), budget)
+    failures, _, _ = _scan_collapsed(_Context(qa, n), frozenset([omega]), budget)
     return failures
 
 
@@ -454,7 +446,7 @@ def verify_to_heap(
     ``collapse=False`` runs the naive subset scan, the reference that the
     collapsed scan is tested against."""
     ctx = _Context(qa, n)
-    pairs = _distinct_pairs(qa, ctx.heap_targets.items())
+    pairs = move_pairs(qa, n)
     pp = check_no_PP(qa, n, pairs)
     scan = _scan_collapsed if collapse else _scan_naive
     failures, cases, stats = scan(ctx, qa.partition.n_set, budget)

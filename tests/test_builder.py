@@ -180,23 +180,24 @@ class TestSignatureKernel:
     def test_round_signature_is_prefix_of_next(self, play):
         sigs = _Signatures(G123, 8, play)
         sigs.widen(2)
-        before = {u: sigs.sig(u) for u in self.PROBES}
+        key = sigs._game.key
+        before = {u: sigs.sig(key(u)) for u in self.PROBES}
         width = len(sigs.contexts)
         sigs.widen(3)
         fresh = _Signatures(G123, 8, play)
         fresh.widen(3)
         for u in self.PROBES:
-            got = sigs.sig(u)
+            got = sigs.sig(key(u))
             assert len(got) == len(sigs.contexts) > width
             assert got[:width] == before[u]
-            assert got == fresh.sig(u)
+            assert got == fresh.sig(fresh._game.key(u))
 
     @pytest.mark.parametrize("play", [MISERE, NORMAL])
     def test_signature_bytes_are_outcomes(self, play):
         sigs = _Signatures(G123, 6, play)
         sigs.widen(2)
         for u in self.PROBES:
-            got = sigs.sig(u)
+            got = sigs.sig(sigs._game.key(u))
             assert got[0] == (outcome(G123, Position(u), play) is Outcome.N)
             unpack = sigs._game.unpack
             assert list(got) == [

@@ -16,8 +16,12 @@ from misere_quotients.builder import (
     kayles_analysis,
 )
 from misere_quotients.cli import _tree_from_json, main
+from misere_quotients.octal import Position, parse_game_code
 from misere_quotients.oracle import nim_heap_tree
 from misere_quotients.semigroup import knuth_bendix
+from misere_quotients.verifier import verify_to_heap
+
+G123 = parse_game_code("0.123")
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +256,32 @@ class TestVerifyAndCertify:
 
     def test_budget_exit_code(self, capsys):
         assert main(["analyze", "0.123", "--budget", "5"]) == 3
+
+
+class TestRawMoves:
+    """The paths that need raw moves read them from the rules and leave
+    the oracle's canonical game objects alone."""
+
+    @pytest.fixture(autouse=True)
+    def no_games(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_games", {})
+
+    def test_verify_makes_no_game(self):
+        assert verify_to_heap(kayles_analysis(), 25).passed
+        assert oracle._games == {}
+
+    # [1, 1, 4, 5] is a P position; [1, 4, 5] is N, so the command searches
+    # its moves for a winning one.
+    @pytest.mark.parametrize("heaps,out", [("5 4 1 1", "P"), ("5 4 1", "N")])
+    def test_outcome_command_makes_no_game(self, capsys, heaps, out):
+        assert main(["outcome", "0.77", *heaps.split()]) == 0
+        assert f"outcome: {out}" in capsys.readouterr().out
+        assert oracle._games == {}
+
+    def test_position_options_make_no_game(self):
+        options = oracle.position_options(G123, Position.of(3, 1000))
+        assert Position.of(1, 1000) in options and Position.of(3, 997) in options
+        assert oracle._games == {}
 
 
 class TestStructure:

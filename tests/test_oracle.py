@@ -122,7 +122,7 @@ def naive_won(code, heaps, misere, memo):
 
 def full_closure_won(code, heaps, misere, memo):
     """Whether the player to move wins: every option's value, then the rule."""
-    moves = oracle._game(code, heaps[-1] if heaps else 0).moves
+    moves = oracle._move_rows(code, heaps)
     return oracle._postorder(
         memo, heaps, lambda node: oracle._options(moves, node),
         lambda wins: not all(wins) if wins else misere,

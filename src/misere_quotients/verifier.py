@@ -91,15 +91,25 @@ def _move_targets(qa: QuotientAnalysis, h: int) -> list[tuple[tuple[int, ...], i
     return [(t, product(_phi(qa, x) for x in t)) for t in _heap_moves(qa.code, h)]
 
 
+def _walk_moves(
+    qa: QuotientAnalysis, n: int
+) -> dict[int, tuple[int, list[tuple[tuple[int, ...], int]]]]:
+    """h -> (phi(h), _move_targets(qa, h)) for every heap h <= n."""
+    return {h: (_phi(qa, h), _move_targets(qa, h)) for h in range(1, n + 1)}
+
+
+def _pairs_of(walk) -> set[MovePair]:
+    found: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+    for f, (lhs, targets) in walk.items():
+        for t, rhs in targets:
+            found.setdefault((lhs, rhs), (f, t))
+    return {MovePair(lhs, rhs, src) for (lhs, rhs), src in found.items()}
+
+
 def move_pairs(qa: QuotientAnalysis, n: int) -> set[MovePair]:
     """One pair per distinct (phi(h_f), phi(t)) over all moves of ``qa.code``
     with f <= n."""
-    found: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for f in range(1, n + 1):
-        lhs = _phi(qa, f)
-        for t, rhs in _move_targets(qa, f):
-            found.setdefault((lhs, rhs), (f, t))
-    return {MovePair(lhs, rhs, src) for (lhs, rhs), src in found.items()}
+    return _pairs_of(_walk_moves(qa, n))
 
 
 def translates_for_basis(
@@ -162,11 +172,13 @@ def _closure_add(table, mask: int, g: int) -> int:
 
 
 class _Context:
-    """Per-(qa, n) data shared by the subset scans."""
+    """Per-(qa, n) data shared by the subset scans, from one walk of every
+    heap's moves."""
 
     def __init__(self, qa: QuotientAnalysis, n: int):
         self.qa = qa
         self.n = n
+        self.walk = _walk_moves(qa, n)
         m = qa.monoid
         self.table = m.table
         k = len(m)
@@ -181,10 +193,10 @@ class _Context:
         self.heap_phi: dict[int, int] = {}
         # heap_targetmask[h]: bit e set iff some move of heap h lands on e.
         self.heap_targetmask: dict[int, int] = {}
-        for h in range(1, n + 1):
-            self.heap_phi[h] = _phi(qa, h)
+        for h, (phi, targets) in self.walk.items():
+            self.heap_phi[h] = phi
             mask = 0
-            for _, el in _move_targets(qa, h):
+            for _, el in targets:
                 mask |= 1 << el
             self.heap_targetmask[h] = mask
             (self.live if mask else self.dead).append(h)
@@ -296,8 +308,11 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
     when its G is empty or its key is memoized as holding no failure; one
     that holds a failure is walked again, since witnesses depend on the path.
     An evaluation is one (state, s) pair: a node that survives the pruning,
-    and s in S(U) with s*P in watch.  They are counted per omega in
-    ``cases``.
+    and s in S(U) with s*P in watch.  A state's evaluations are counted
+    together, and the budget is tested once per state; since the count only
+    grows, that raises at the same state as a test after each s would.
+    Their split per omega, ``cases``, is tallied by (P, set of s) during the
+    walk and expanded once after it.
     """
     table = ctx.table
     k = len(table)
@@ -309,12 +324,18 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
         inv = preimages[a]
         for x, y in enumerate(table[a]):
             inv[y] |= 1 << x
+    preimage_memo: dict[tuple[int, int], int] = {}
 
     def preimage(a: int, mask: int) -> int:
-        inv = preimages[a]
-        out = 0
-        for y in _bits(mask):
-            out |= inv[y]
+        """The x with x*a in mask, as a bitmask."""
+        key = (a, mask)
+        out = preimage_memo.get(key)
+        if out is None:
+            inv = preimages[a]
+            out = 0
+            for y in _bits(mask):
+                out |= inv[y]
+            preimage_memo[key] = out
         return out
 
     # fails[(v, mu)]: the bases b at which at least mu heaps of value v have
@@ -324,16 +345,17 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
         counts = [len(ctx.bad_heaps(v, b)) for b in range(k)]
         for mu in options:
             fails[v, mu] = sum(1 << b for b in range(k) if counts[b] >= mu)
-    fails_at: dict[tuple[int, int, int], int] = {}
     watch_mask = sum(1 << w for w in watch)
-    watched_by: dict[int, int] = {}
     failures: list[tuple[int, tuple[int, ...], int]] = []
-    cases: dict[int, int] = {}
-    stats = {"nodes": 0, "evaluations": 0}
+    # tally[(P, hits)]: how many evaluated states have product P and the
+    # multipliers hits; it turns into cases once the walk is over.
+    tally: dict[tuple[int, int], int] = {}
+    nodes = evaluations = 0
     memo: dict[tuple[int, int, int, int], bool] = {}
     chosen: list[tuple[int, int]] = []
 
     def descend(i, g_mask, product, submonoid):
+        nonlocal nodes, evaluations
         key = (i, g_mask, product, submonoid)
         if memo.get(key) is False:
             return
@@ -345,27 +367,20 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
                 v_mu, base = (v, product) if mu == 1 else (
                     table[v][v], table[product][v]
                 )
-                stats["nodes"] += 1
-                fkey = (v, mu, base)
-                f_mask = fails_at.get(fkey)
-                if f_mask is None:
-                    f_mask = fails_at[fkey] = preimage(base, fails[v, mu])
+                nodes += 1
+                f_mask = preimage(base, fails[v, mu])
                 g2 = f_mask and preimage(v_mu, g_mask) & f_mask
                 if not g2:
                     continue
                 product2 = table[product][v_mu]
-                w_mask = watched_by.get(product2)
-                if w_mask is None:
-                    w_mask = watched_by[product2] = preimage(product2, watch_mask)
-                hits = sub2 & w_mask
-                row = table[product2]
-                for s in _bits(hits):
-                    stats["evaluations"] += 1
-                    if budget is not None and stats["evaluations"] > budget:
+                hits = sub2 & preimage(product2, watch_mask)
+                if hits:
+                    evaluations += hits.bit_count()
+                    if budget is not None and evaluations > budget:
                         raise BudgetExceededError("subset scan exceeded budget")
-                    omega = row[s]
-                    cases[omega] = cases.get(omega, 0) + 1
+                    tally[product2, hits] = tally.get((product2, hits), 0) + 1
                 chosen.append((v, mu))
+                row = table[product2]
                 for s in _bits(g2 & hits):
                     failures.append((row[s], _witness(ctx, chosen, s), s))
                 descend(j + 1, g2, product2, sub2)
@@ -374,7 +389,12 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
 
     identity = ctx.qa.monoid.identity_index
     descend(0, (1 << k) - 1, identity, 1 << identity)
-    stats["states"] = len(memo)
+    cases: dict[int, int] = {}
+    for (product, hits), count in tally.items():
+        row = table[product]
+        for s in _bits(hits):
+            cases[row[s]] = cases.get(row[s], 0) + count
+    stats = {"nodes": nodes, "evaluations": evaluations, "states": len(memo)}
     return failures, cases, stats
 
 
@@ -446,7 +466,7 @@ def verify_to_heap(
     ``collapse=False`` runs the naive subset scan, the reference that the
     collapsed scan is tested against."""
     ctx = _Context(qa, n)
-    pairs = move_pairs(qa, n)
+    pairs = _pairs_of(ctx.walk)
     pp = check_no_PP(qa, n, pairs)
     scan = _scan_collapsed if collapse else _scan_naive
     failures, cases, stats = scan(ctx, qa.partition.n_set, budget)

@@ -257,6 +257,24 @@ class TestVerifyAndCertify:
     def test_budget_exit_code(self, capsys):
         assert main(["analyze", "0.123", "--budget", "5"]) == 3
 
+    def test_verify_kayles_cases(self, capsys):
+        assert main(["verify", "0.77", "-n", "25"]) == 0
+        out = capsys.readouterr().out
+        assert (
+            "cases checked per element: e:2 z:20011 w:6 f:6 xz:20041 xv:4 "
+            "xt:2 xf:4 zw:20035 w2:3 wf:22881 v2:3 vt:86 vf:6 tf:83 "
+            "xz2:23376 xzw:20063 xwf:23827 xtf:79 v2t:80 vtf:86 xv2t:77 "
+            "xvtf:82\n"
+        ) in out
+        assert out.endswith("PASSED\n")
+
+    def test_kayles_budget_boundary(self, capsys):
+        # 150 843 evaluations in all: one fewer is over budget.
+        assert main(["verify", "0.77", "-n", "25", "--budget", "150843"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "0.77", "-n", "25", "--budget", "150842"]) == 3
+        assert "budget exceeded" in capsys.readouterr().err
+
 
 class TestRawMoves:
     """The paths that need raw moves read them from the rules and leave

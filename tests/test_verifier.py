@@ -432,6 +432,14 @@ def synthetic_quotients(draw):
     )
 
 
+# Evaluations per asserted N element of verify_to_heap(kayles, 25).
+KAYLES_25_CASES = {
+    0: 2, 2: 20011, 3: 6, 6: 6, 8: 20041, 10: 4, 11: 2, 12: 4, 15: 20035,
+    17: 3, 18: 22881, 20: 3, 21: 86, 22: 6, 23: 83, 24: 23376, 25: 20063,
+    28: 23827, 33: 79, 35: 80, 36: 86, 38: 77, 39: 82,
+}
+
+
 class TestMemoizedScan:
     def test_every_single_flip_agrees(self, qa123_12):
         stuck = 0
@@ -466,8 +474,23 @@ class TestMemoizedScan:
         assert kayles.phi.claimed_period == (73, 12)
         report = verify_to_heap(kayles, 159)
         assert report.passed
-        assert report.stats["states"] > 0
-        assert report.stats["nodes"] < 10**5
+        assert (report.stats["nodes"], report.stats["evaluations"],
+                report.stats["states"]) == (45_907, 876_202, 11_486)
+
+    def test_kayles_window_25_counters(self, kayles):
+        report = verify_to_heap(kayles, 25)
+        assert report.passed
+        assert (report.stats["nodes"], report.stats["evaluations"],
+                report.stats["states"]) == (10_707, 150_843, 2_888)
+        assert report.stats["cases_by_omega"] == KAYLES_25_CASES
+
+    def test_budget_boundary(self, kayles):
+        # The budget is tested once per state, after all of its
+        # evaluations: a budget of exactly the total still passes, one less
+        # raises.
+        assert verify_to_heap(kayles, 25, budget=150_843).passed
+        with pytest.raises(BudgetExceededError):
+            verify_to_heap(kayles, 25, budget=150_842)
 
     def test_failing_report_lists_every_case(self, qa123_12):
         bad = flip_labels(qa123_12, {qa123_12.monoid.index_of("b2")})
@@ -487,4 +510,6 @@ class TestMemoizedScan:
         bad = replace(kayles, phi=PretendingFunction(tuple(values)))
         report = verify_to_heap(bad, 30)
         assert report.np_failures == [(2, (1, 11, 30), 0)]
-        assert report.stats["nodes"] < 10**5
+        assert (report.stats["nodes"], report.stats["evaluations"]) == (
+            43_967, 758_601
+        )

@@ -27,9 +27,7 @@ from .oracle import (
     InternalError,
     Outcome,
     PlayConvention,
-    _SEARCH_BUDGET,
     _game,
-    _solve,
     genus,
     nim_value,
 )
@@ -156,8 +154,8 @@ class _Signatures:
     form repeats an earlier one is dropped.  Raising m only appends
     contexts, so a signature kept from an earlier round is extended by the
     new contexts alone.  A signature is bytes, one byte per context: 1 when
-    u + w is an N position.  Outcomes are read from the oracle's memo and
-    searched only on a miss.
+    u + w is an N position.  Each extension is one call of the oracle's
+    batched outcome search, oracle._Game.wins.
 
     The canonical form is exact: a dead heap adds no move, heaps with equal
     option sets are equal games, and X + *1 + *1 has the outcome of X.  So
@@ -173,7 +171,7 @@ class _Signatures:
         self.m = 0
         self.contexts: list[int] = [0]
         self._sigs: dict[int, bytes] = {}
-        self._game = _game(code, n)
+        self._game = _game(code)
 
     def widen(self, m: int) -> None:
         """Extend the contexts to every position of at most m heaps."""
@@ -190,16 +188,7 @@ class _Signatures:
         """The signature of packed canonical position ``u``."""
         got = self._sigs.get(u, b"")
         if len(got) < len(self.contexts):
-            game, play = self._game, self.play
-            memo, misere, fold = game.outcomes[play], play is MISERE, game.fold
-            get, won = memo.get, []
-            for w in self.contexts[len(got) :]:
-                key = (u + w) & fold  # as _Game.join
-                v = get(key)
-                if v is None:
-                    v = _solve(game, memo, misere, key, _SEARCH_BUDGET)
-                won.append(v)
-            got += bytes(won)
+            got += self._game.wins(self.play, u, self.contexts[len(got) :])
             self._sigs[u] = got
         return got
 
@@ -540,7 +529,10 @@ def _check_analysis_doc(doc) -> None:
 
 
 def analysis_from_json(text: str) -> QuotientAnalysis:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("analysis file nested too deeply to decode") from None
     _check_analysis_doc(doc)
     generators = tuple(doc["generators"])
     words = tuple(tuple(w) for w in doc["words"])

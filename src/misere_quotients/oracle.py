@@ -104,6 +104,10 @@ _FIELD = (1 << _W) - 1
 _TOKENS = 1 << (_W - 1)
 
 
+# The default node budget of one outcome search.
+_SEARCH_BUDGET = 10**8
+
+
 def _pack(heaps: tuple[int, ...]) -> int:
     # Canonical heaps, each nonzero, as one int (see _Game).
     return sum([1 << _W * h for h in heaps])
@@ -137,21 +141,22 @@ class _Game:
     reads one back as heaps.
 
     No field carries into the next: ``key`` refuses a position of
-    ``_TOKENS`` (2**15) tokens or more.  Every canonical heap but s1 has at
-    least two tokens, so a field of a sum of two such positions counts
-    fewer than 2**15 heaps, and neither a move nor the canonical form adds
-    a token.  ``deltas`` packs each canonical heap's options on first use,
-    up to the largest heap a search reaches, so extending the game to a
-    large heap packs nothing.
+    ``_TOKENS`` (2**15) tokens or more, before it extends the game to the
+    position's heaps.  Every canonical heap but s1 has at least two tokens,
+    so a field of a sum of two such positions counts fewer than 2**15
+    heaps, and neither a move nor the canonical form adds a token.
+    ``deltas`` packs each canonical heap's options on first use, up to the
+    largest heap a search reaches, so extending the game to a large heap
+    packs nothing.
 
-    The memos: ``outcomes[play]`` maps a packed position to True when
-    the player to move wins (see _solve), ``gminus`` holds the states of
-    _gminus_ext and ``trees`` the game trees of raw sorted positions.
-    Dropping the object from ``_games`` frees all of it, the trees too.
+    The memos: ``outcomes[play]`` maps a packed position to True when the
+    player to move wins, and ``wins`` alone reads and fills it; ``gminus``
+    holds the states of _gminus_ext.  Dropping the object from ``_games``
+    frees both.  No game tree is kept here.
     """
 
     __slots__ = ("code", "grundy", "heap", "rows", "s1", "_least",
-                 "_deltas", "outcomes", "gminus", "trees")
+                 "_deltas", "outcomes", "gminus")
 
     def __init__(self, code: GameCode) -> None:
         self.code = code
@@ -165,19 +170,19 @@ class _Game:
             play: {} for play in PlayConvention
         }
         self.gminus: dict[tuple[int, int, int], int] = {}
-        self.trees: dict[tuple[int, ...], GameTree] = {}
 
     def key(self, heaps: tuple[int, ...]) -> int:
         """The packed canonical form of a position given by its heap sizes,
-        each covered by ``extend``.  Raises ValueError from ``_TOKENS``
-        tokens on.
+        extending the game to cover them.  Raises ValueError from
+        ``_TOKENS`` tokens on, before the game grows.
 
-        >>> game = _game(parse_game_code("0.123"), 7)
+        >>> game = _game(parse_game_code("0.123"))
         >>> game.unpack(game.key((1, 1, 2, 4, 7)))
         (3, 7)
         """
         if sum(heaps) >= _TOKENS:
             raise ValueError(f"a position of {_TOKENS} tokens or more is too large to pack")
+        self.extend(max(heaps, default=0))
         return _pack(self._canonical(heaps))
 
     def join(self, a: int, b: int) -> int:
@@ -226,6 +231,84 @@ class _Game:
             x &= -1 << _W * (h + 1)
             out.update([(node + d) & fold for d in deltas[h]])
         return out
+
+    def wins(self, play: PlayConvention, u: int, contexts: list[int],
+             budget: int = _SEARCH_BUDGET, cache: dict[int, bool] | None = None) -> bytes:
+        """One byte per context w, in order: 1 when the player to move wins
+        the sum u + w of packed canonical positions, else 0.
+
+        Each sum is read from ``cache``, by default the memo
+        ``outcomes[play]``, and searched only on a miss, in context order.
+        The search runs over packed canonical positions, whose outcomes are
+        exact (see _Game), so positions that differ only by dead heaps, by
+        pairs of *1 heaps or by heaps of equal options are searched and
+        stored once.  A position is settled as a win at its first option
+        known to lose, so the search builds no further options of it and
+        visits none of their subtrees.  Options are built by heap, least
+        heap first, in the order of ``rows``.  Every position it settles
+        goes into ``cache``, exactly; positions it never needed are not
+        stored.  Raises BudgetExceededError if ``cache`` would grow past
+        ``budget`` entries; what it stored up to then stays correct.
+
+        The game must cover the heaps of u and of every context, as ``key``
+        makes it do; no move makes a heap larger, so it then covers every
+        position the search reaches.
+        """
+        cache = self.outcomes[play] if cache is None else cache
+        get, fold, w, misere = cache.get, self.fold, _W, play is MISERE
+        # u + w is largest for the largest w, so one call covers every sum.
+        deltas = self.deltas(u + max(contexts, default=0))
+        out = []
+        # (position, its options not yet known when it was last looked at)
+        stack: list[tuple[int, list[int]]] = []
+        for c in contexts:
+            node = (u + c) & fold
+            won = get(node)
+            while won is None:
+                # node is not in cache: build its options until one is known to lose.
+                pending = []
+                x = node
+                while x:
+                    # h is the least heap left in x; drop its field and those below.
+                    h = ((x & -x).bit_length() - 1) // w
+                    x &= -1 << w * (h + 1)
+                    for d in deltas[h]:
+                        option = (node + d) & fold
+                        option_won = get(option)
+                        if option_won is None:
+                            pending.append(option)
+                        elif not option_won:
+                            won = True
+                            break
+                    if won:
+                        break
+                if won is None:
+                    if pending:
+                        stack.append((node, pending))
+                        node = pending.pop()
+                        continue
+                    # Every canonical heap has a move.
+                    won = False if node else misere
+                # Store node, then settle each ancestor that this decides.
+                while True:
+                    if len(cache) >= budget:
+                        raise BudgetExceededError(f"search memo would outgrow {budget} entries")
+                    cache[node] = won
+                    if not stack:
+                        break
+                    node, pending = stack.pop()
+                    # A losing option wins node.  After a winning one, look up node's
+                    # next options: a sibling subtree may have settled them meanwhile.
+                    while won and pending:
+                        child = pending.pop()
+                        won = get(child)
+                    if won is None:
+                        stack.append((node, pending))
+                        node = child
+                        break
+                    won = not won
+            out.append(won)
+        return bytes(out)
 
     def extend(self, size: int) -> None:
         """Cover heaps up to ``size``.  Each new heap's value and canonical
@@ -302,15 +385,11 @@ def position_options(code: GameCode, position: Position) -> set[Position]:
     return {Position(t) for t in _options(moves, heaps)}
 
 
-# The default node budget of one outcome search.
-_SEARCH_BUDGET = 10**8
-
-
 def _postorder(cache: dict, root, options, value, limit: int | None = None):
     """``cache[root]``, filling ``cache`` without recursion.
 
     This serves the searches that need every option's value: trees, tree
-    sums and genus states.  The outcome search stops earlier, in _solve.
+    sums and genus states.  The outcome search stops earlier, in _Game.wins.
     Every node below ``root`` not yet in ``cache`` is stored as
     ``value([cache[o] for o in options(node)])`` once all its options are
     stored.  Raises BudgetExceededError if ``cache`` would grow past
@@ -334,91 +413,6 @@ def _postorder(cache: dict, root, options, value, limit: int | None = None):
     return cache[root]
 
 
-def _solve(
-    game: _Game,
-    cache: dict[int, bool],
-    misere: bool,
-    root: int,
-    budget: int,
-) -> bool:
-    """Whether the player to move wins the packed canonical position ``root``.
-
-    The search runs over packed canonical positions (see _Game), so
-    positions that differ only by dead heaps, by pairs of *1 heaps or by
-    heaps of equal options are searched and stored once.  The outcome is
-    exact for each of them: a dead heap adds no move, heaps with equal
-    option sets are equal games, and X + *1 + *1 has the outcome of X under
-    both conventions (for misere play, g-(X + *1 + *1) = g-(X), proved at
-    _gminus_states; for normal play, *1 + *1 = 0).  An option is the node
-    plus the delta of the moved heap: the delta takes one token out of that
-    heap's field and adds its canonical option, whose s1 field is 0 or 1,
-    so ``game.fold`` folds a *1 pair, as in _Game.join.
-
-    A position is settled as a win at its first option known to lose, so
-    the search builds no further options of it and visits none of their
-    subtrees.  Options are built by heap, least heap first, in the order of
-    ``rows``.  Every position it settles goes into ``cache``, exactly;
-    positions it never needed are not stored.  Raises BudgetExceededError
-    if ``cache`` would grow past ``budget`` entries; what it stored up to
-    then stays correct.
-
-    ``game`` is the code's object from _game, which must cover the heaps
-    of ``root``; no move makes a heap larger, so it then covers every
-    position the search reaches.
-    """
-    won = cache.get(root)
-    if won is not None:
-        return won
-    get, deltas, fold, w = cache.get, game.deltas(root), game.fold, _W
-    # (position, its options not yet known when it was last looked at)
-    stack: list[tuple[int, list[int]]] = []
-    node = root
-    while True:
-        # node is not in cache: build its options until one is known to lose.
-        won = None
-        pending = []
-        x = node
-        while x:
-            # h is the least heap left in x; drop its field and those below.
-            h = ((x & -x).bit_length() - 1) // w
-            x &= -1 << w * (h + 1)
-            for d in deltas[h]:
-                option = (node + d) & fold
-                option_won = get(option)
-                if option_won is None:
-                    pending.append(option)
-                elif not option_won:
-                    won = True
-                    break
-            if won:
-                break
-        if won is None:
-            if pending:
-                stack.append((node, pending))
-                node = pending.pop()
-                continue
-            # Every canonical heap has a move.
-            won = False if node else misere
-        # Store node, then settle each ancestor that this decides.
-        while True:
-            if len(cache) >= budget:
-                raise BudgetExceededError(f"search memo would outgrow {budget} entries")
-            cache[node] = won
-            if not stack:
-                return won
-            node, pending = stack.pop()
-            # A losing option wins node.  After a winning one, look up node's
-            # next options: a sibling subtree may have settled them meanwhile.
-            while won and pending:
-                child = pending.pop()
-                won = get(child)
-            if won is None:
-                stack.append((node, pending))
-                node = child
-                break
-            won = not won
-
-
 def outcome(
     code: GameCode,
     position: Position,
@@ -432,9 +426,8 @@ def outcome(
     Raises BudgetExceededError if the memo table would outgrow ``budget``,
     and ValueError for a position too large to pack (see _Game).
     """
-    heaps = position.heaps
-    game = _game(code, heaps[-1] if heaps else 0)
-    won = _solve(game, game.outcomes[play], play is MISERE, game.key(heaps), budget)
+    game = _game(code)
+    won = game.wins(play, game.key(position.heaps), [0], budget)[0]
     return Outcome.N if won else Outcome.P
 
 
@@ -545,17 +538,15 @@ def tree_sum(a: GameTree, b: GameTree) -> GameTree:
 
 
 def tree_of_position(code: GameCode, position: Position, budget: int = 10**6) -> GameTree:
-    """Unfold a heap position into its full game tree.
+    """Unfold a heap position into its full game tree, with a memo of raw
+    sorted positions freed on return.
 
     Raises BudgetExceededError if more than ``budget`` distinct positions
     would need unfolding.
     """
     heaps = position.heaps
-    cache, moves = _game(code).trees, _move_rows(code, heaps)
-    return _postorder(
-        cache, heaps, lambda node: _options(moves, node), GameTree,
-        len(cache) + budget,
-    )
+    moves = _move_rows(code, heaps)
+    return _postorder({}, heaps, lambda node: _options(moves, node), GameTree, budget)
 
 
 def tree_grundy(tree: GameTree) -> int:
@@ -670,18 +661,16 @@ def genus_of_tree(tree: GameTree, cap: int = 16) -> GenusSymbol:
     return _genus_symbol(tree._grundy, gminus, cap, "tree genus")
 
 
-def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
-    """Misere mex value of (heaps + n2 two-token nim heaps), by _gminus_states
-    in the code's memo ``gminus``.
+def _gminus_ext(game: _Game, root: int, n2: int) -> int:
+    """Misere mex value of (packed ``root`` + n2 two-token nim heaps), by
+    _gminus_states in the game's memo ``gminus``.
 
     A state's x is packed canonical (see _Game, whose reductions keep the
     value) with the game's own *1 heaps moved into n1.  So x holds no *1, an
     option's s1 field is its moved heap's *1, 0 or 1, and one bit test
     splits it off into n1.
     """
-    game = _game(code, heaps[-1] if heaps else 0)
     one = 1 << _W * game.s1
-    root = game.key(heaps)
     n1 = 1 if root & one else 0
     return _gminus_states(
         game.gminus, (root - n1 * one, n1, n2),
@@ -690,9 +679,14 @@ def _gminus_ext(code: GameCode, heaps: tuple[int, ...], n2: int) -> int:
 
 
 def genus(code: GameCode, position: Position, cap: int = 16) -> GenusSymbol:
-    """Genus symbol of a heap position, computed by direct search."""
+    """Genus symbol of a heap position, computed by direct search.  Raises
+    ValueError for a position too large to pack (see _Game)."""
+    # Packed first, so that a position too large to pack is refused before
+    # the nim values grow the game to its heaps.
+    game = _game(code)
+    root = game.key(position.heaps)
     return _genus_symbol(
-        nim_value(code, position), lambda n2: _gminus_ext(code, position.heaps, n2),
+        nim_value(code, position), lambda n2: _gminus_ext(game, root, n2),
         cap, f"genus of {position}",
     )
 

@@ -354,9 +354,10 @@ def enumerate_elements(rws: RewriteSystem, cap: int) -> FiniteCommutativeMonoid:
     action a well-defined map on normal forms.  Every element v other than
     the identity was first reached as p*g from an element p found before it,
     so its row of the table is folded from p's row: v*u = (p*u)*g, by
-    commutativity and associativity, that is row(v)[u] = act_g[row(p)[u]].  The table thus costs k*|A| reductions and
-    k*k list lookups instead of k*k reductions, for k elements and |A|
-    generators.  The constructor still checks the result by Light's test.
+    commutativity and associativity, that is row(v)[u] = act_g[row(p)[u]].
+    The table thus costs k*|A| reductions and k*k list lookups instead of
+    k*k reductions, for k elements and |A| generators.  The constructor
+    still checks the result by Light's test.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")

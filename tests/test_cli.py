@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -147,6 +148,13 @@ class TestGenus:
         path = tmp_path / "bad.json"
         path.write_text('{"not": "a tree"}')
         assert main(["genus", "0.123", "--tree", str(path)]) == 4
+
+    def test_heap_too_large_to_pack(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "_games", {})
+        start = time.perf_counter()
+        assert main(["genus", "0.77", "40000"]) == 4
+        assert time.perf_counter() - start < 1
+        assert "too large to pack" in capsys.readouterr().err
 
     def test_heap_required(self, capsys):
         assert main(["genus", "0.123"]) == 4
@@ -466,6 +474,15 @@ class TestMalformedAnalysis:
         assert rc == 4
         assert captured.out == ""
         assert f"analysis field {key!r}: {complaint}" in captured.err
+
+    @pytest.mark.parametrize("command", ["outcome", "structure", "verify", "certify"])
+    def test_file_too_deep_to_decode(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([command, str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nested too deeply" in captured.err
 
     def test_well_formed_files_still_load(self, analysis_file):
         text = analysis_to_json(kayles_analysis())

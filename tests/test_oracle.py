@@ -1,4 +1,5 @@
 import gc
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,6 @@ from misere_quotients.oracle import (
     nim_heap_tree,
     nim_value,
     normal_period,
-    _solve,
     outcome,
     position_options,
     sibert_conway_outcome,
@@ -134,14 +134,14 @@ class TestSolver:
     @given(code=st.sampled_from(SOLVER_GAMES), misere=st.booleans(), heaps=small_positions)
     def test_matches_naive_recursion(self, code, misere, heaps):
         cache, naive = {}, {}
-        table = oracle._game(code, max(heaps, default=0))
-        won = _solve(table, cache, misere, table.key(heaps), 10**6)
+        play = MISERE if misere else NORMAL
+        table = oracle._game(code)
+        won = table.wins(play, table.key(heaps), [0], 10**6, cache)[0]
         assert won == naive_won(code, heaps, misere, naive)
         # Every position the search memoized is right, not just the root.
         for node, node_won in cache.items():
             node = table.unpack(node)
             assert node_won == naive_won(code, node, misere, naive), node
-        play = MISERE if misere else NORMAL
         assert (outcome(code, Position(heaps), play) is Outcome.N) == won
 
     @settings(max_examples=120, deadline=None)
@@ -159,32 +159,65 @@ class TestSolver:
         # No other test searches this position, so the memo cannot hold it.
         with pytest.raises(BudgetExceededError):
             outcome(code, Position.of(30, 31, 32), MISERE, budget=10)
-        table = oracle._game(code, 9)
+        table = oracle._game(code)
         with pytest.raises(BudgetExceededError):
-            _solve(table, {}, True, table.key((9, 9)), 5)
+            table.wins(MISERE, table.key((9, 9)), [0], 5, {})
 
     def test_memo_stays_sound_after_budget_error(self):
         code = parse_game_code("0.137")
         naive = {}
         want = naive_won(code, (6, 7), True, naive)
-        table = oracle._game(code, 7)
+        table = oracle._game(code)
         root = table.key((6, 7))
         assert table.unpack(root) == (6, 7)
+
+        def won(cache, budget):
+            return table.wins(MISERE, root, [0], budget, cache)[0]
+
         fresh = {}
-        _solve(table, fresh, True, root, 10**6)
+        won(fresh, 10**6)
         # The search raises exactly when the budget is below what it stores.
         for budget in range(1, len(fresh) + 1):
             cache = {}
             if budget < len(fresh):
                 with pytest.raises(BudgetExceededError):
-                    _solve(table, cache, True, root, budget)
+                    won(cache, budget)
             else:
-                assert _solve(table, cache, True, root, budget) == want
+                assert won(cache, budget) == want
             assert len(cache) <= budget
-            for node, won in cache.items():
+            for node, node_won in cache.items():
                 node = table.unpack(node)
-                assert won == naive_won(code, node, True, naive), (budget, node)
-            assert _solve(table, cache, True, root, 10**6) == want
+                assert node_won == naive_won(code, node, True, naive), (budget, node)
+            assert won(cache, 10**6) == want
+        # A batch raises at the same entry count as one root at a time, and
+        # what it stored up to then is sound.
+        u = table.key((6,))
+        contexts = [table.key(hs) for hs in ((7,), (), (5, 7), (4,), (7,))]
+
+        def stored(search, budget):
+            cache = {}
+            try:
+                search(cache, budget)
+            except BudgetExceededError:
+                return list(cache.items()), True
+            return list(cache.items()), False
+
+        def batch(cache, budget):
+            table.wins(MISERE, u, contexts, budget, cache)
+
+        def singles(cache, budget):
+            for c in contexts:
+                table.wins(MISERE, table.join(u, c), [0], budget, cache)
+
+        full, raised = stored(batch, 10**6)
+        assert not raised
+        for budget in range(1, len(full) + 1):
+            items, raised = stored(batch, budget)
+            assert (items, raised) == stored(singles, budget)
+            assert raised == (budget < len(full)) and len(items) == min(budget, len(full))
+            for node, node_won in items:
+                node = table.unpack(node)
+                assert node_won == naive_won(code, node, True, naive), (budget, node)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -200,13 +233,26 @@ class TestSolver:
         # One memo across several searches, as the builder uses it: later
         # searches stop early against a memo that earlier ones filled in part.
         memo, full = {}, {}
-        table = oracle._game(code, 10)
-        for heaps in positions:
+        play = MISERE if misere else NORMAL
+        table = oracle._game(code)
+        roots = [table.key(heaps) for heaps in positions]
+        for heaps, root in zip(positions, roots):
             want = full_closure_won(code, heaps, misere, full)
-            assert _solve(table, memo, misere, table.key(heaps), 10**6) == want, heaps
+            assert table.wins(play, root, [0], 10**6, memo)[0] == want, heaps
         for node, won in memo.items():
             node = table.unpack(node)
             assert won == full_closure_won(code, node, misere, full), node
+        # The same roots as one batch fill a second memo entry for entry, in
+        # the same order: as contexts of the empty position, and as contexts
+        # of the first root, against its sums searched one at a time.
+        batch = {}
+        got = table.wins(play, 0, roots, 10**6, batch)
+        assert list(batch.items()) == list(memo.items())
+        assert got == bytes(memo[root] for root in roots)
+        u, sums, batch = roots[0], {}, {}
+        want = bytes(table.wins(play, table.join(u, r), [0], 10**6, sums)[0] for r in roots)
+        assert table.wins(play, u, roots, 10**6, batch) == want
+        assert list(batch.items()) == list(sums.items())
 
     def test_search_stops_at_first_losing_option(self):
         # The full closure of misere Kayles 8+9+10 over canonical positions
@@ -221,7 +267,7 @@ class TestSolver:
         )
         assert len(full) == 1919
         cache = {}
-        assert _solve(table, cache, True, root, 10**6)
+        assert table.wins(MISERE, root, [0], 10**6, cache) == b"\x01"
         assert len(cache) < len(full)
 
 
@@ -243,6 +289,19 @@ class TestPackedForm:
             outcome(KAYLES, Position(heaps + (1,)), MISERE)
         with pytest.raises(ValueError, match="too large to pack"):
             table.key((2**15,))
+
+    @pytest.mark.parametrize("search", [
+        lambda p: outcome(KAYLES, p, MISERE),
+        lambda p: genus(KAYLES, p),
+    ], ids=["outcome", "genus"])
+    def test_too_large_refused_before_the_game_grows(self, monkeypatch, search):
+        # Growing Kayles to heap 40 000 would take minutes.
+        monkeypatch.setattr(oracle, "_games", {})
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="too large to pack"):
+            search(Position.of(40000))
+        assert time.perf_counter() - start < 1
+        assert len(oracle._game(KAYLES).heap) == 1
 
     def test_extending_packs_nothing(self, monkeypatch):
         # Deltas are packed for the heaps a search reaches, not for every
@@ -310,8 +369,8 @@ class TestCanonicalForm:
         play = MISERE if misere else NORMAL
         assert (outcome(game, Position(heaps), play) is Outcome.N) == want
         # Every canonical position a fresh search stores is right too.
-        table, memo = oracle._game(game, 8), {}
-        assert _solve(table, memo, misere, table.key(heaps), 10**6) == want
+        table, memo = oracle._game(game), {}
+        assert table.wins(play, table.key(heaps), [0], 10**6, memo)[0] == want
         for node, won in memo.items():
             node = table.unpack(node)
             assert won == full_closure_won(game, node, misere, full), node
@@ -418,9 +477,9 @@ class TestGenusSearch:
     def test_small_caps_raise(self, monkeypatch):
         gminus_ext = oracle._gminus_ext
 
-        def nonnegative(code, heaps, n2):
+        def nonnegative(game, root, n2):
             assert n2 >= 0, "a search from a negative n2 never ends"
-            return gminus_ext(code, heaps, n2)
+            return gminus_ext(game, root, n2)
 
         monkeypatch.setattr(oracle, "_gminus_ext", nonnegative)
         for cap in (-3, -1, 0, 1):
@@ -519,20 +578,21 @@ class TestTrees:
         assert genus_of_tree(tree) == genus_by_tree_sums(tree)
 
     def test_trees_are_freed_with_their_game(self, monkeypatch):
-        # The intern table holds trees weakly, and genus_of_tree keeps no
-        # memo: popping the code's game object frees every tree it built.
+        # The intern table holds trees weakly, and neither tree_of_position
+        # nor genus_of_tree keeps a memo past its call: dropping the tree
+        # frees every tree built for it, and no game object holds any.
         monkeypatch.setattr(oracle, "_games", {})
         gc.collect()
         before = len(oracle._tree_intern)
         tree = tree_of_position(KAYLES, Position.of(20))
         assert str(genus_of_tree(tree)) == "1^{031}"
         assert len(oracle._tree_intern) > before
+        assert KAYLES not in oracle._games
         del tree
-        oracle._games.pop(KAYLES)
         gc.collect()
         assert len(oracle._tree_intern) == before
 
-    def test_tree_budget_counts_new_positions(self, monkeypatch):
+    def test_tree_budget_counts_new_positions(self):
         p = Position.of(4, 7)
         reached, frontier = {p}, [p]
         while frontier:
@@ -545,13 +605,12 @@ class TestTrees:
             return GameTree(naive_tree(o) for o in position_options(G123, q))
 
         want = naive_tree(p)
-        monkeypatch.setattr(oracle, "_games", {})
         assert tree_of_position(G123, p, budget=len(reached)) == want
-        monkeypatch.setattr(oracle, "_games", {})
         with pytest.raises(BudgetExceededError):
             tree_of_position(G123, p, budget=len(reached) - 1)
-        # The positions stored before the error are sound and reused.
-        assert tree_of_position(G123, p) == want
+        # The memo is per call, so the budget counts every position of each
+        # call, and a call after the error unfolds from scratch.
+        assert tree_of_position(G123, p, budget=len(reached)) == want
 
 
 class TestSibertConway:

@@ -14,6 +14,19 @@ rest of the package (tables, reports, element numbering) relies on.
 that order over a set of letter elements of a table; the builder names its
 classes with it and ``is_isomorphic`` builds its image words with it.
 
+Rewriting runs on words packed into one int (``_Kernel``).  Each generator
+owns a field of ``width`` bits, the first generator in the top field, so
+packed words compare like their exponent tuples.  The top bit of every field
+is a guard bit, zero in a packed word, and ``guard`` has all of them set.
+Then ``lhs`` divides ``w`` exactly when ``((w | guard) - lhs) & guard ==
+guard``, since no field of ``w | guard`` borrows from the next, and applying
+the rule is ``w += rhs - lhs``.  The width is derived, not fixed: rules point
+down in the graded order, so rewriting never raises the degree, and no
+exponent met while reducing ``w`` exceeds ``deg(w)``.  A width with
+``2**(width-1)`` above both ``deg(w)`` and every rule's degree is therefore
+safe, and ``_Kernel.fit`` repacks the rules with wider fields when a word of
+higher degree arrives.
+
 >>> pres = parse_presentation("gens: x\\nx^2 = 1")
 >>> monoid = enumerate_elements(knuth_bendix(pres), cap=10)
 >>> [monoid.names[i] for i in range(len(monoid))]
@@ -25,8 +38,9 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 from .oracle import BudgetExceededError, InternalError
 
@@ -63,14 +77,6 @@ def word_mul(u: Word, v: Word) -> Word:
 
 def word_divides(u: Word, v: Word) -> bool:
     return all(map(int.__le__, u, v))
-
-
-def _word_sub(v: Word, u: Word) -> Word:
-    return tuple(b - a for a, b in zip(u, v))
-
-
-def _word_lcm(u: Word, v: Word) -> Word:
-    return tuple(max(a, b) for a, b in zip(u, v))
 
 
 def parse_word(text: str, generators: tuple[str, ...]) -> Word:
@@ -147,6 +153,90 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(generators, tuple(relations))
 
 
+class _Kernel:
+    """Rewrite rules over packed words (see the module docstring).
+
+    ``rules`` holds the (lhs, rhs) pairs packed at the current ``width``,
+    in rule order; ``knuth_bendix`` swaps in a new list as it completes.
+    ``reduce`` is the first-match loop of every hot path; ``steps`` lists
+    the matching rules of each step, for traces and random rule choice.
+
+    >>> k = _Kernel(2, (((2, 1), (0, 1)),))  # the rule x^2 y -> y
+    >>> k.width, bin(k.guard), k.pack((2, 1)) == 0b010_001
+    (3, '0b100100', True)
+    >>> k.fit(8)  # before reducing a word of degree 8
+    >>> k.width, k.unpack(k.reduce(k.pack((5, 3))))
+    (5, (1, 3))
+    """
+
+    __slots__ = ("n", "width", "guard", "rules")
+
+    def __init__(self, n: int, rules: tuple[tuple[Word, Word], ...] = ()):
+        self.n = n
+        self.width = 1
+        self.guard = (1 << n) - 1
+        self.rules: list[tuple[int, int]] = []
+        self.fit(max(map(sum, itertools.chain.from_iterable(rules)), default=0))
+        self.rules = [(self.pack(lhs), self.pack(rhs)) for lhs, rhs in rules]
+
+    def fit(self, degree: int) -> None:
+        """Widen the fields so that 2**(width-1) > degree, repacking the rules."""
+        if degree < 1 << (self.width - 1):
+            return
+        words = [(self.unpack(lhs), self.unpack(rhs)) for lhs, rhs in self.rules]
+        self.width = degree.bit_length() + 1
+        ones = ((1 << self.width * self.n) - 1) // ((1 << self.width) - 1)
+        self.guard = ones << (self.width - 1)
+        self.rules = [(self.pack(lhs), self.pack(rhs)) for lhs, rhs in words]
+
+    def pack(self, w: Word) -> int:
+        x = 0
+        for e in w:
+            x = x << self.width | e
+        return x
+
+    def unpack(self, x: int) -> Word:
+        width = self.width
+        field = (1 << width) - 1
+        return tuple(x >> s & field for s in range(width * (self.n - 1), -1, -width))
+
+    def lcm(self, a: int, b: int) -> int:
+        """Field-wise max of two packed words."""
+        ge = ((a | self.guard) - b) & self.guard  # guard bits of fields a >= b
+        low = ge - (ge >> (self.width - 1))  # the value bits of those fields
+        return (a & low) | (b & ~low)
+
+    def reduce(self, x: int) -> int:
+        guard = self.guard
+        rules = self.rules
+        while True:
+            probe = x | guard
+            for lhs, rhs in rules:
+                if (probe - lhs) & guard == guard:
+                    x += rhs - lhs
+                    break
+            else:
+                return x
+
+    def steps(self, x: int, rng: random.Random | None):
+        """Yield (result, rule index) per step: the first matching rule, or
+        with ``rng`` a random one of the matching rules in rule order."""
+        guard = self.guard
+        while True:
+            probe = x | guard
+            hits = [
+                i
+                for i, (lhs, _) in enumerate(self.rules)
+                if (probe - lhs) & guard == guard
+            ]
+            if not hits:
+                return
+            i = hits[0] if rng is None else rng.choice(hits)
+            lhs, rhs = self.rules[i]
+            x += rhs - lhs
+            yield x, i
+
+
 @dataclass(frozen=True)
 class RewriteSystem:
     """Confluent, terminating rules; every pattern exceeds its replacement in
@@ -156,6 +246,11 @@ class RewriteSystem:
     generators: tuple[str, ...]
     rules: tuple[tuple[Word, Word], ...]
 
+    @cached_property
+    def _kernel(self) -> _Kernel:
+        # Stored in the instance dict, so equality still compares the fields.
+        return _Kernel(len(self.generators), self.rules)
+
 
 def reduce_word(rws: RewriteSystem, w: Word, rng: random.Random | None = None) -> Word:
     """Rewrite ``w`` to its normal form.
@@ -163,7 +258,15 @@ def reduce_word(rws: RewriteSystem, w: Word, rng: random.Random | None = None) -
     Rules are tried first-match by default; pass ``rng`` to pick each applied
     rule at random instead.  Confluence makes the result identical either way.
     """
-    return _reduce_by(rws.rules, w, rng)
+    kernel = rws._kernel
+    kernel.fit(sum(w))
+    x = kernel.pack(w)
+    if rng is None:
+        x = kernel.reduce(x)
+    else:
+        for x, _ in kernel.steps(x, rng):
+            pass
+    return kernel.unpack(x)
 
 
 def reduction_trace(
@@ -172,35 +275,11 @@ def reduction_trace(
     """Steps taken while rewriting ``w``: pairs of (result, rule applied).
 
     The starting word is not included; an already-normal word gives []."""
-    return list(_reduction_steps(rws.rules, w, rng))
-
-
-def _reduction_steps(
-    rules: Sequence[tuple[Word, Word]], w: Word, rng: random.Random | None
-):
-    # The one rewrite loop: yields (result, rule applied) per step.  Without
-    # rng it stops scanning at the first matching rule; with rng it lists the
-    # matching rules in rule order and picks one.
-    while True:
-        hits = (rule for rule in rules if word_divides(rule[0], w))
-        if rng is None:
-            rule = next(hits, None)
-        else:
-            hits = list(hits)
-            rule = rng.choice(hits) if hits else None
-        if rule is None:
-            return
-        lhs, rhs = rule
-        w = word_mul(_word_sub(w, lhs), rhs)
-        yield w, rule
-
-
-def _reduce_by(
-    rules: Sequence[tuple[Word, Word]], w: Word, rng: random.Random | None = None
-) -> Word:
-    for w, _ in _reduction_steps(rules, w, rng):
-        pass
-    return w
+    kernel = rws._kernel
+    kernel.fit(sum(w))
+    return [
+        (kernel.unpack(x), rws.rules[i]) for x, i in kernel.steps(kernel.pack(w), rng)
+    ]
 
 
 def knuth_bendix(pres: Presentation, max_rules: int = 10000) -> RewriteSystem:
@@ -210,38 +289,47 @@ def knuth_bendix(pres: Presentation, max_rules: int = 10000) -> RewriteSystem:
     are no infinite antichains of monomials under divisibility, and every
     critical pair comes from the lcm of two pattern supports that overlap.
     The max_rules cap only guards against an implementation bug.
+
+    Pending pairs are word tuples, whose degree sizes the kernel's fields
+    before they are packed and reduced.  Each critical pair word has
+    fields below ``2**width``, so it unpacks exactly at the current width.
     """
-    rules: list[tuple[Word, Word]] = []
+    kernel = _Kernel(len(pres.generators))
     pending: deque[tuple[Word, Word]] = deque(pres.relations)
     while pending:
         left, right = pending.popleft()
-        left = _reduce_by(rules, left)
-        right = _reduce_by(rules, right)
+        kernel.fit(max(sum(left), sum(right)))
+        left = kernel.reduce(kernel.pack(left))
+        right = kernel.reduce(kernel.pack(right))
         if left == right:
             continue
-        if word_key(left) < word_key(right):
+        if word_key(kernel.unpack(left)) < word_key(kernel.unpack(right)):
             left, right = right, left
-        kept: list[tuple[Word, Word]] = []
-        for lhs, rhs in rules:
-            if word_divides(left, lhs):
-                pending.append((lhs, rhs))
+        guard = kernel.guard
+        kept: list[tuple[int, int]] = []
+        for lhs, rhs in kernel.rules:
+            if ((lhs | guard) - left) & guard == guard:  # left divides lhs
+                pending.append((kernel.unpack(lhs), kernel.unpack(rhs)))
             else:
                 kept.append((lhs, rhs))
-        rules = kept
-        for lhs, rhs in rules:
-            overlap = _word_lcm(left, lhs)
-            if sum(overlap) < sum(left) + sum(lhs):
+        for lhs, rhs in kept:
+            overlap = kernel.lcm(left, lhs)
+            if overlap != left + lhs:
                 pending.append(
                     (
-                        word_mul(right, _word_sub(overlap, left)),
-                        word_mul(rhs, _word_sub(overlap, lhs)),
+                        kernel.unpack(overlap - left + right),
+                        kernel.unpack(overlap - lhs + rhs),
                     )
                 )
-        rules.append((left, right))
-        if len(rules) > max_rules:
+        kept.append((left, right))
+        kernel.rules = kept
+        if len(kept) > max_rules:
             raise InternalError("completion exceeded max_rules; this is a bug")
     final = sorted(
-        ((lhs, _reduce_by(rules, rhs)) for lhs, rhs in rules),
+        (
+            (kernel.unpack(lhs), kernel.unpack(kernel.reduce(rhs)))
+            for lhs, rhs in kernel.rules
+        ),
         key=lambda rule: word_key(rule[0]),
     )
     system = RewriteSystem(pres.generators, tuple(final))
@@ -251,11 +339,13 @@ def knuth_bendix(pres: Presentation, max_rules: int = 10000) -> RewriteSystem:
 
 def _assert_confluent(rws: RewriteSystem) -> None:
     # Every critical pair must join; guaranteed by construction, cheap to check.
-    for (l1, r1), (l2, r2) in itertools.combinations(rws.rules, 2):
-        overlap = _word_lcm(l1, l2)
-        a = reduce_word(rws, word_mul(r1, _word_sub(overlap, l1)))
-        b = reduce_word(rws, word_mul(r2, _word_sub(overlap, l2)))
-        if a != b:
+    # An overlap's degree is at most the sum of its two patterns' degrees.
+    kernel = rws._kernel
+    kernel.fit(2 * max((sum(lhs) for lhs, _ in rws.rules), default=0))
+    reduce = kernel.reduce
+    for (l1, r1), (l2, r2) in itertools.combinations(kernel.rules, 2):
+        overlap = kernel.lcm(l1, l2)
+        if reduce(overlap - l1 + r1) != reduce(overlap - l2 + r2):
             raise InternalError("completion produced a non-confluent system")
 
 
@@ -289,12 +379,15 @@ class FiniteCommutativeMonoid:
         self.words = words
         self.generators = generators
         self._index = {name: i for i, name in enumerate(names)}
-        for i in range(k):
-            if table[identity_index][i] != i or table[i][identity_index] != i:
-                raise ValueError("identity row/column is not the identity map")
-            for j in range(i, k):
-                if table[i][j] != table[j][i]:
-                    raise ValueError("table is not commutative")
+        # Whole rows against whole columns: the transpose of a commutative
+        # table is the table itself.
+        rows = list(map(tuple, table))
+        columns = list(zip(*table))
+        identity = tuple(range(k))
+        if rows[identity_index] != identity or columns[identity_index] != identity:
+            raise ValueError("identity row/column is not the identity map")
+        if columns != rows:
+            raise ValueError("table is not commutative")
         gens = set(self.generator_map.values())
         if not gens <= set(range(k)):
             raise ValueError("generator map points outside the table")
@@ -336,11 +429,15 @@ def _check_associative(table: tuple[tuple[int, ...], ...], gens) -> None:
     = (x*g)*(h*y) = x*(g*(h*y)) = x*((gh)*y).  With ``gens`` every element
     it is the exhaustive check.
     """
+    if len(table) < 2:
+        # itemgetter of one index returns a scalar, not a row; a one-element
+        # table with its entry in range is associative anyway.
+        return
     for g in gens:
-        g_row = table[g]
-        for x_row in table:
-            if [x_row[gy] for gy in g_row] != list(table[x_row[g]]):
-                raise ValueError("table is not associative")
+        # Whole rows at once: x*(g*y) over all y against the row of x*g.
+        left = list(map(itemgetter(*table[g]), table))
+        if left != [tuple(table[x_row[g]]) for x_row in table]:
+            raise ValueError("table is not associative")
 
 
 def enumerate_elements(rws: RewriteSystem, cap: int) -> FiniteCommutativeMonoid:
@@ -362,40 +459,47 @@ def enumerate_elements(rws: RewriteSystem, cap: int) -> FiniteCommutativeMonoid:
     if cap < 1:
         raise ValueError("cap must be at least 1")
     gens = rws.generators
+    kernel = rws._kernel
+    # An element first reached at breadth-first depth d has degree at most
+    # d < cap, as every layer up to it holds a new element; so every word
+    # x + unit reduced here has degree at most cap.
+    kernel.fit(cap)
     units = [
-        tuple(1 if j == i else 0 for j in range(len(gens))) for i in range(len(gens))
+        kernel.pack(tuple(1 if j == i else 0 for j in range(len(gens))))
+        for i in range(len(gens))
     ]
-    identity = tuple(0 for _ in gens)
-    # acts[g][w] = normal form of w*g; reached[v] = (p, g) with v = p*g.
-    acts: list[dict[Word, Word]] = [{} for _ in gens]
-    reached: dict[Word, tuple[Word, int] | None] = {identity: None}
-    frontier = deque([identity])
+    # acts[g][x] = normal form of x*g; reached[v] = (p, g) with v = p*g;
+    # all packed, the identity being 0.
+    acts: list[dict[int, int]] = [{} for _ in gens]
+    reached: dict[int, tuple[int, int] | None] = {0: None}
+    frontier = deque([0])
     while frontier:
-        w = frontier.popleft()
+        x = frontier.popleft()
         for g, unit in enumerate(units):
-            nxt = acts[g][w] = reduce_word(rws, word_mul(w, unit))
+            nxt = acts[g][x] = kernel.reduce(x + unit)
             if nxt not in reached:
                 if len(reached) >= cap:
                     raise BudgetExceededError(
                         f"more than {cap} elements; monoid not shown finite"
                     )
-                reached[nxt] = (w, g)
+                reached[nxt] = (x, g)
                 frontier.append(nxt)
-    elements = tuple(sorted(reached, key=word_key))
-    index = {w: i for i, w in enumerate(elements)}
-    act_rows = [[index[act[w]] for w in elements] for act in acts]
-    rows: dict[Word, list[int]] = {identity: list(range(len(elements)))}
+    elements = sorted(reached, key=lambda x: word_key(kernel.unpack(x)))
+    words = tuple(map(kernel.unpack, elements))
+    index = {x: i for i, x in enumerate(elements)}
+    act_rows = [[index[act[x]] for x in elements] for act in acts]
+    rows: dict[int, list[int]] = {0: list(range(len(elements)))}
     for v, (p, g) in itertools.islice(reached.items(), 1, None):
         rows[v] = list(map(act_rows[g].__getitem__, rows[p]))
-    identity_index = index[identity]
+    identity_index = index[0]
     return FiniteCommutativeMonoid(
-        names=tuple(format_word(w, gens) for w in elements),
-        table=tuple(tuple(rows[w]) for w in elements),
+        names=tuple(format_word(w, gens) for w in words),
+        table=tuple(tuple(rows[x]) for x in elements),
         generator_map={
             name: act_row[identity_index] for name, act_row in zip(gens, act_rows)
         },
         identity_index=identity_index,
-        words=elements,
+        words=words,
         generators=gens,
     )
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import deque
 from functools import lru_cache
 
 import pytest
@@ -47,6 +48,31 @@ RULES_0123 = [
     ("z^2 b", "b"),
     ("b^3", "x b^2"),
     ("z^4", "z^2"),
+]
+
+# Completed rules for 0.77, as (pattern, replacement) in output order.
+RULES_KAYLES = [
+    ("x^2", "e"),
+    ("z v", "z w"),
+    ("z t", "z w"),
+    ("z f", "x z"),
+    ("w v", "z^2"),
+    ("w t", "z^2"),
+    ("v g", "w g"),
+    ("t^2", "v t"),
+    ("t g", "w g"),
+    ("f^2", "z^2"),
+    ("f g", "x g"),
+    ("g^2", "z^2"),
+    ("z^3", "z"),
+    ("z^2 w", "x w f"),
+    ("z^2 g", "g"),
+    ("z w^2", "z"),
+    ("w^3", "w"),
+    ("w^2 f", "x z^2"),
+    ("w^2 g", "g"),
+    ("v^3", "v"),
+    ("v^2 f", "f"),
 ]
 
 # Normal forms of the 0.77 quotient in enumeration order.
@@ -144,6 +170,15 @@ class TestCompletion:
         expect = tuple(
             (parse_word(l, GENS_0123), parse_word(r, GENS_0123))
             for l, r in RULES_0123
+        )
+        assert rws.rules == expect
+
+    def test_kayles_rule_set(self):
+        pres = packaged_presentation("0.77")
+        rws = knuth_bendix(pres)
+        expect = tuple(
+            (parse_word(l, pres.generators), parse_word(r, pres.generators))
+            for l, r in RULES_KAYLES
         )
         assert rws.rules == expect
 
@@ -528,3 +563,131 @@ class TestLeastWords:
         least = _least_words(m.table, 0, [x, a])
         assert sorted(m.names[el] for el in least) == ["a", "e", "x", "xa"]
         assert list(least.values()) == [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# The packed rewriting kernel against a tuple reference
+
+
+def _ref_reduce(rules, w):
+    """First-match rewriting on exponent tuples."""
+    while True:
+        for lhs, rhs in rules:
+            if word_divides(lhs, w):
+                w = tuple(e - l + r for e, l, r in zip(w, lhs, rhs))
+                break
+        else:
+            return w
+
+
+def _ref_completion(pres):
+    """Completion on exponent tuples, step for step the algorithm that
+    knuth_bendix runs on packed words."""
+    rules = []
+    pending = deque(pres.relations)
+    while pending:
+        left, right = map(_ref_reduce, (rules, rules), pending.popleft())
+        if left == right:
+            continue
+        if word_key(left) < word_key(right):
+            left, right = right, left
+        pending.extend(rule for rule in rules if word_divides(left, rule[0]))
+        rules = [rule for rule in rules if not word_divides(left, rule[0])]
+        for lhs, rhs in rules:
+            overlap = tuple(map(max, left, lhs))
+            if sum(overlap) < sum(left) + sum(lhs):
+                pending.append(
+                    (
+                        tuple(o - l + r for o, l, r in zip(overlap, left, right)),
+                        tuple(o - l + r for o, l, r in zip(overlap, lhs, rhs)),
+                    )
+                )
+        rules.append((left, right))
+    final = [(lhs, _ref_reduce(rules, rhs)) for lhs, rhs in rules]
+    return tuple(sorted(final, key=lambda rule: word_key(rule[0])))
+
+
+def _ref_elements(rules, n, cap):
+    """Normal forms reached from the identity by generator steps, in
+    word_key order; None beyond cap of them."""
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    seen = {(0,) * n}
+    frontier = list(seen)
+    while frontier:
+        w = frontier.pop()
+        for unit in units:
+            v = _ref_reduce(rules, word_mul(w, unit))
+            if v not in seen:
+                if len(seen) >= cap:
+                    return None
+                seen.add(v)
+                frontier.append(v)
+    return sorted(seen, key=word_key)
+
+
+def _scaled(pres, k):
+    return Presentation(
+        pres.generators,
+        tuple(
+            (tuple(e * k for e in lhs), tuple(e * k for e in rhs))
+            for lhs, rhs in pres.relations
+        ),
+    )
+
+
+class TestPackedKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=finite_presentations(),
+        scale=st.sampled_from([1, 2**16, 70000, 2**40]),
+        data=st.data(),
+    )
+    def test_matches_tuple_reference(self, case, scale, data):
+        # Scaling every exponent keeps each rewrite step, so words of degree
+        # 2**40 and more reduce in a few steps on either path.
+        pres = _scaled(case[0], scale)
+        n = len(pres.generators)
+        rws = knuth_bendix(pres)
+        assert rws.rules == _ref_completion(pres)
+        words = data.draw(st.lists(st.tuples(*[st.integers(0, 9)] * n), max_size=20))
+        for w in words:
+            w = tuple(e * scale for e in w)
+            assert reduce_word(rws, w) == _ref_reduce(rws.rules, w)
+        elements = _ref_elements(rws.rules, n, 200)
+        if elements is None:  # scaled: x^k is a normal form for every k < scale
+            with pytest.raises(BudgetExceededError):
+                enumerate_elements(rws, cap=200)
+            return
+        m = enumerate_elements(rws, cap=200)
+        assert m.words == tuple(elements)
+        index = {w: i for i, w in enumerate(elements)}
+        assert m.table == tuple(
+            tuple(index[_ref_reduce(rws.rules, word_mul(u, v))] for v in elements)
+            for u in elements
+        )
+
+    def test_one_generator_with_a_wide_power(self):
+        rws = knuth_bendix(parse_presentation("gens: x\nx^70000 = x"))
+        assert rws.rules == (((70000,), (1,)),)
+        assert reduce_word(rws, (3 * 69999 + 5,)) == (5,)
+        with pytest.raises(BudgetExceededError):
+            enumerate_elements(rws, cap=100)
+
+    def test_widens_during_completion(self):
+        # The second relation's degree outgrows the fields of the first rule.
+        pres = parse_presentation("gens: x y\nx^2 = x\ny^70000 = y")
+        rws = knuth_bendix(pres)
+        assert rws.rules == _ref_completion(pres)
+        for w in [(5, 70001), (1, 2**17), (3, 3)]:
+            assert reduce_word(rws, w) == _ref_reduce(rws.rules, w)
+
+    def test_reduced_word_of_degree_2_to_the_40(self):
+        rws = knuth_bendix(parse_presentation("gens: x y\nx^70000 = x\nx y^2 = y^2"))
+        assert rws.rules == (((1, 2), (0, 2)), ((70000, 0), (1, 0)))
+        big = (0, 2**40)
+        assert reduce_word(rws, big) == big
+        assert reduce_word(rws, (140000, 2**40)) == big
+        assert reduce_word(rws, (140000, 1)) == (2, 1)
+        # The kernel widened for the long word; short words still reduce.
+        assert reduce_word(rws, (70001, 0)) == (2, 0)
+        assert reduction_trace(rws, (70000, 0)) == [((1, 0), rws.rules[1])]

@@ -7,15 +7,16 @@ The construction is bounded and therefore only a candidate: two positions
 merged here might be distinguished by some context larger than the budget.
 The verifier module turns a candidate into a proof.
 
-Classes are discovered with signatures: sig(u) = the outcome of u + w for
-every context w with at most m heaps, all heap sizes <= n.  The budget m
-escalates until two consecutive rounds produce identical results.
+Misere classes are discovered with signatures: sig(u) = the outcome of u + w
+for every context w with at most m heaps, all heap sizes <= n.  The budget m
+escalates until two consecutive rounds produce identical results.  Normal-play
+classes are the nim values, and one tail names the classes of either.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, combinations_with_replacement, islice, repeat
 
 from .octal import GameCode, Position, parse_game_code
@@ -29,11 +30,10 @@ from .oracle import (
     PlayConvention,
     _game,
     genus,
-    nim_value,
+    grundy,
 )
 from .semigroup import (
     FiniteCommutativeMonoid,
-    Word,
     _closure,
     _least_words,
     enumerate_elements,
@@ -119,9 +119,15 @@ class QuotientAnalysis:
     monoid: FiniteCommutativeMonoid
     phi: PretendingFunction
     partition: OutcomePartition
-    generator_heaps: dict[str, int] = field(default_factory=dict)
     verified_to: int | None = None
     certified_period: tuple[int, int] | None = None
+
+    @property
+    def generator_heaps(self) -> dict[str, int]:
+        """Each generator's first heap: the least heap that pretends to it."""
+        values = self.phi.values
+        return {g: values.index(el) + 1
+                for g, el in self.monoid.generator_map.items() if el in values}
 
 
 # ---------------------------------------------------------------------------
@@ -193,27 +199,14 @@ class _Signatures:
         return got
 
 
-@dataclass(frozen=True)
-class _RoundResult:
-    """The candidate quotient found by one signature round."""
-
-    letters: tuple[str, ...]
-    generator_heaps: dict[str, int]
-    words: tuple[Word, ...]
-    table: tuple[tuple[int, ...], ...]
-    generator_map: dict[str, int]
-    phi: tuple[int, ...]
-    p_set: frozenset[int]
-
-
-def _run_round(sigs: _Signatures) -> _RoundResult | None:
+def _run_round(sigs: _Signatures) -> QuotientAnalysis | None:
     """The candidate at the current contexts of ``sigs``, or None when the
     class set fails to close under multiplication there.  Each class is
     represented by a packed canonical position (see oracle._Game)."""
-    code, n, play, game = sigs.code, sigs.n, sigs.play, sigs._game
+    game = sigs._game
     class_of: dict[bytes, int] = {}
     reps: list[int] = []
-    singles = [game.key((h,)) for h in range(1, n + 1)]
+    singles = [game.key((h,)) for h in range(1, sigs.n + 1)]
 
     def classify(u: int) -> None:
         s = sigs.sig(u)
@@ -231,30 +224,31 @@ def _run_round(sigs: _Signatures) -> _RoundResult | None:
             classify(game.join(rep, single))
 
     k = len(reps)
-    table_cls = [[0] * k for _ in range(k)]
+    table = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
             s = sigs.sig(game.join(reps[i], reps[j]))
             cls = class_of.get(s)
             if cls is None:
                 return None  # product fell outside the closure: escalate
-            table_cls[i][j] = table_cls[j][i] = cls
+            table[i][j] = table[j][i] = cls
 
-    phi_cls = [class_of[sigs.sig(single)] for single in singles]
+    return _named_analysis(
+        sigs.code, sigs.play, sigs.n, table,
+        [class_of[sigs.sig(single)] for single in singles],
+        [cls for cls, rep in enumerate(reps) if not sigs.sig(rep)[0]],
+    )
 
-    if play is NORMAL:
-        # Cross-check: classes must coincide with nim values on the reps.  A
-        # canonical position has the nim value of every position it keys.
-        by_nim: dict[int, int] = {}
-        for cls, rep in enumerate(reps):
-            g = nim_value(code, Position(game.unpack(rep)))
-            if by_nim.setdefault(g, cls) != cls:
-                raise InternalError("distinct classes share a nim value")
 
+def _named_analysis(code: GameCode, play: PlayConvention, n: int, table,
+                    phi_classes, p_classes) -> QuotientAnalysis:
+    """The analysis of a class table whose class 0 is the identity, given
+    the class of each heap 1..n and the P classes, with every class named by
+    its least word over letters for single-heap classes."""
     # Distinct single-heap classes other than the identity, each with the
     # first heap attaining it.
     first_heap: dict[int, int] = {}
-    for h, cls in enumerate(phi_cls, 1):
+    for h, cls in enumerate(phi_classes, 1):
         if cls:
             first_heap.setdefault(cls, h)
 
@@ -266,31 +260,42 @@ def _run_round(sigs: _Signatures) -> _RoundResult | None:
     letter_cls = list(first_heap)
     for cls in list(letter_cls):
         others = [c for c in letter_cls if c != cls]
-        if cls in _closure(table_cls, 0, others):
+        if cls in _closure(table, 0, others):
             letter_cls.remove(cls)
     letters = tuple(islice(_letter_names(), len(letter_cls)))
 
-    least = _least_words(table_cls, 0, letter_cls)
-    if len(least) < k:
+    least = _least_words(table, 0, letter_cls)
+    if len(least) < len(table):
         raise InternalError("letter classes do not generate the monoid")
     index_of = {cls: i for i, cls in enumerate(least)}
-    return _RoundResult(
-        letters=letters,
-        generator_heaps={
-            letter: first_heap[cls] for letter, cls in zip(letters, letter_cls)
-        },
-        words=tuple(least.values()),
-        table=tuple(
-            tuple(index_of[table_cls[a][b]] for b in least) for a in least
-        ),
-        generator_map={
-            letter: index_of[cls] for letter, cls in zip(letters, letter_cls)
-        },
-        phi=tuple(index_of[cls] for cls in phi_cls),
-        p_set=frozenset(
-            index_of[cls] for cls, rep in enumerate(reps) if not sigs.sig(rep)[0]
-        ),
+    words = tuple(least.values())
+    monoid = FiniteCommutativeMonoid(
+        names=tuple(format_word(w, letters) for w in words),
+        table=tuple(tuple(index_of[table[a][b]] for b in least) for a in least),
+        generator_map=dict(zip(letters, map(index_of.get, letter_cls))),
+        identity_index=0,
+        words=words,
+        generators=letters,
     )
+    phi = PretendingFunction(tuple(index_of[cls] for cls in phi_classes))
+    p_set = frozenset(index_of[cls] for cls in p_classes)
+    return QuotientAnalysis(
+        code, play, n, monoid, replace(phi, claimed_period=detect_period(phi)),
+        OutcomePartition(p_set, frozenset(range(len(words))) - p_set),
+    )
+
+
+def _signature_quotient(code: GameCode, n: int, play: PlayConvention) -> QuotientAnalysis:
+    """The first analysis that two consecutive signature rounds agree on."""
+    previous = None
+    sigs = _Signatures(code, n, play)
+    for m in range(_START_CONTEXT, _MAX_CONTEXT + 1):
+        sigs.widen(m)
+        qa = _run_round(sigs)
+        if qa is not None and qa == previous:
+            return qa
+        previous = qa
+    raise RuntimeError(f"no two consecutive rounds agreed with context budget <= {_MAX_CONTEXT}")
 
 
 def build_quotient(
@@ -298,48 +303,30 @@ def build_quotient(
 ) -> QuotientAnalysis:
     """Candidate quotient of the game to heap size n.
 
-    Context budgets m = _START_CONTEXT, _START_CONTEXT+1, ... are tried until
-    two consecutive rounds agree; raises BudgetExceededError on more than
-    _MAX_CLASSES classes and RuntimeError if no two rounds up to _MAX_CONTEXT
-    agree.
+    Under misere play, context budgets m = _START_CONTEXT, _START_CONTEXT+1,
+    ... are tried until two consecutive signature rounds agree; raises
+    RuntimeError if no two rounds up to _MAX_CONTEXT agree.  Under normal
+    play a position's class is its nim value, sums add by xor and P is {0}.
+    Either convention raises BudgetExceededError on more than _MAX_CLASSES
+    classes.
     """
     if isinstance(code, str):
         code = parse_game_code(code)
     if n < 1:
         raise ValueError("heap bound must be at least 1")
-    previous = None
-    sigs = _Signatures(code, n, play)
-    for m in range(_START_CONTEXT, _MAX_CONTEXT + 1):
-        sigs.widen(m)
-        result = _run_round(sigs)
-        if result is not None and result == previous:
-            words = result.words
-            monoid = FiniteCommutativeMonoid(
-                names=tuple(format_word(w, result.letters) for w in words),
-                table=result.table,
-                generator_map=result.generator_map,
-                identity_index=0,
-                words=words,
-                generators=result.letters,
-            )
-            values = PretendingFunction(result.phi)
-            values = replace(values, claimed_period=detect_period(values))
-            return QuotientAnalysis(
-                code=code,
-                play=play,
-                n=n,
-                monoid=monoid,
-                phi=values,
-                partition=OutcomePartition(
-                    p_set=result.p_set,
-                    n_set=frozenset(range(len(words))) - result.p_set,
-                ),
-                generator_heaps=result.generator_heaps,
-            )
-        previous = result
-    raise RuntimeError(
-        f"no two consecutive rounds agreed with context budget <= {_MAX_CONTEXT}"
-    )
+    if play is MISERE:
+        return _signature_quotient(code, n, play)
+    # The classes are the xor span of the heap values G(1..n), value 0 first.
+    values = [grundy(code, h) for h in range(1, n + 1)]
+    span = [0]
+    for g in values:
+        if g not in span:
+            span += [v ^ g for v in span]
+            if len(span) > _MAX_CLASSES:
+                raise BudgetExceededError(f"more than {_MAX_CLASSES} classes")
+    index = {v: i for i, v in enumerate(span)}
+    table = [[index[a ^ b] for b in span] for a in span]
+    return _named_analysis(code, play, n, table, [index[g] for g in values], [0])
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +550,7 @@ def analysis_from_json(text: str) -> QuotientAnalysis:
 
     phi("certified_period")
     p_set = frozenset(doc["p_set"])
-    return QuotientAnalysis(
+    qa = QuotientAnalysis(
         code=parse_game_code(doc["code"]),
         play=MISERE if doc["play"] == "misere" else NORMAL,
         n=doc["n"],
@@ -572,12 +559,14 @@ def analysis_from_json(text: str) -> QuotientAnalysis:
         partition=OutcomePartition(
             p_set=p_set, n_set=frozenset(range(len(monoid))) - p_set
         ),
-        generator_heaps=dict(doc["generator_heaps"]),
         verified_to=doc["verified_to"],
         certified_period=(
             tuple(doc["certified_period"]) if doc["certified_period"] else None
         ),
     )
+    if doc["generator_heaps"] != qa.generator_heaps:
+        raise ValueError("analysis field 'generator_heaps' does not match 'phi'")
+    return qa
 
 
 # ---------------------------------------------------------------------------
@@ -643,5 +632,4 @@ def kayles_analysis() -> QuotientAnalysis:
         partition=OutcomePartition(
             p_set=p_set, n_set=frozenset(range(len(monoid))) - p_set
         ),
-        generator_heaps={"x": 1, "z": 2, "w": 5, "v": 9, "t": 12, "f": 25, "g": 27},
     )

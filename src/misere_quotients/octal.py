@@ -120,7 +120,8 @@ def _heap_moves(code: GameCode, f: int) -> tuple[tuple[int, ...], ...]:
     if f < 1:
         raise ValueError("heap size must be >= 1, got %d" % (f,))
     out: set[tuple[int, ...]] = set()
-    for k in range(0, f + 1):
+    # Digits past the code's places are 0, so no k beyond them moves.
+    for k in range(min(f, code.places) + 1):
         d = code.digit(k)
         if d == 0:
             continue

@@ -397,6 +397,13 @@ class FiniteCommutativeMonoid:
         elif k <= 64:
             _check_associative(table, range(k))
 
+    def __eq__(self, other: object) -> bool:
+        # By value, over the fields that define the monoid.
+        if not isinstance(other, FiniteCommutativeMonoid):
+            return NotImplemented
+        fields = ("names", "table", "generator_map", "identity_index", "words", "generators")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
+
     def __len__(self) -> int:
         return len(self.names)
 

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from misere_quotients import builder, oracle
 from misere_quotients.builder import (
     _run_round,
+    _signature_quotient,
     _Signatures,
     analysis_from_json,
     analysis_to_json,
@@ -21,7 +23,15 @@ from misere_quotients.builder import (
     predicted_outcome,
 )
 from misere_quotients.octal import Position, parse_game_code
-from misere_quotients.oracle import MISERE, NORMAL, Outcome, genus, nim_value, outcome
+from misere_quotients.oracle import (
+    MISERE,
+    NORMAL,
+    BudgetExceededError,
+    Outcome,
+    genus,
+    nim_value,
+    outcome,
+)
 from misere_quotients.semigroup import (
     action_table,
     enumerate_elements,
@@ -171,6 +181,37 @@ class TestNormalQuotient:
             p = Position.from_heaps(heaps)
             want = Outcome.P if nim_value(G123, p) == 0 else Outcome.N
             assert predicted_outcome(qa, p) is want
+
+
+# Normal play is built from the nim values; the signature rounds stay as its
+# reference: 0.123, 0.137 and 0.77 to heap 12, the other recorded games to 9.
+NORMAL_CROSS_CHECKS = [
+    ("0.123", 12), ("0.137", 12), ("0.77", 12), ("0.07", 9), ("0.4", 9),
+    ("0.15", 9), ("0.31", 9), ("0.52", 9), ("0.75", 9),
+]
+
+
+class TestNormalFromNimValues:
+    @pytest.mark.parametrize(
+        "code, n", NORMAL_CROSS_CHECKS,
+        ids=[f"{code}-{n}" for code, n in NORMAL_CROSS_CHECKS],
+    )
+    def test_equals_signature_rounds(self, code, n, monkeypatch):
+        monkeypatch.setattr(oracle, "_games", {})
+        game = parse_game_code(code)
+        qa = build_quotient(game, n, NORMAL)
+        # No outcome search ran: the nim values alone named the classes.
+        assert oracle._game(game).outcomes[NORMAL] == {}
+        reference = _signature_quotient(game, n, NORMAL)
+        assert analysis_to_json(qa) == analysis_to_json(reference)
+
+    def test_class_limit(self, monkeypatch):
+        # 0.123 has the four nim values 0..3 to heap 12.
+        monkeypatch.setattr(builder, "_MAX_CLASSES", 3)
+        with pytest.raises(BudgetExceededError, match="more than 3 classes"):
+            build_quotient(G123, 12, NORMAL)
+        monkeypatch.setattr(builder, "_MAX_CLASSES", 4)
+        assert len(build_quotient(G123, 12, NORMAL).monoid) == 4
 
 
 class TestSignatureKernel:
@@ -365,6 +406,11 @@ class TestSerialization:
     def test_kayles_round_trip(self, kayles):
         text = analysis_to_json(kayles)
         assert analysis_to_json(analysis_from_json(text)) == text
+
+    def test_generator_heaps_read_off_phi(self, kayles):
+        assert kayles.generator_heaps == {
+            "x": 1, "z": 2, "w": 5, "v": 9, "t": 12, "f": 25, "g": 27,
+        }
 
     def test_rejects_images_that_do_not_generate(self, forged_analysis_text):
         with pytest.raises(ValueError, match="does not generate the table"):

@@ -55,6 +55,17 @@ class TestAnalyze:
         assert "quotient elements: 4" in out
         assert "P elements: e" in out
 
+    def test_normal_kayles_certificate(self, capsys):
+        # Built from the nim values, so heap 96 needs no outcome search.
+        start = time.perf_counter()
+        rc = main(["analyze", "0.77", "--normal", "-n", "96", "--certify", "71,12"])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "quotient elements: 16" in out
+        assert "certified period: r0=71 p=12" in out
+        assert elapsed < 2
+
 
 class TestOutcome:
     def test_worked_example(self, capsys, analysis_file):
@@ -97,6 +108,18 @@ class TestOutcome:
         assert rc == 0
         assert "element: b2" in out  # 1006 = 6 + 200 * 5
         assert "outcome: P" in out
+
+    def test_huge_heaps_via_certificate(self, capsys, analysis_file):
+        # A heap's moves reach only the code's places, so the move search
+        # does not grow with the heap.
+        start = time.perf_counter()
+        rc = main(["outcome", analysis_file, str(10**12), str(10**12 + 1)])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "outcome: N" in out
+        assert f"winning move: take heap {10**12} down to {10**12 - 3} -> b2 (P)" in out
+        assert elapsed < 1
 
     def test_kayles_is_unverified(self, capsys):
         rc = main(["outcome", "0.77", "1"])
@@ -474,6 +497,18 @@ class TestMalformedAnalysis:
         assert rc == 4
         assert captured.out == ""
         assert f"analysis field {key!r}: {complaint}" in captured.err
+
+    @pytest.mark.parametrize("command", ["outcome", "structure", "verify", "certify"])
+    def test_generator_heaps_that_phi_contradicts(self, capsys, analysis_file,
+                                                  tmp_path, command):
+        def edit(doc):
+            doc["generator_heaps"]["z"] = 4  # heap 4 pretends z, but heap 3 first
+
+        path = self._damaged(analysis_file, tmp_path, edit)
+        assert main([command, path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'generator_heaps' does not match 'phi'" in captured.err
 
     @pytest.mark.parametrize("command", ["outcome", "structure", "verify", "certify"])
     def test_file_too_deep_to_decode(self, capsys, tmp_path, command):

@@ -25,7 +25,6 @@ from .oracle import (
     NORMAL,
     BudgetExceededError,
     GenusSymbol,
-    InternalError,
     Outcome,
     PlayConvention,
     _game,
@@ -34,6 +33,7 @@ from .oracle import (
 )
 from .semigroup import (
     FiniteCommutativeMonoid,
+    _check_table,
     _closure,
     _least_words,
     enumerate_elements,
@@ -200,42 +200,49 @@ class _Signatures:
 
 
 def _run_round(sigs: _Signatures) -> QuotientAnalysis | None:
-    """The candidate at the current contexts of ``sigs``, or None when the
-    class set fails to close under multiplication there.  Each class is
-    represented by a packed canonical position (see oracle._Game)."""
+    """The candidate at the current contexts of ``sigs``, or None when its
+    class table is no monoid there.  Each class is represented by a packed
+    canonical position (see oracle._Game).
+
+    Discovery classifies rep_c + h for every class c and heap h and keeps
+    the class as acts[c][h - 1]; the class first reached as rep_p + h has
+    parent (p, h - 1).  Its row of the table is folded from its parent's,
+    as in semigroup.enumerate_elements: (p*h)*u = (p*u)*h.
+    """
     game = sigs._game
     class_of: dict[bytes, int] = {}
     reps: list[int] = []
+    parents: list[tuple[int, int] | None] = []
+    acts: list[list[int]] = []
     singles = [game.key((h,)) for h in range(1, sigs.n + 1)]
 
-    def classify(u: int) -> None:
+    def classify(u: int, parent: tuple[int, int] | None) -> int:
         s = sigs.sig(u)
         if s not in class_of:
             if len(reps) >= _MAX_CLASSES:
                 raise BudgetExceededError(f"more than {_MAX_CLASSES} classes")
             class_of[s] = len(reps)
             reps.append(u)
+            parents.append(parent)
+        return class_of[s]
 
     # Class 0 is the identity.  reps grows as classes appear, so this loop
     # is the breadth-first search over them.
-    classify(0)
-    for rep in reps:
-        for single in singles:
-            classify(game.join(rep, single))
+    classify(0, None)
+    for c, rep in enumerate(reps):
+        acts.append([classify(game.join(rep, single), (c, h))
+                     for h, single in enumerate(singles)])
 
-    k = len(reps)
-    table = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            s = sigs.sig(game.join(reps[i], reps[j]))
-            cls = class_of.get(s)
-            if cls is None:
-                return None  # product fell outside the closure: escalate
-            table[i][j] = table[j][i] = cls
+    table = [list(range(len(reps)))]
+    for p, h in islice(parents, 1, None):
+        table.append([acts[x][h] for x in table[p]])
+    try:
+        _check_table(table, 0, acts[0])
+    except ValueError:
+        return None  # the classes are no monoid at this budget: widen
 
     return _named_analysis(
-        sigs.code, sigs.play, sigs.n, table,
-        [class_of[sigs.sig(single)] for single in singles],
+        sigs.code, sigs.play, sigs.n, table, acts[0],
         [cls for cls, rep in enumerate(reps) if not sigs.sig(rep)[0]],
     )
 
@@ -244,7 +251,8 @@ def _named_analysis(code: GameCode, play: PlayConvention, n: int, table,
                     phi_classes, p_classes) -> QuotientAnalysis:
     """The analysis of a class table whose class 0 is the identity, given
     the class of each heap 1..n and the P classes, with every class named by
-    its least word over letters for single-heap classes."""
+    its least word over letters for single-heap classes.  The single-heap
+    classes generate the table, so the letters do too."""
     # Distinct single-heap classes other than the identity, each with the
     # first heap attaining it.
     first_heap: dict[int, int] = {}
@@ -265,8 +273,6 @@ def _named_analysis(code: GameCode, play: PlayConvention, n: int, table,
     letters = tuple(islice(_letter_names(), len(letter_cls)))
 
     least = _least_words(table, 0, letter_cls)
-    if len(least) < len(table):
-        raise InternalError("letter classes do not generate the monoid")
     index_of = {cls: i for i, cls in enumerate(least)}
     words = tuple(least.values())
     monoid = FiniteCommutativeMonoid(
@@ -531,11 +537,6 @@ def analysis_from_json(text: str) -> QuotientAnalysis:
         words=words or None,
         generators=generators,
     )
-    # The monoid checks associativity by Light's test only when these images
-    # generate the table, and exhaustively only up to 64 elements, so a file
-    # whose images do not generate could hide a broken product.
-    if not monoid.map_generates:
-        raise ValueError("analysis field 'generator_map' does not generate the table")
     values = tuple(doc["phi"])
 
     def phi(key: str) -> PretendingFunction:

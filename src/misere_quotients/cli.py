@@ -19,7 +19,7 @@ import random
 import sys
 from dataclasses import replace
 
-from .octal import GameCodeError, Position, _heap_moves, parse_game_code
+from .octal import GameCodeError, Position, _heap_moves, parse_game_code, period_window
 from .oracle import (
     MISERE,
     NORMAL,
@@ -187,7 +187,7 @@ def cmd_certify(args) -> int:
     if period is None:
         raise ValueError("no period given and none claimed by the analysis")
     r0, p = period
-    window = verifier._certificate_window(qa.code, r0, p)
+    window = period_window(qa.code, r0, p)
     print(f"certifying period r0={r0} p={p}: verifying to heap {window}")
     cert = verifier.certify_period(qa, r0, p, budget=args.budget)
     if cert is None:

@@ -52,6 +52,13 @@ class GameCode:
         )
 
 
+def period_window(code: GameCode, r0: int, p: int) -> int:
+    """The last heap, 2*r0 + p + places - 1, that a period (r0, p) is checked
+    to: nim values that repeat that far repeat forever, by the octal
+    periodicity theorem, and so does a quotient verified that far."""
+    return 2 * r0 + p + code.places - 1
+
+
 _CODE_RE = re.compile(r"^([0-7])\.([0-7]+)$")
 
 

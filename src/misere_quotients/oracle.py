@@ -22,7 +22,7 @@ from functools import reduce
 from operator import xor
 from typing import Callable, Iterable
 
-from .octal import GameCode, Position, _heap_moves, parse_game_code
+from .octal import GameCode, Position, _heap_moves, parse_game_code, period_window
 
 __all__ = [
     "PlayConvention",
@@ -453,16 +453,15 @@ def nim_value(code: GameCode, position: Position) -> int:
 def normal_period(code: GameCode, r0_max: int = 200) -> tuple[int, int] | None:
     """Smallest certified (preperiod, period) of the heap-value sequence.
 
-    A pair (r0, p) is certified once G(r + p) = G(r) holds for every r with
-    r0 <= r < 2*r0 + p + places; values beyond any heap of that range can then
-    never break the pattern.  Smallest period wins, then smallest preperiod.
-    Returns None if nothing certifies with r0 <= r0_max.
+    A pair (r0, p) is certified once G(r + p) = G(r) holds for every r from
+    r0 to octal.period_window(code, r0, p); values beyond any heap of that
+    range can then never break the pattern.  Smallest period wins, then
+    smallest preperiod.  Returns None if nothing certifies with r0 <= r0_max.
     """
-    places = code.places
     for p in range(1, r0_max + 1):
         for r0 in range(1, r0_max + 1):
-            hi = 2 * r0 + p + places
-            if all(grundy(code, r + p) == grundy(code, r) for r in range(r0, hi)):
+            hi = period_window(code, r0, p)
+            if all(grundy(code, r + p) == grundy(code, r) for r in range(r0, hi + 1)):
                 return (r0, p)
     return None
 

@@ -39,8 +39,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
-from operator import itemgetter
+from functools import cached_property, partial, reduce
 
 from .oracle import BudgetExceededError, InternalError
 
@@ -354,10 +353,8 @@ class FiniteCommutativeMonoid:
 
     ``names`` label the elements; ``words`` holds their exponent vectors when
     the monoid came from a rewriting system (None for derived monoids such as
-    subgroups and quotient factors).  The table is validated on construction:
-    commutativity and the identity law always; associativity by Light's test
-    on the ``generator_map`` images when they generate the table, otherwise
-    exhaustively for at most 64 elements.  ``map_generates`` records which.
+    subgroups and quotient factors).  The table passes ``_check_table`` on
+    construction, so the ``generator_map`` images must generate it.
     """
 
     def __init__(
@@ -379,23 +376,7 @@ class FiniteCommutativeMonoid:
         self.words = words
         self.generators = generators
         self._index = {name: i for i, name in enumerate(names)}
-        # Whole rows against whole columns: the transpose of a commutative
-        # table is the table itself.
-        rows = list(map(tuple, table))
-        columns = list(zip(*table))
-        identity = tuple(range(k))
-        if rows[identity_index] != identity or columns[identity_index] != identity:
-            raise ValueError("identity row/column is not the identity map")
-        if columns != rows:
-            raise ValueError("table is not commutative")
-        gens = set(self.generator_map.values())
-        if not gens <= set(range(k)):
-            raise ValueError("generator map points outside the table")
-        self.map_generates = len(_closure(table, identity_index, gens)) == k
-        if self.map_generates:
-            _check_associative(table, gens)
-        elif k <= 64:
-            _check_associative(table, range(k))
+        _check_table(table, identity_index, self.generator_map.values())
 
     def __eq__(self, other: object) -> bool:
         # By value, over the fields that define the monoid.
@@ -426,24 +407,47 @@ class FiniteCommutativeMonoid:
         return self._index[name]
 
 
+def _check_table(table, identity: int, gens) -> None:
+    """Raise ValueError unless the square ``table`` is a commutative monoid
+    with ``identity`` as its identity, generated by the elements ``gens``.
+
+    Generation makes Light's test over ``gens`` a proof of associativity, so
+    this is the one check every table passes, whatever its size or source.
+    """
+    k = len(table)
+    # Whole rows against whole columns: the transpose of a commutative table
+    # is the table itself.
+    rows = list(map(tuple, table))
+    columns = list(zip(*table))
+    identity_map = tuple(range(k))
+    if rows[identity] != identity_map or columns[identity] != identity_map:
+        raise ValueError("identity row/column is not the identity map")
+    if columns != rows:
+        raise ValueError("table is not commutative")
+    gens = set(gens)
+    if not gens <= set(range(k)):
+        raise ValueError("generator map points outside the table")
+    if len(_closure(table, identity, gens)) != k:
+        raise ValueError("'generator_map' does not generate the table")
+    _check_associative(table, gens)
+
+
 def _check_associative(table: tuple[tuple[int, ...], ...], gens) -> None:
-    """Light's test: raise ValueError unless (x*g)*y = x*(g*y) for every g in
-    ``gens`` and all x, y.
+    """Light's test on a commutative table: raise ValueError unless
+    (x*g)*y = x*(g*y) for every g in ``gens`` and all x, y.
 
     With the identity law, this proves associativity whenever ``gens``
     generate the table: the elements g passing the test contain the identity
     and are closed under products, since (x*(gh))*y = ((x*g)*h)*y
     = (x*g)*(h*y) = x*(g*(h*y)) = x*((gh)*y).  With ``gens`` every element
-    it is the exhaustive check.
+    it is the exhaustive check.  By commutativity x*(g*y) = (y*g)*x, so the
+    test for g asks that the rows of x*g, stacked in the order of x, form a
+    symmetric matrix.
     """
-    if len(table) < 2:
-        # itemgetter of one index returns a scalar, not a row; a one-element
-        # table with its entry in range is associative anyway.
-        return
+    rows = list(map(tuple, table))
     for g in gens:
-        # Whole rows at once: x*(g*y) over all y against the row of x*g.
-        left = list(map(itemgetter(*table[g]), table))
-        if left != [tuple(table[x_row[g]]) for x_row in table]:
+        stacked = [rows[v] for v in rows[g]]
+        if stacked != list(zip(*stacked)):
             raise ValueError("table is not associative")
 
 
@@ -538,18 +542,33 @@ def _element_profile(m: FiniteCommutativeMonoid, i: int) -> tuple[int, int, int]
     return (tail, cycle, rank)
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _closure_add(table, mask: int, g: int) -> int:
+    """Submonoid closure of the elements in mask (already a submonoid) plus
+    generator g, as a bitmask.
+
+    Since mask is closed, every new element is old * g^k, so it is enough to
+    saturate under multiplication by g alone."""
+    row = table[g]
+    frontier = [row[x] for x in _bits(mask)]
+    while frontier:
+        e = frontier.pop()
+        if not mask >> e & 1:
+            mask |= 1 << e
+            frontier.append(row[e])
+    return mask
+
+
 def _closure(table, identity: int, gens) -> set[int]:
     """The submonoid of a multiplication table generated by gens."""
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        row = table[frontier.pop()]
-        for g in gens:
-            v = row[g]
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return seen
+    return set(_bits(reduce(partial(_closure_add, table), gens, 1 << identity)))
 
 
 def _least_words(table, identity: int, letters) -> dict[int, Word]:

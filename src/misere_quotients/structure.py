@@ -93,10 +93,11 @@ def maximal_subgroup(
     table = tuple(
         tuple(local[m.table[a][b]] for b in members) for a in members
     )
+    names = tuple(m.names[u] for u in members)
     return FiniteCommutativeMonoid(
-        names=tuple(m.names[u] for u in members),
+        names=names,
         table=table,
-        generator_map={},
+        generator_map=dict(zip(names, range(len(members)))),
         identity_index=local[f],
     )
 

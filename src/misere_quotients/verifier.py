@@ -31,9 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .octal import GameCode, _heap_moves
+from .octal import _heap_moves, period_window
 from .oracle import MISERE, BudgetExceededError
 from .builder import QuotientAnalysis, phi_heap
+from .semigroup import _bits, _closure, _closure_add
 
 __all__ = [
     "MovePair",
@@ -145,30 +146,6 @@ def check_no_PP(
 
 # ---------------------------------------------------------------------------
 # the N-to-P half
-
-
-def _bits(mask: int):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _closure_add(table, mask: int, g: int) -> int:
-    """Submonoid closure of the elements in mask (already a submonoid) plus
-    generator g, as a bitmask.
-
-    Since mask is closed, every new element is old * g^k, so it is enough to
-    saturate under multiplication by g alone."""
-    row = table[g]
-    frontier = [row[x] for x in _bits(mask)]
-    while frontier:
-        e = frontier.pop()
-        if not mask >> e & 1:
-            mask |= 1 << e
-            frontier.append(row[e])
-    return mask
 
 
 class _Context:
@@ -400,10 +377,8 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
 
 def submonoid_of(qa: QuotientAnalysis, heaps) -> tuple[int, ...]:
     """S(U): the submonoid generated by the elements of the given heaps."""
-    mask = 1 << qa.monoid.identity_index
-    for h in heaps:
-        mask = _closure_add(qa.monoid.table, mask, _phi(qa, h))
-    return tuple(_bits(mask))
+    elements = (_phi(qa, h) for h in heaps)
+    return tuple(sorted(_closure(qa.monoid.table, qa.monoid.identity_index, elements)))
 
 
 def solutions_for(qa: QuotientAnalysis, omega: int, heaps) -> tuple[int, ...]:
@@ -503,11 +478,6 @@ def verify_to_heap(
     )
 
 
-def _certificate_window(code: GameCode, r0: int, p: int) -> int:
-    """Heap size to which certify_period verifies the period (r0, p)."""
-    return 2 * r0 + p + code.places - 1
-
-
 def certify_period(
     qa: QuotientAnalysis,
     r0: int,
@@ -519,14 +489,14 @@ def certify_period(
 
     Requires the stored values to actually repeat with period p from r0 on,
     with at least one full period stored.  Verifies correctness to heap size
-    2*r0 + p + places - 1; past that bound the translate sets repeat, so the
-    quotient decides all larger heaps too.  Returns the certified analysis,
+    octal.period_window(code, r0, p); past it the translate sets repeat, so
+    the quotient decides all larger heaps too.  Returns the certified analysis,
     or None when the verification fails.
     """
     # Raises ValueError when the stored values break the period or do not
     # cover one full period.
     claimed = replace(qa.phi, claimed_period=(r0, p))
-    n_window = _certificate_window(qa.code, r0, p)
+    n_window = period_window(qa.code, r0, p)
     candidate = replace(qa, phi=claimed)
     report = verify_to_heap(candidate, n_window, budget=budget)
     if not report.passed:

@@ -291,6 +291,80 @@ class TestOtherGames:
         assert verify_to_heap(qa, n).passed
 
 
+def _product_signature_mismatches(sigs, table):
+    """Entries (i, j) of a folded class table that differ from the class of
+    sig(rep_i + rep_j), the product-signature table that serves as the
+    fold's reference.  The classes and their representatives are discovered
+    again, in the builder's order, from the same signatures."""
+    game = sigs._game
+    class_of, reps = {}, []
+
+    def classify(u):
+        if class_of.setdefault(sigs.sig(u), len(reps)) == len(reps):
+            reps.append(u)
+
+    classify(0)
+    for rep in reps:
+        for h in range(1, sigs.n + 1):
+            classify(game.join(rep, game.key((h,))))
+    assert len(reps) == len(table)
+    return [
+        (i, j)
+        for i, j in itertools.combinations_with_replacement(range(len(reps)), 2)
+        if class_of.get(sigs.sig(game.join(reps[i], reps[j]))) != table[i][j]
+    ]
+
+
+# Two-place codes whose first round at n = 8 gives a class table that is no
+# monoid, so the builder must widen, and their element counts.
+NO_MONOID_AT_FIRST_ROUND = {"0.35": 106, "0.71": 36}
+
+
+class TestFoldedTable:
+    @pytest.mark.parametrize(
+        "code, n, play",
+        list(OTHER_GAMES) + [(code, 8, MISERE) for code in NO_MONOID_AT_FIRST_ROUND],
+        ids=[f"{code}-{n}-{play.value}" for code, n, play in OTHER_GAMES]
+        + [f"{code}-8-misere" for code in NO_MONOID_AT_FIRST_ROUND],
+    )
+    def test_equals_product_signature_table(self, code, n, play, monkeypatch):
+        # Every round that yields an analysis, up to the two that agree.
+        tables = []
+        named = builder._named_analysis
+
+        def spy(code, play, n, table, *rest):
+            tables.append(table)
+            return named(code, play, n, table, *rest)
+
+        monkeypatch.setattr(builder, "_named_analysis", spy)
+        sigs = _Signatures(parse_game_code(code), n, play)
+        previous, checked = None, 0
+        for m in range(builder._START_CONTEXT, builder._MAX_CONTEXT + 1):
+            sigs.widen(m)
+            tables.clear()
+            qa = _run_round(sigs)
+            if qa is not None:
+                assert _product_signature_mismatches(sigs, tables[0]) == []
+                checked += 1
+                if qa == previous:
+                    break
+            previous = qa
+        assert checked >= 2
+
+
+class TestCorpus:
+    CODES = [f"0.{d1}{d2}" for d1 in range(8) for d2 in range(1, 8)]
+
+    def test_two_place_codes_build_and_verify(self):
+        # Each nontrivial last digit: the quotient builds at n = 8 and the
+        # verifier proves it to heap 8.
+        for code in self.CODES:
+            qa = build_quotient(code, 8)
+            assert verify_to_heap(qa, 8).passed, code
+            if code in NO_MONOID_AT_FIRST_ROUND:
+                assert len(qa.monoid) == NO_MONOID_AT_FIRST_ROUND[code]
+
+
 class TestSmallWindows:
     def test_single_heap_window(self):
         qa = build_quotient(G123, 1)

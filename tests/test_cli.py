@@ -66,6 +66,15 @@ class TestAnalyze:
         assert "certified period: r0=71 p=12" in out
         assert elapsed < 2
 
+    def test_widens_past_a_round_that_is_no_monoid(self, capsys):
+        # The first round of 0.71 at n = 8 gives a class table that is no
+        # monoid; the builder widens its contexts instead of failing.
+        rc = main(["analyze", "0.71", "-n", "8"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "quotient elements: 36" in out
+        assert "PASSED" in out
+
 
 class TestOutcome:
     def test_worked_example(self, capsys, analysis_file):

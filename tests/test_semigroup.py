@@ -359,15 +359,16 @@ class TestTableValidation:
     def test_rejects_non_associative(self):
         # (i*j)*k vs i*(j*k) mismatch hidden behind a commutative table.
         table = ((0, 1, 2), (1, 0, 0), (2, 0, 1))
-        with pytest.raises(ValueError):
-            FiniteCommutativeMonoid(("e", "a", "b"), table, {})
+        with pytest.raises(ValueError, match="not associative"):
+            FiniteCommutativeMonoid(("e", "a", "b"), table, {"a": 1, "b": 2})
 
     def test_rejects_generator_outside_table(self):
         with pytest.raises(ValueError):
             FiniteCommutativeMonoid(("e", "x"), ((0, 1), (1, 0)), {"x": 2})
 
     def test_large_table_checked_with_generators(self):
-        # Beyond 64 elements only a generating set lets the check run.
+        # Every table is checked by Light's test over a generating set, so a
+        # map that generates nothing is refused at any size.
         k = 65
         rows = [[(i + j) % k for j in range(k)] for i in range(k)]
         rows[2][3] = rows[3][2] = 0
@@ -375,7 +376,8 @@ class TestTableValidation:
         names = tuple(f"g{i}" for i in range(k))
         with pytest.raises(ValueError):
             FiniteCommutativeMonoid(names, table, {"g1": 1})
-        FiniteCommutativeMonoid(names, table, {})  # unchecked: no generators
+        with pytest.raises(ValueError, match="does not generate the table"):
+            FiniteCommutativeMonoid(names, table, {})
 
 
 @lru_cache(maxsize=None)

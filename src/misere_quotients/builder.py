@@ -461,8 +461,9 @@ def _ints_within(values, low: int, high: int | None = None) -> bool:
 
 def _check_analysis_doc(doc) -> None:
     """Raise ValueError unless doc has the fields analysis_to_json writes,
-    with their types and every element index in range.  The cost is linear
-    in the size of the document; the proof itself is not re-checked."""
+    with their types, distinct element names and every element index in
+    range.  The cost is linear in the size of the document; the proof
+    itself is not re-checked."""
     if not isinstance(doc, dict):
         raise ValueError("an analysis file holds a JSON object")
     for key, kinds in _FIELDS.items():
@@ -492,6 +493,7 @@ def _check_analysis_doc(doc) -> None:
     k = len(names)
     require(k > 0 and set(map(type, names)) == {str}, "names",
             "is not a nonempty list of strings")
+    require(len(set(names)) == k, "names", "repeats an element name")
     require(set(map(type, doc["generators"])) <= {str}, "generators",
             "is not a list of strings")
     require(

@@ -19,6 +19,7 @@ import enum
 import weakref
 from dataclasses import dataclass
 from functools import reduce
+from itertools import repeat
 from operator import xor
 from typing import Callable, Iterable
 
@@ -129,7 +130,7 @@ class _Game:
     *1 tokens by parity only.  Each step is exact under both conventions, by
     induction on heap size: a heap with no move adds no move; heaps whose
     options are equal games are equal games; and X + *1 + *1 has the
-    outcome and misere mex value of X (see _gminus_states).
+    outcome and misere mex value of X (see _gminus_rows).
 
     The searches take a canonical position packed into one int: the count
     of canonical heap h sits in the ``_W``-bit field at bit ``_W * h``, and
@@ -151,8 +152,9 @@ class _Game:
 
     The memos: ``outcomes[play]`` maps a packed position to True when the
     player to move wins, and ``wins`` alone reads and fills it; ``gminus``
-    holds the states of _gminus_ext.  Dropping the object from ``_games``
-    frees both.  No game tree is kept here.
+    maps a packed game x to its rows of _gminus_rows, which ``genus``
+    fills.  Dropping the object from ``_games`` frees both.  No game tree
+    is kept here.
     """
 
     __slots__ = ("code", "grundy", "heap", "rows", "s1", "_least",
@@ -169,7 +171,7 @@ class _Game:
         self.outcomes: dict[PlayConvention, dict[int, bool]] = {
             play: {} for play in PlayConvention
         }
-        self.gminus: dict[tuple[int, int, int], int] = {}
+        self.gminus: dict[int, tuple[list[int], list[int]]] = {}
 
     def key(self, heaps: tuple[int, ...]) -> int:
         """The packed canonical form of a position given by its heap sizes,
@@ -388,8 +390,9 @@ def position_options(code: GameCode, position: Position) -> set[Position]:
 def _postorder(cache: dict, root, options, value, limit: int | None = None):
     """``cache[root]``, filling ``cache`` without recursion.
 
-    This serves the searches that need every option's value: trees, tree
-    sums and genus states.  The outcome search stops earlier, in _Game.wins.
+    This serves the searches that need every option's value: trees and
+    tree sums.  The outcome search stops earlier, in _Game.wins, and the
+    genus search fills whole rows, in _gminus_rows.
     Every node below ``root`` not yet in ``cache`` is stored as
     ``value([cache[o] for o in options(node)])`` once all its options are
     stored.  Raises BudgetExceededError if ``cache`` would grow past
@@ -604,12 +607,14 @@ def _trim_exponents(values: list[int], cap: int, what: str) -> tuple[int, ...]:
     raise GenusTailError(f"{what}: no settled tail within {cap} exponents")
 
 
-def _gminus_states(memo: dict, root: tuple, x_options: Callable) -> int:
-    """Misere mex value of the state ``root``, computed without building sums.
+def _gminus_rows(memo: dict, root, x_options: Callable,
+                 length: int) -> tuple[list[int], list[int]]:
+    """The rows of the game ``root``, computed without building sums:
+    ``rows[n1][n2]`` is the misere mex value of root plus n1 copies of *1
+    and n2 copies of *2, for n1 in {0, 1} and n2 below at least ``length``.
 
-    A state (x, n1, n2) is the game x plus n1 copies of *1 and n2 copies of
-    *2.  The search keeps n1 mod 2 only, because g-(X + *1 + *1) = g-(X) for
-    every game X.  By induction on X:
+    Only n1 mod 2 is kept, because g-(X + *1 + *1) = g-(X) for every game
+    X.  By induction on X:
 
     - The options of X + *1 + *1 are X' + *1 + *1, of value g-(X') by
       induction, and X + *1.
@@ -618,74 +623,94 @@ def _gminus_states(memo: dict, root: tuple, x_options: Callable) -> int:
       differs from that mex leaves the mex unchanged.
     - If X is the endgame, g-(*1 + *1) = mex{g-(*1)} = mex{0} = 1 = g-(0).
 
-    ``x_options(x)``, called once per distinct x, lists x's options as
-    pairs (x', flip): x' plus flip (0 or 1) copies of *1.  The search fills
-    ``memo`` for every state below ``root``, so a later call with fewer
-    copies of *2 is a memo hit.
+    The options of (x, n1, n2) are (x', n1 ^ flip, n2) for each option
+    (x', flip) of x, then (x, 0, n2) when n1 is 1, and (x, 0, n2 - 1) and
+    (x, 1, n2 - 1) when n2 > 0.  So one postorder over the distinct games x
+    suffices: once every option of x has its rows in ``memo``, one loop
+    fills x's rows, n2 upward and n1 = 0 before n1 = 1 at each n2.
+
+    ``x_options(x)``, called once per x whose rows are missing or short,
+    lists x's options as pairs (x', flip): x' plus flip (0 or 1) copies of
+    *1.  ``memo`` maps x to its rows; a row shorter than ``length`` is
+    extended in place, so a later call with fewer copies of *2 is a hit.
     """
-    moved: dict = {}
+    get, unseen = memo.get, ((), ())
+    stack = [(root, None)]
+    while stack:
+        x, opts = stack.pop()
+        if len(get(x, unseen)[0]) >= length:
+            continue
+        if opts is None:
+            opts = x_options(x)
+            pending = [(t, None) for t, _ in opts if len(get(t, unseen)[0]) < length]
+            if pending:
+                stack.append((x, opts))
+                stack += pending
+                continue
+        row0, row1 = memo.setdefault(x, ([], []))
+        start = len(row0)
+        # Per n1 of x, the columns n2 = start .. length - 1 of the option
+        # rows that n1 reads: option (x', flip) reads row n1 ^ flip of x'.
+        columns = [
+            zip(*[memo[t][n1 ^ flip][start:length] for t, flip in opts])
+            if opts else repeat((), length - start)
+            for n1 in (0, 1)
+        ]
+        # The values at n2 - 1, which every state at n2 has as options.
+        prev = (row0[-1], row1[-1]) if start else ()
+        for col0, col1 in zip(*columns):
+            seen = {*col0, *prev}
+            # Nothing is seen only at n2 = 0 for an x with no option: the endgame.
+            g0 = 0 if seen else 1
+            while g0 in seen:
+                g0 += 1
+            seen = {*col1, *prev, g0}
+            g1 = 0
+            while g1 in seen:
+                g1 += 1
+            row0.append(g0)
+            row1.append(g1)
+            prev = (g0, g1)
+    return memo[root]
 
-    def options(node):
-        x, n1, n2 = node
-        if x not in moved:
-            moved[x] = x_options(x)
-        opts = [(t, n1 ^ flip, n2) for t, flip in moved[x]]
-        if n1:
-            opts.append((x, 0, n2))
-        if n2:
-            opts.append((x, n1 ^ 1, n2 - 1))
-            opts.append((x, n1, n2 - 1))
-        return opts
 
-    return _postorder(memo, root, options, _misere_mex)
-
-
-def _genus_symbol(g_plus: int, gminus: Callable, cap: int, what: str) -> GenusSymbol:
-    # gminus(n2): the misere mex value with n2 copies of *2 added.  Largest n2
-    # first, so one search fills the memo; for cap < -1 no n2 is negative.
-    values = [gminus(n2) for n2 in range(cap + 1, -1, -1)]
-    values.reverse()
+def _genus_symbol(g_plus: int, memo: dict, x, n1: int, x_options: Callable,
+                  cap: int, what: str) -> GenusSymbol:
+    # The exponents are the misere values of x + n1 *1 plus 0 .. cap + 1
+    # copies of *2, by _gminus_rows; for cap < -1 nothing is searched.
+    length = cap + 2
+    values = _gminus_rows(memo, x, x_options, length)[n1][:length] if length > 0 else []
     return GenusSymbol(g_plus, _trim_exponents(values, cap, what))
 
 
 def genus_of_tree(tree: GameTree, cap: int = 16) -> GenusSymbol:
-    """Genus symbol of an abstract game tree, by _gminus_states over its
+    """Genus symbol of an abstract game tree, by _gminus_rows over its
     subtrees, with a memo freed on return."""
-    memo: dict[tuple[GameTree, int, int], int] = {}
-
-    def gminus(n2: int) -> int:
-        # A move in a tree sets no *1 aside: every flip is 0.
-        return _gminus_states(memo, (tree, 0, n2), lambda t: [(o, 0) for o in t.options])
-
-    return _genus_symbol(tree._grundy, gminus, cap, "tree genus")
-
-
-def _gminus_ext(game: _Game, root: int, n2: int) -> int:
-    """Misere mex value of (packed ``root`` + n2 two-token nim heaps), by
-    _gminus_states in the game's memo ``gminus``.
-
-    A state's x is packed canonical (see _Game, whose reductions keep the
-    value) with the game's own *1 heaps moved into n1.  So x holds no *1, an
-    option's s1 field is its moved heap's *1, 0 or 1, and one bit test
-    splits it off into n1.
-    """
-    one = 1 << _W * game.s1
-    n1 = 1 if root & one else 0
-    return _gminus_states(
-        game.gminus, (root - n1 * one, n1, n2),
-        lambda x: [(t - one, 1) if t & one else (t, 0) for t in game.options(x)],
+    # A move in a tree sets no *1 aside: every flip is 0.
+    return _genus_symbol(
+        tree._grundy, {}, tree, 0, lambda t: [(o, 0) for o in t.options], cap, "tree genus",
     )
 
 
 def genus(code: GameCode, position: Position, cap: int = 16) -> GenusSymbol:
-    """Genus symbol of a heap position, computed by direct search.  Raises
-    ValueError for a position too large to pack (see _Game)."""
+    """Genus symbol of a heap position, computed by direct search in the
+    game's memo ``gminus``.  Raises ValueError for a position too large to
+    pack (see _Game).
+
+    The search's x is packed canonical (see _Game, whose reductions keep the
+    value) with the game's own *1 heaps moved into n1.  So x holds no *1, an
+    option's s1 field is its moved heap's *1, 0 or 1, and one bit test
+    splits it off into n1.
+    """
     # Packed first, so that a position too large to pack is refused before
     # the nim values grow the game to its heaps.
     game = _game(code)
     root = game.key(position.heaps)
+    one = 1 << _W * game.s1
+    n1 = 1 if root & one else 0
     return _genus_symbol(
-        nim_value(code, position), lambda n2: _gminus_ext(game, root, n2),
+        nim_value(code, position), game.gminus, root - n1 * one, n1,
+        lambda x: [(t - one, 1) if t & one else (t, 0) for t in game.options(x)],
         cap, f"genus of {position}",
     )
 

@@ -542,14 +542,6 @@ def _element_profile(m: FiniteCommutativeMonoid, i: int) -> tuple[int, int, int]
     return (tail, cycle, rank)
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _closure_add(table, mask: int, g: int) -> int:
     """Submonoid closure of the elements in mask (already a submonoid) plus
     generator g, as a bitmask.
@@ -557,7 +549,9 @@ def _closure_add(table, mask: int, g: int) -> int:
     Since mask is closed, every new element is old * g^k, so it is enough to
     saturate under multiplication by g alone."""
     row = table[g]
-    frontier = [row[x] for x in _bits(mask)]
+    # mask's binary digits, least first, pick the images of its elements:
+    # cheaper than a generator step per bit.
+    frontier = [e for e, bit in zip(row, bin(mask)[:1:-1]) if bit == "1"]
     while frontier:
         e = frontier.pop()
         if not mask >> e & 1:
@@ -568,7 +562,8 @@ def _closure_add(table, mask: int, g: int) -> int:
 
 def _closure(table, identity: int, gens) -> set[int]:
     """The submonoid of a multiplication table generated by gens."""
-    return set(_bits(reduce(partial(_closure_add, table), gens, 1 << identity)))
+    mask = reduce(partial(_closure_add, table), gens, 1 << identity)
+    return {x for x, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"}
 
 
 def _least_words(table, identity: int, letters) -> dict[int, Word]:

@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from .octal import _heap_moves, period_window
 from .oracle import MISERE, BudgetExceededError
 from .builder import QuotientAnalysis, phi_heap
-from .semigroup import _bits, _closure, _closure_add
+from .semigroup import _closure, _closure_add
 
 __all__ = [
     "MovePair",
@@ -146,6 +146,14 @@ def check_no_PP(
 
 # ---------------------------------------------------------------------------
 # the N-to-P half
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class _Context:

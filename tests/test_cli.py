@@ -520,6 +520,18 @@ class TestMalformedAnalysis:
         assert "'generator_heaps' does not match 'phi'" in captured.err
 
     @pytest.mark.parametrize("command", ["outcome", "structure", "verify", "certify"])
+    def test_repeated_element_name(self, capsys, analysis_file, tmp_path, command):
+        # Loaded, the second "x" would shadow the first in index_of.
+        def edit(doc):
+            doc["names"][2] = doc["names"][1]
+
+        path = self._damaged(analysis_file, tmp_path, edit)
+        assert main([command, path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'names' repeats an element name" in captured.err
+
+    @pytest.mark.parametrize("command", ["outcome", "structure", "verify", "certify"])
     def test_file_too_deep_to_decode(self, capsys, tmp_path, command):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
@@ -547,7 +559,14 @@ _json_values = st.recursive(
 
 def _mutate(data, doc) -> None:
     """Change one value of ``doc`` in place, drop it, or append to a list:
-    at a top-level key, or at a node a few levels below one."""
+    at a top-level key, or at a node a few levels below one.  Or give one
+    element the name of another."""
+    names = doc.get("names")
+    if isinstance(names, list) and len(names) > 1 and data.draw(st.integers(0, 3)) == 0:
+        i, j = data.draw(st.lists(st.integers(0, len(names) - 1), min_size=2, max_size=2,
+                                  unique=True))
+        names[i] = names[j]
+        return
     parent, key = doc, data.draw(st.sampled_from(sorted(doc)))
     while isinstance(parent[key], (dict, list)) and parent[key]:
         if not data.draw(st.booleans()):

@@ -405,11 +405,13 @@ class TestGenus:
 GENUS_GAMES = [parse_game_code(c) for c in ("0.123", "0.77", "0.137", "0.07")]
 
 
-def genus_by_tree_sums(tree, cap=16):
+def genus_by_tree_sums(tree, cap=16, sums=None):
     """The genus of a tree from the sums of the tree with 0..cap + 1 copies
     of *2, each built as a tree: no state is folded.  This is tree_sum with
-    one memo for all the sums, which share most of their pairs."""
-    values, t, star2, sums = [], tree, nim_heap_tree(2), {}
+    one memo ``sums`` for all the sums, which share most of their pairs; a
+    caller may pass one memo to the trees of one game."""
+    values, t, star2 = [], tree, nim_heap_tree(2)
+    sums = {} if sums is None else sums
     for _ in range(cap + 2):
         values.append(misere_gminus(t))
         t = oracle._postorder(sums, (t, star2), oracle._sum_options, GameTree)
@@ -444,8 +446,7 @@ class TestGenusSearch:
         assert tree_outcome(tree, NORMAL) is outcome(code, p, NORMAL)
         # The game's own *1 heaps live in the parity coordinate only.
         table = oracle._game(code, 9)
-        heaps_seen = {hs for hs, _, _ in table.gminus}
-        assert all(table.s1 not in table.unpack(hs) for hs in heaps_seen)
+        assert all(table.s1 not in table.unpack(x) for x in table.gminus)
         # The identity the search folds by: g-(X + *1 + *1) = g-(X).
         star1 = nim_heap_tree(1)
         for x in (tree, tree_sum(tree, nim_heap_tree(nim))):
@@ -465,42 +466,78 @@ class TestGenusSearch:
         assert str(genus(KAYLES, Position.of(20))) == "1^{031}"
         table = oracle._game(KAYLES)
         memo = table.gminus
-        assert {n1 for _, n1, _ in memo} == {0, 1}
         # Heap 1 of Kayles is *1, and its tokens live in n1 only.
-        assert all(1 not in table.unpack(hs) for hs, _, _ in memo)
-        # Keyed on n1 itself the memo would hold 135 432 states, and one
-        # search per exponent, each with its own heap options, 14 256 calls;
-        # with heap-1 tokens kept in the heaps, 27 720 states and 792 calls.
-        assert len(memo) == 10763
+        assert all(1 not in table.unpack(x) for x in memo)
+        # Both n1 parities are stored, for n2 = 0 .. cap + 1, and they
+        # differ at every n2: X is an option of X + *1.
+        assert all(len(r0) == len(r1) == 18 for r0, r1 in memo.values())
+        assert all(a != b for r0, r1 in memo.values() for a, b in zip(r0, r1))
+        # One row pair and one options call per distinct x.  Keyed on n1
+        # itself a state memo would hold 135 432 states, and one search per
+        # exponent, each with its own heap options, 14 256 calls; with
+        # heap-1 tokens kept in the heaps, 27 720 states and 792 calls.
+        assert len(memo) == 302
         assert len(calls) == len(set(calls)) == 302
 
+    @staticmethod
+    def _lengths(monkeypatch) -> list[int]:
+        # The row lengths the genus searches ask for.
+        gminus_rows = oracle._gminus_rows
+        lengths = []
+
+        def nonnegative(memo, root, x_options, length):
+            assert length >= 1, "no n2 below 0 is ever searched"
+            lengths.append(length)
+            return gminus_rows(memo, root, x_options, length)
+
+        monkeypatch.setattr(oracle, "_gminus_rows", nonnegative)
+        return lengths
+
     def test_small_caps_raise(self, monkeypatch):
-        gminus_ext = oracle._gminus_ext
-
-        def nonnegative(game, root, n2):
-            assert n2 >= 0, "a search from a negative n2 never ends"
-            return gminus_ext(game, root, n2)
-
-        monkeypatch.setattr(oracle, "_gminus_ext", nonnegative)
+        lengths = self._lengths(monkeypatch)
         for cap in (-3, -1, 0, 1):
             with pytest.raises(GenusTailError):
                 genus(G123, Position.of(8), cap=cap)
+        assert lengths == [1, 2, 3]
 
     def test_small_caps_raise_on_trees(self, monkeypatch):
-        gminus_states = oracle._gminus_states
-        n2s = set()
-
-        def nonnegative(memo, root, x_options):
-            assert root[2] >= 0, "a search from a negative n2 never ends"
-            n2s.add(root[2])
-            return gminus_states(memo, root, x_options)
-
-        monkeypatch.setattr(oracle, "_gminus_states", nonnegative)
+        lengths = self._lengths(monkeypatch)
         tree = tree_of_position(G123, Position.of(8))
         for cap in (-3, -1, 0, 1):
             with pytest.raises(GenusTailError):
                 genus_of_tree(tree, cap=cap)
-        assert n2s == {0, 1, 2}
+        assert lengths == [1, 2, 3]
+
+    def test_short_rows_are_extended(self, monkeypatch):
+        # A memo filled at cap 2, asked again at cap 16, answers as a fresh one.
+        cases = [(code, Position.of(h)) for code in GENUS_GAMES for h in range(1, 13)]
+        monkeypatch.setattr(oracle, "_games", {})
+        fresh = [_genus_or_tail_error(genus, code, p) for code, p in cases]
+        monkeypatch.setattr(oracle, "_games", {})
+        for code, p in cases:
+            _genus_or_tail_error(genus, code, p, 2)
+        assert [_genus_or_tail_error(genus, code, p) for code, p in cases] == fresh
+        assert {len(r0) for g in oracle._games.values() for r0, _ in g.gminus.values()} == {18}
+        # The same on a tree's memo, which genus_of_tree frees on return.
+        tree = tree_of_position(KAYLES, Position.of(14))
+        children = lambda t: [(o, 0) for o in t.options]
+        memo = {}
+        oracle._gminus_rows(memo, tree, children, 4)
+        assert oracle._gminus_rows(memo, tree, children, 18) == \
+            oracle._gminus_rows({}, tree, children, 18)
+
+    def test_every_two_digit_code_against_tree_sums(self):
+        # Every code 0.d1d2, heaps 1..8: both searches against the sums with
+        # *2 built as trees, whose memo the heaps of one code share.
+        for d1 in range(8):
+            for d2 in range(1, 8):
+                code, sums = parse_game_code(f"0.{d1}{d2}"), {}
+                for h in range(1, 9):
+                    tree = tree_of_position(code, Position.of(h))
+                    want = _genus_or_tail_error(genus_by_tree_sums, tree, 16, sums)
+                    got = _genus_or_tail_error(genus, code, Position.of(h))
+                    assert got == want, (code, h)
+                    assert _genus_or_tail_error(genus_of_tree, tree) == want, (code, h)
 
 
 class TestTrees:

@@ -10,7 +10,8 @@ The verifier module turns a candidate into a proof.
 Misere classes are discovered with signatures: sig(u) = the outcome of u + w
 for every context w with at most m heaps, all heap sizes <= n.  The budget m
 escalates until two consecutive rounds produce identical results.  Normal-play
-classes are the nim values, and one tail names the classes of either.
+classes are the nim values.  The classes of either convention are closed,
+folded and named by semigroup._generated_table and _named_monoid.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from itertools import chain, combinations_with_replacement, islice, repeat
+from operator import xor
 
 from .octal import GameCode, Position, parse_game_code
 from .oracle import (
     MISERE,
     NORMAL,
-    BudgetExceededError,
     GenusSymbol,
     Outcome,
     PlayConvention,
@@ -35,9 +36,9 @@ from .semigroup import (
     FiniteCommutativeMonoid,
     _check_table,
     _closure,
-    _least_words,
+    _generated_table,
+    _named_monoid,
     enumerate_elements,
-    format_word,
     knuth_bendix,
     parse_presentation,
     parse_word,
@@ -201,48 +202,21 @@ class _Signatures:
 
 def _run_round(sigs: _Signatures) -> QuotientAnalysis | None:
     """The candidate at the current contexts of ``sigs``, or None when its
-    class table is no monoid there.  Each class is represented by a packed
-    canonical position (see oracle._Game).
-
-    Discovery classifies rep_c + h for every class c and heap h and keeps
-    the class as acts[c][h - 1]; the class first reached as rep_p + h has
-    parent (p, h - 1).  Its row of the table is folded from its parent's,
-    as in semigroup.enumerate_elements: (p*h)*u = (p*u)*h.
-    """
+    class table is no monoid there.  The classes are those of packed
+    canonical positions (see oracle._Game) under signature equality, closed
+    under adding single heaps and folded by semigroup._generated_table."""
     game = sigs._game
-    class_of: dict[bytes, int] = {}
-    reps: list[int] = []
-    parents: list[tuple[int, int] | None] = []
-    acts: list[list[int]] = []
     singles = [game.key((h,)) for h in range(1, sigs.n + 1)]
-
-    def classify(u: int, parent: tuple[int, int] | None) -> int:
-        s = sigs.sig(u)
-        if s not in class_of:
-            if len(reps) >= _MAX_CLASSES:
-                raise BudgetExceededError(f"more than {_MAX_CLASSES} classes")
-            class_of[s] = len(reps)
-            reps.append(u)
-            parents.append(parent)
-        return class_of[s]
-
-    # Class 0 is the identity.  reps grows as classes appear, so this loop
-    # is the breadth-first search over them.
-    classify(0, None)
-    for c, rep in enumerate(reps):
-        acts.append([classify(game.join(rep, single), (c, h))
-                     for h, single in enumerate(singles)])
-
-    table = [list(range(len(reps)))]
-    for p, h in islice(parents, 1, None):
-        table.append([acts[x][h] for x in table[p]])
+    reps, table, phi_classes = _generated_table(
+        0, singles, game.join, sigs.sig, _MAX_CLASSES
+    )
     try:
-        _check_table(table, 0, acts[0])
+        _check_table(table, 0, phi_classes)
     except ValueError:
         return None  # the classes are no monoid at this budget: widen
 
     return _named_analysis(
-        sigs.code, sigs.play, sigs.n, table, acts[0],
+        sigs.code, sigs.play, sigs.n, table, phi_classes,
         [cls for cls, rep in enumerate(reps) if not sigs.sig(rep)[0]],
     )
 
@@ -272,22 +246,12 @@ def _named_analysis(code: GameCode, play: PlayConvention, n: int, table,
             letter_cls.remove(cls)
     letters = tuple(islice(_letter_names(), len(letter_cls)))
 
-    least = _least_words(table, 0, letter_cls)
-    index_of = {cls: i for i, cls in enumerate(least)}
-    words = tuple(least.values())
-    monoid = FiniteCommutativeMonoid(
-        names=tuple(format_word(w, letters) for w in words),
-        table=tuple(tuple(index_of[table[a][b]] for b in least) for a in least),
-        generator_map=dict(zip(letters, map(index_of.get, letter_cls))),
-        identity_index=0,
-        words=words,
-        generators=letters,
-    )
+    monoid, index_of = _named_monoid(table, letter_cls, letters)
     phi = PretendingFunction(tuple(index_of[cls] for cls in phi_classes))
     p_set = frozenset(index_of[cls] for cls in p_classes)
     return QuotientAnalysis(
         code, play, n, monoid, replace(phi, claimed_period=detect_period(phi)),
-        OutcomePartition(p_set, frozenset(range(len(words))) - p_set),
+        OutcomePartition(p_set, frozenset(range(len(monoid))) - p_set),
     )
 
 
@@ -322,17 +286,12 @@ def build_quotient(
         raise ValueError("heap bound must be at least 1")
     if play is MISERE:
         return _signature_quotient(code, n, play)
-    # The classes are the xor span of the heap values G(1..n), value 0 first.
+    # The classes are the nim values that xor of heap values G(1..n) reach.
     values = [grundy(code, h) for h in range(1, n + 1)]
-    span = [0]
-    for g in values:
-        if g not in span:
-            span += [v ^ g for v in span]
-            if len(span) > _MAX_CLASSES:
-                raise BudgetExceededError(f"more than {_MAX_CLASSES} classes")
-    index = {v: i for i, v in enumerate(span)}
-    table = [[index[a ^ b] for b in span] for a in span]
-    return _named_analysis(code, play, n, table, [index[g] for g in values], [0])
+    _, table, phi_classes = _generated_table(
+        0, values, xor, lambda v: v, _MAX_CLASSES
+    )
+    return _named_analysis(code, play, n, table, phi_classes, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +420,8 @@ def _ints_within(values, low: int, high: int | None = None) -> bool:
 
 def _check_analysis_doc(doc) -> None:
     """Raise ValueError unless doc has the fields analysis_to_json writes,
-    with their types, distinct element names and every element index in
-    range.  The cost is linear in the size of the document; the proof
+    with their types, distinct element names, one generator list and every
+    element index in range.  The cost is linear in the size of the document; the proof
     itself is not re-checked."""
     if not isinstance(doc, dict):
         raise ValueError("an analysis file holds a JSON object")
@@ -496,6 +455,8 @@ def _check_analysis_doc(doc) -> None:
     require(len(set(names)) == k, "names", "repeats an element name")
     require(set(map(type, doc["generators"])) <= {str}, "generators",
             "is not a list of strings")
+    require(set(doc["generator_map"]) == set(doc["generators"]), "generator_map",
+            "does not name the same generators as 'generators'")
     require(
         len(table) == k and all(isinstance(row, list) and len(row) == k for row in table),
         "table", f"is not a {k} x {k} table",

@@ -11,8 +11,13 @@ powers of earlier generators precedence.  With generators x, z, a, b this
 lists e, x, z, a, b, xz, xa, xb, z2, za, zb, b2, ... which is the order the
 rest of the package (tables, reports, element numbering) relies on.
 ``_least_words`` is the one place that finds each element's least word in
-that order over a set of letter elements of a table; the builder names its
-classes with it and ``is_isomorphic`` builds its image words with it.
+that order over a set of letter elements of a table; ``is_isomorphic``
+builds its image words with it.
+
+One closure builds every class table of the package: ``_generated_table``
+finds the classes and folds the table, ``_named_monoid`` names them by least
+word.  Presented monoids, misere classes and nim-value classes differ only in
+the action and the class key they pass.
 
 Rewriting runs on words packed into one int (``_Kernel``).  Each generator
 owns a field of ``width`` bits, the first generator in the top field, so
@@ -451,21 +456,75 @@ def _check_associative(table: tuple[tuple[int, ...], ...], gens) -> None:
             raise ValueError("table is not associative")
 
 
+def _generated_table(start, gens, act, key, cap: int):
+    """Close ``start`` under the generators by breadth-first search and fold
+    the multiplication table of the classes found.
+
+    ``act(x, g)`` is the representative x*g, and two representatives are one
+    class when ``key`` gives them equal keys; ``start`` must represent the
+    identity.  Returns (representatives in the order found, table, the class
+    of start*g for each g), class 0 being start.  Raises BudgetExceededError
+    once more than ``cap`` classes appear.
+
+    Every class v other than the identity was first reached as p*g from a
+    class p found before it, so its row is folded from p's row: v*u = (p*u)*g,
+    by commutativity and associativity, that is row(v)[u] = act_g[row(p)[u]].
+    The table thus costs k*|A| actions and k*k list lookups instead of k*k
+    products, for k classes and |A| generators.  The fold assumes what it
+    folds is a monoid; ``_check_table`` then decides whether it is one.
+    """
+    class_of = {key(start): 0}
+    reps = [start]
+    parents: list[tuple[int, int]] = []
+    acts: list[list[int]] = []  # acts[c][i]: the class of rep_c * gens[i]
+    for c, rep in enumerate(reps):  # reps grows as classes appear
+        row = []
+        for i, g in enumerate(gens):
+            y = act(rep, g)
+            k = key(y)
+            cls = class_of.get(k)
+            if cls is None:
+                if len(reps) >= cap:
+                    raise BudgetExceededError(f"more than {cap} classes")
+                cls = class_of[k] = len(reps)
+                reps.append(y)
+                parents.append((c, i))
+            row.append(cls)
+        acts.append(row)
+    table = [list(range(len(reps)))]
+    for p, i in parents:
+        table.append([acts[x][i] for x in table[p]])
+    return reps, table, acts[0]
+
+
+def _named_monoid(table, letters, names: tuple[str, ...]):
+    """The monoid of a table whose class 0 is the identity and which the
+    classes ``letters`` generate, renumbered by ``_least_words`` and each
+    element named by its least word over ``names``, one name per letter.
+    Returns (monoid, old class -> new index)."""
+    least = _least_words(table, 0, letters)
+    index_of = {cls: i for i, cls in enumerate(least)}
+    words = tuple(least.values())
+    monoid = FiniteCommutativeMonoid(
+        names=tuple(format_word(w, names) for w in words),
+        table=tuple(tuple(index_of[table[a][b]] for b in least) for a in least),
+        generator_map=dict(zip(names, map(index_of.get, letters))),
+        identity_index=0,
+        words=words,
+        generators=names,
+    )
+    return monoid, index_of
+
+
 def enumerate_elements(rws: RewriteSystem, cap: int) -> FiniteCommutativeMonoid:
     """Close {identity} under generator multiplication with reduction.
 
     Raises BudgetExceededError once more than ``cap`` normal forms appear,
-    i.e. the monoid was not shown finite within budget.
-
-    The closure reduces w*g once for every element w and generator g, and
-    keeps the results as the generator actions act_g.  Confluence makes each
-    action a well-defined map on normal forms.  Every element v other than
-    the identity was first reached as p*g from an element p found before it,
-    so its row of the table is folded from p's row: v*u = (p*u)*g, by
-    commutativity and associativity, that is row(v)[u] = act_g[row(p)[u]].
-    The table thus costs k*|A| reductions and k*k list lookups instead of
-    k*k reductions, for k elements and |A| generators.  The constructor
-    still checks the result by Light's test.
+    i.e. the monoid was not shown finite within budget.  The classes are the
+    packed normal forms, found and folded by ``_generated_table``; confluence
+    makes each generator's action a well-defined map on them.  A normal form
+    is the least word of its element, so naming by least words keeps the
+    normal forms as the element words.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
@@ -479,40 +538,10 @@ def enumerate_elements(rws: RewriteSystem, cap: int) -> FiniteCommutativeMonoid:
         kernel.pack(tuple(1 if j == i else 0 for j in range(len(gens))))
         for i in range(len(gens))
     ]
-    # acts[g][x] = normal form of x*g; reached[v] = (p, g) with v = p*g;
-    # all packed, the identity being 0.
-    acts: list[dict[int, int]] = [{} for _ in gens]
-    reached: dict[int, tuple[int, int] | None] = {0: None}
-    frontier = deque([0])
-    while frontier:
-        x = frontier.popleft()
-        for g, unit in enumerate(units):
-            nxt = acts[g][x] = kernel.reduce(x + unit)
-            if nxt not in reached:
-                if len(reached) >= cap:
-                    raise BudgetExceededError(
-                        f"more than {cap} elements; monoid not shown finite"
-                    )
-                reached[nxt] = (x, g)
-                frontier.append(nxt)
-    elements = sorted(reached, key=lambda x: word_key(kernel.unpack(x)))
-    words = tuple(map(kernel.unpack, elements))
-    index = {x: i for i, x in enumerate(elements)}
-    act_rows = [[index[act[x]] for x in elements] for act in acts]
-    rows: dict[int, list[int]] = {0: list(range(len(elements)))}
-    for v, (p, g) in itertools.islice(reached.items(), 1, None):
-        rows[v] = list(map(act_rows[g].__getitem__, rows[p]))
-    identity_index = index[0]
-    return FiniteCommutativeMonoid(
-        names=tuple(format_word(w, gens) for w in words),
-        table=tuple(tuple(rows[x]) for x in elements),
-        generator_map={
-            name: act_row[identity_index] for name, act_row in zip(gens, act_rows)
-        },
-        identity_index=identity_index,
-        words=words,
-        generators=gens,
+    _, table, letters = _generated_table(
+        0, units, lambda x, unit: kernel.reduce(x + unit), lambda x: x, cap
     )
+    return _named_monoid(table, letters, gens)[0]
 
 
 def action_table(monoid: FiniteCommutativeMonoid, generator: str) -> list[int]:

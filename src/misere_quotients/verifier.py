@@ -30,11 +30,12 @@ final deliverable of this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 
 from .octal import _heap_moves, period_window
 from .oracle import MISERE, BudgetExceededError
 from .builder import QuotientAnalysis, phi_heap
-from .semigroup import _closure, _closure_add
+from .semigroup import _closure, _closure_add, _least_words
 
 __all__ = [
     "MovePair",
@@ -456,21 +457,15 @@ def verify_to_heap(
 
     # All-dead positions have no moves: their label must be N under misere
     # play (the player to move has already won) and P under normal play.
-    table = qa.monoid.table
-    dead_failures: list[tuple[int, tuple[int, ...], int]] = []
+    # Each failing product is listed with its least word over the dead heaps.
+    identity = qa.monoid.identity_index
     required = qa.partition.n_set if qa.play is MISERE else qa.partition.p_set
-    reachable: dict[int, tuple[int, ...]] = {qa.monoid.identity_index: ()}
-    frontier = [qa.monoid.identity_index]
-    while frontier:
-        u = frontier.pop()
-        for h in ctx.dead:
-            v = table[u][ctx.heap_phi[h]]
-            if v not in reachable:
-                reachable[v] = reachable[u] + (h,)
-                frontier.append(v)
-    for el, heaps in sorted(reachable.items()):
-        if el not in required:
-            dead_failures.append((el, heaps, qa.monoid.identity_index))
+    letters = [ctx.heap_phi[h] for h in ctx.dead]
+    dead_failures = [
+        (el, tuple(chain.from_iterable(map(repeat, ctx.dead, word))), identity)
+        for el, word in _least_words(qa.monoid.table, identity, letters).items()
+        if el not in required
+    ]
 
     np_failures = sorted(failures + dead_failures)
     stats = dict(stats)

@@ -512,6 +512,18 @@ ANALYSIS_DIGESTS = {
 # The same for build_quotient("0.123", 20), the session fixture qa123_20.
 QA123_20_DIGEST = "42ffb2ac5ee4c89ab62b40fa74de2480e8b194e8ff27dfd3746ab2503ed00dde"
 
+# More outputs of the one table closure, recorded before the presented
+# monoid, the misere classes and the nim-value classes shared it: normal
+# Kayles from its nim values, 0.35 (106 classes, after a first round that
+# is no monoid) and 0.71 (36 classes).
+ANALYSIS_DIGESTS.update({
+    ("0.77", 96, NORMAL): "8324bb7f25d93dae1493175d1ff7f469b3fa0486131dbc7dc2e3781732a9fcc9",
+    ("0.35", 8, MISERE): "947d00515edbc8351b2c61493c6bb78976dbbc75eea751a1956153b5fc67eb94",
+    ("0.71", 8, MISERE): "8973a4d16d0ab8da12ec3bda7ffee76e9e8efc1a9bfc7f1cabc5b0bd333e00d2",
+})
+# The same for kayles_analysis(), enumerated from the packaged presentation.
+KAYLES_DIGEST = "be27212597bb357128ddc5981e60c013a181e72ef140035c140d6e686faa4024"
+
 
 def _digest(qa) -> str:
     return hashlib.sha256(analysis_to_json(qa).encode()).hexdigest()
@@ -527,3 +539,6 @@ class TestByteIdentity:
 
     def test_window_20_digest(self, qa123_20):
         assert _digest(qa123_20) == QA123_20_DIGEST
+
+    def test_kayles_analysis_digest(self):
+        assert _digest(kayles_analysis()) == KAYLES_DIGEST

@@ -532,6 +532,20 @@ class TestMalformedAnalysis:
         assert "'names' repeats an element name" in captured.err
 
     @pytest.mark.parametrize("command", ["outcome", "structure", "verify", "certify"])
+    def test_generator_renamed_in_the_map_only(self, capsys, analysis_file,
+                                               tmp_path, command):
+        # Loaded, the words would still spell x, which no heap represents.
+        def edit(doc):
+            doc["generator_map"]["q"] = doc["generator_map"].pop("x")
+            doc["generator_heaps"]["q"] = doc["generator_heaps"].pop("x")
+
+        path = self._damaged(analysis_file, tmp_path, edit)
+        assert main([command, path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'generator_map' does not name the same generators" in captured.err
+
+    @pytest.mark.parametrize("command", ["outcome", "structure", "verify", "certify"])
     def test_file_too_deep_to_decode(self, capsys, tmp_path, command):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
@@ -560,12 +574,21 @@ _json_values = st.recursive(
 def _mutate(data, doc) -> None:
     """Change one value of ``doc`` in place, drop it, or append to a list:
     at a top-level key, or at a node a few levels below one.  Or give one
-    element the name of another."""
+    element the name of another, or rename one generator in
+    ``generator_map`` and ``generator_heaps`` alone."""
     names = doc.get("names")
     if isinstance(names, list) and len(names) > 1 and data.draw(st.integers(0, 3)) == 0:
         i, j = data.draw(st.lists(st.integers(0, len(names) - 1), min_size=2, max_size=2,
                                   unique=True))
         names[i] = names[j]
+        return
+    gmap = doc.get("generator_map")
+    if isinstance(gmap, dict) and gmap and data.draw(st.integers(0, 3)) == 0:
+        old = data.draw(st.sampled_from(sorted(gmap)))
+        gmap["q"] = gmap.pop(old)
+        heaps = doc.get("generator_heaps")
+        if isinstance(heaps, dict) and old in heaps:
+            heaps["q"] = heaps.pop(old)
         return
     parent, key = doc, data.draw(st.sampled_from(sorted(doc)))
     while isinstance(parent[key], (dict, list)) and parent[key]:

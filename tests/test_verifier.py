@@ -252,6 +252,19 @@ class TestMutations:
         # from the empty position itself.
         assert (e, (), e) in report.np_failures
 
+    def test_dead_heap_off_the_identity_is_caught(self, qa123_12):
+        # Heap 2 has no move; pretending it is the P element x makes the
+        # lone heap 2 a moveless position asserted P, the all-dead witness.
+        m = qa123_12.monoid
+        x, e = m.index_of("x"), m.index_of("e")
+        values = list(qa123_12.phi.values)
+        values[1] = x
+        bad = replace(qa123_12, phi=PretendingFunction(tuple(values)))
+        report = verify_to_heap(bad, 12)
+        assert not report.passed
+        assert report.stats["dead_heaps"] == [2]
+        assert (x, (2,), e) in report.np_failures
+
     def test_swapped_heap_values_are_caught(self, qa123_12):
         # Exchange the classes of heaps 8 and 9 (a and b).
         values = list(qa123_12.phi.values)

@@ -9,7 +9,8 @@ The verifier module turns a candidate into a proof.
 
 Misere classes are discovered with signatures: sig(u) = the outcome of u + w
 for every context w with at most m heaps, all heap sizes <= n.  The budget m
-escalates until two consecutive rounds produce identical results.  Normal-play
+escalates until a round's candidate is proved correct to heap n, or else two
+consecutive rounds produce identical results.  Normal-play
 classes are the nim values.  The classes of either convention are closed,
 folded and named by semigroup._generated_table and _named_monoid.
 """
@@ -155,6 +156,9 @@ def _letter_names():
 class _Signatures:
     """Outcome signatures over a growing list of contexts.
 
+    _signature_quotient widens them round by round and stops at the first
+    round whose candidate proves to heap n, or else at two agreeing rounds.
+
     The contexts are the empty position, then every position of one heap,
     two heaps, ... up to m heaps, all heap sizes <= n, each in the oracle's
     packed canonical form (see oracle._Game), and a context whose canonical
@@ -256,16 +260,35 @@ def _named_analysis(code: GameCode, play: PlayConvention, n: int, table,
 
 
 def _signature_quotient(code: GameCode, n: int, play: PlayConvention) -> QuotientAnalysis:
-    """The first analysis that two consecutive signature rounds agree on."""
+    """The first signature round's analysis that verify_to_heap proves to
+    heap n, or else the first that two consecutive rounds agree on.
+
+    A proved candidate is what every later round would give, so returning it
+    leaves the output unchanged.  Distinct classes of round m have distinct
+    signatures, and once the candidate is proved its classes are exactly the
+    indistinguishability classes of the positions of heaps <= n.  Round m+1
+    refines round m, since its signatures extend those of round m, and is
+    refined by indistinguishability, since indistinguishable positions share
+    every signature.  So it finds the same representatives in the same
+    closure order, and with them the same table, phi, P and names.
+    """
+    # verifier imports builder, so builder imports verifier at call time.
+    from .verifier import verify_to_heap
+
     previous = None
     sigs = _Signatures(code, n, play)
     for m in range(_START_CONTEXT, _MAX_CONTEXT + 1):
         sigs.widen(m)
         qa = _run_round(sigs)
-        if qa is not None and qa == previous:
+        if qa is not None and (
+            qa == previous or verify_to_heap(qa, n, limit=1).passed
+        ):
             return qa
         previous = qa
-    raise RuntimeError(f"no two consecutive rounds agreed with context budget <= {_MAX_CONTEXT}")
+    raise RuntimeError(
+        "no round proved and no two consecutive rounds agreed"
+        f" with context budget <= {_MAX_CONTEXT}"
+    )
 
 
 def build_quotient(
@@ -274,8 +297,9 @@ def build_quotient(
     """Candidate quotient of the game to heap size n.
 
     Under misere play, context budgets m = _START_CONTEXT, _START_CONTEXT+1,
-    ... are tried until two consecutive signature rounds agree; raises
-    RuntimeError if no two rounds up to _MAX_CONTEXT agree.  Under normal
+    ... are tried until a round's candidate is proved correct to heap n by
+    verify_to_heap, or else two consecutive signature rounds agree; raises
+    RuntimeError if neither happens up to _MAX_CONTEXT.  Under normal
     play a position's class is its nim value, sums add by xor and P is {0}.
     Either convention raises BudgetExceededError on more than _MAX_CLASSES
     classes.

@@ -215,8 +215,14 @@ class _Context:
         return got
 
 
-def _scan_naive(ctx: _Context, watch: frozenset[int], budget: int | None):
-    """Enumerate all nonempty sets of distinct live heaps."""
+class _Enough(Exception):
+    """A scan has listed as many failures as its limit allows."""
+
+
+def _scan_naive(ctx: _Context, watch: frozenset[int], budget: int | None,
+                limit: int | None = None):
+    """Enumerate all nonempty sets of distinct live heaps, stopping once
+    ``limit`` failures are listed."""
     table = ctx.table
     goodmask = ctx.goodmask
     failures: list[tuple[int, tuple[int, ...], int]] = []
@@ -248,9 +254,14 @@ def _scan_naive(ctx: _Context, watch: frozenset[int], budget: int | None):
                     for i2 in range(len(heaps2))
                 ):
                     failures.append((omega, heaps2, s))
+                    if len(failures) == limit:
+                        raise _Enough
             descend(j + 1, heaps2, sub2, product2, derivs2)
 
-    descend(0, (), 1 << identity, identity, ())
+    try:
+        descend(0, (), 1 << identity, identity, ())
+    except _Enough:
+        pass
     return failures, cases, stats
 
 
@@ -275,9 +286,10 @@ def _witness(ctx: _Context, chosen, s: int) -> tuple[int, ...]:
     return tuple(sorted(heaps))
 
 
-def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
+def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
+                    limit: int | None = None):
     """Enumerate sets of distinct phi values with a one-heap or two-heap flag,
-    by memoized search.
+    by memoized search, stopping once ``limit`` failures are listed.
 
     Sound and complete against the naive scan: extra copies of a value fold
     into s (the value generates part of S(U)), and a failing combination is
@@ -298,7 +310,8 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
     together, and the budget is tested once per state; since the count only
     grows, that raises at the same state as a test after each s would.
     Their split per omega, ``cases``, is tallied by (P, set of s) during the
-    walk and expanded once after it.
+    walk and expanded once after it.  A walk stopped at its limit lists the
+    failures it found first, and its counts cover the part walked.
     """
     table = ctx.table
     k = len(table)
@@ -369,12 +382,17 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None):
                 row = table[product2]
                 for s in _bits(g2 & hits):
                     failures.append((row[s], _witness(ctx, chosen, s), s))
+                    if len(failures) == limit:
+                        raise _Enough
                 descend(j + 1, g2, product2, sub2)
                 chosen.pop()
         memo[key] = len(failures) > listed
 
     identity = ctx.qa.monoid.identity_index
-    descend(0, (1 << k) - 1, identity, 1 << identity)
+    try:
+        descend(0, (1 << k) - 1, identity, 1 << identity)
+    except _Enough:
+        pass
     cases: dict[int, int] = {}
     for (product, hits), count in tally.items():
         row = table[product]
@@ -444,16 +462,25 @@ def verify_to_heap(
     *,
     collapse: bool = True,
     budget: int | None = None,
+    limit: int | None = None,
 ) -> VerificationReport:
     """Run both induction halves for every asserted N element.
 
     ``collapse=False`` runs the naive subset scan, the reference that the
-    collapsed scan is tested against."""
+    collapsed scan is tested against.  ``limit`` caps the stuck cases the
+    scan lists; None lists them all.  A caller that sets it wants a verdict
+    more than a listing, so the scan is skipped when the P-to-P half has
+    already failed.  The stuck all-dead products are always listed."""
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be at least 1")
     ctx = _Context(qa, n)
     pairs = _pairs_of(ctx.walk)
     pp = check_no_PP(qa, n, pairs)
-    scan = _scan_collapsed if collapse else _scan_naive
-    failures, cases, stats = scan(ctx, qa.partition.n_set, budget)
+    if pp and limit is not None:
+        failures, cases, stats = [], {}, {"nodes": 0, "evaluations": 0, "states": 0}
+    else:
+        scan = _scan_collapsed if collapse else _scan_naive
+        failures, cases, stats = scan(ctx, qa.partition.n_set, budget, limit)
 
     # All-dead positions have no moves: their label must be N under misere
     # play (the player to move has already won) and P under normal play.
@@ -501,7 +528,7 @@ def certify_period(
     claimed = replace(qa.phi, claimed_period=(r0, p))
     n_window = period_window(qa.code, r0, p)
     candidate = replace(qa, phi=claimed)
-    report = verify_to_heap(candidate, n_window, budget=budget)
+    report = verify_to_heap(candidate, n_window, budget=budget, limit=1)
     if not report.passed:
         return None
     return replace(

@@ -365,6 +365,53 @@ class TestCorpus:
                 assert len(qa.monoid) == NO_MONOID_AT_FIRST_ROUND[code]
 
 
+# Builds whose first proved round is checked against the round after it.
+EARLY_EXIT_CASES = (
+    [(code, 8, MISERE) for code in TestCorpus.CODES]
+    + list(OTHER_GAMES)
+    + [("0.123", 12, MISERE)]
+)
+
+
+class TestEarlyExit:
+    @pytest.mark.parametrize(
+        "code, n, play", EARLY_EXIT_CASES,
+        ids=[f"{code}-{n}-{play.value}" for code, n, play in EARLY_EXIT_CASES],
+    )
+    def test_proved_round_is_confirmed_by_the_next(self, code, n, play):
+        # The old rule, two agreeing rounds, would return the same analysis
+        # one round later: the proved round m and round m + 1 give the same
+        # bytes, and build_quotient returns them.
+        game = parse_game_code(code)
+        sigs = _Signatures(game, n, play)
+        for m in range(builder._START_CONTEXT, builder._MAX_CONTEXT + 1):
+            sigs.widen(m)
+            qa = _run_round(sigs)
+            if qa is not None and verify_to_heap(qa, n).passed:
+                break
+        else:
+            pytest.fail("no round proved")
+        sigs.widen(m + 1)
+        confirmed = _run_round(sigs)
+        assert confirmed is not None
+        assert analysis_to_json(confirmed) == analysis_to_json(qa)
+        assert analysis_to_json(build_quotient(game, n, play)) == analysis_to_json(qa)
+
+    @pytest.mark.parametrize("code", ["0.07", "0.72"])
+    def test_unproved_candidate_is_widened_past(self, code, monkeypatch):
+        # From one-heap contexts these codes give a 4-element monoid that
+        # fails verification; the builder widens past it to the quotient it
+        # builds from its usual start.
+        game = parse_game_code(code)
+        sigs = _Signatures(game, 8, MISERE)
+        sigs.widen(1)
+        first = _run_round(sigs)
+        assert first is not None and not verify_to_heap(first, 8).passed
+        expected = analysis_to_json(build_quotient(game, 8))
+        monkeypatch.setattr(builder, "_START_CONTEXT", 1)
+        assert analysis_to_json(build_quotient(game, 8)) == expected
+
+
 class TestSmallWindows:
     def test_single_heap_window(self):
         qa = build_quotient(G123, 1)

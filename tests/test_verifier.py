@@ -333,12 +333,19 @@ def scan_verdicts(qa, n):
     """Run the collapsed and the naive scan and check that they agree: a
     stuck N case in both or neither, for the same elements, every collapsed
     failure a naive one, and every naive failure, with value copies past the
-    second folded into s, listed once by the collapsed scan.  Returns whether
-    a stuck case exists."""
+    second folded into s, listed once by the collapsed scan.  A collapsed
+    scan and a report limited to one failure give the same verdict as the
+    full ones and list a part of theirs.  Returns whether a stuck case
+    exists."""
     ctx = _Context(qa, n)
     watch = frozenset(qa.partition.n_set)
     fast, _, _ = _scan_collapsed(ctx, watch, None)
     slow, _, _ = _scan_naive(ctx, watch, None)
+    first, _, _ = _scan_collapsed(ctx, watch, None, 1)
+    assert first == fast[:1]
+    full, brief = verify_to_heap(qa, n), verify_to_heap(qa, n, limit=1)
+    assert brief.passed == full.passed
+    assert set(brief.np_failures) <= set(full.np_failures)
     assert bool(fast) == bool(slow)
     assert {omega for omega, _, _ in fast} == {omega for omega, _, _ in slow}
     assert set(fast) <= set(slow)
@@ -513,6 +520,32 @@ class TestMemoizedScan:
         report = verify_to_heap(bad, 12)
         assert listed and set(listed) <= set(report.np_failures)
         assert report.stats["states"] > 0
+
+    def test_limit_lists_the_first_failures(self, qa123_12):
+        bad = flip_labels(qa123_12, {qa123_12.monoid.index_of("b2")})
+        ctx = _Context(bad, 12)
+        watch = frozenset(bad.partition.n_set)
+        listed, _, every = _scan_collapsed(ctx, watch, None)
+        assert len(listed) > 5
+        for limit in (1, 2, 5, len(listed), len(listed) + 1):
+            got, _, stats = _scan_collapsed(ctx, watch, None, limit)
+            assert got == listed[:limit]
+            assert stats["nodes"] <= every["nodes"]
+        assert _scan_naive(ctx, watch, None, 3)[0] == _scan_naive(ctx, watch, None)[0][:3]
+        with pytest.raises(ValueError, match="limit"):
+            verify_to_heap(bad, 12, limit=0)
+
+    def test_limit_skips_the_scan_after_a_PP_failure(self, qa123_12):
+        # Every element asserted P: P-to-P fails, so a limited report needs
+        # no scan, while an unlimited one still walks it.
+        everything = frozenset(range(len(qa123_12.monoid)))
+        bad = replace(qa123_12, partition=OutcomePartition(everything, frozenset()))
+        brief = verify_to_heap(bad, 12, limit=1)
+        full = verify_to_heap(bad, 12)
+        assert brief.pp_violations == full.pp_violations != []
+        assert not brief.passed and not full.passed
+        assert brief.stats["nodes"] == 0 < full.stats["nodes"]
+        assert certify_period(bad, 6, 5) is None
 
     def test_single_stuck_case_is_found_without_the_whole_tree(self, kayles):
         # Kayles cut at heap 30, with heap 30 sent to the wrong element: one

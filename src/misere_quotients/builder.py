@@ -186,13 +186,15 @@ class _Signatures:
 
     def widen(self, m: int) -> None:
         """Extend the contexts to every position of at most m heaps."""
-        heaps, key = range(1, self.n + 1), self._game.key
+        game, heaps = self._game, range(1, self.n + 1)
         # A dict keeps each canonical context at its first place.
         contexts = dict.fromkeys(self.contexts)
-        while self.m < m:
-            self.m += 1
-            combos = combinations_with_replacement(heaps, self.m)
-            contexts.update(dict.fromkeys(map(key, combos)))
+        for size in range(self.m + 1, m + 1):
+            # The largest context, size heaps of n, holds the most tokens.
+            game.cover(size * self.n, self.n)
+            combos = combinations_with_replacement(heaps, size)
+            contexts.update(dict.fromkeys(map(game.pack, combos)))
+        self.m = max(self.m, m)
         self.contexts = list(contexts)
 
     def sig(self, u: int) -> bytes:

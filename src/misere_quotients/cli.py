@@ -127,26 +127,43 @@ def _print_summary(qa: builder.QuotientAnalysis) -> None:
         print(f"certified period: r0={r0} p={p}")
 
 
+# The report lists this many failures of each kind; the N-to-P scan stops
+# one case past it, so that the report knows whether more were left out.
+_SHOWN = 20
+
+
+def _verify(qa: builder.QuotientAnalysis, n: int, budget: int | None):
+    return verifier.verify_to_heap(qa, n, budget=budget, limit=_SHOWN + 1)
+
+
 def _print_report(qa: builder.QuotientAnalysis, rep) -> None:
     names = qa.monoid.names
+    scan = rep.stats["scan"]
+    if scan == "skipped":
+        stuck = "N-to-P scan skipped, since P-to-P failed"
+    elif scan == "stopped":
+        stuck = f"at least {len(rep.np_failures)} stuck N cases"
+    else:
+        stuck = f"{len(rep.np_failures)} stuck N cases"
     print(
         f"verified to heap {rep.n}: "
-        f"{len(rep.pp_violations)} P-to-P violations, "
-        f"{len(rep.np_failures)} stuck N cases"
+        f"{len(rep.pp_violations)} P-to-P violations, {stuck}"
     )
-    for t in rep.pp_violations[:20]:
+    for t in rep.pp_violations[:_SHOWN]:
         print(
             f"  P-to-P: basis {names[t.basis]} sends "
             f"({names[t.pair.lhs]}, {names[t.pair.rhs]}) to "
             f"({names[t.start]}, {names[t.end]})"
         )
-    for omega, heaps, s in rep.np_failures[:20]:
+    for omega, heaps, s in rep.np_failures[:_SHOWN]:
         print(
             f"  stuck N: element {names[omega]} on heaps {list(heaps)} "
             f"with multiplier {names[s]}"
         )
-    cases = rep.stats.get("cases_by_omega", {})
-    if cases:
+    if scan == "stopped":
+        print("  more stuck N cases were not listed")
+    cases = rep.stats["cases_by_omega"]
+    if cases and scan == "complete":
         shown = " ".join(f"{names[w]}:{c}" for w, c in sorted(cases.items()))
         print(f"cases checked per element: {shown}")
     print("PASSED" if rep.passed else "FAILED")
@@ -156,7 +173,7 @@ def cmd_analyze(args) -> int:
     code = parse_game_code(args.game)
     play = NORMAL if args.normal else MISERE
     qa = builder.build_quotient(code, args.n, play)
-    rep = verifier.verify_to_heap(qa, args.n, budget=args.budget)
+    rep = _verify(qa, args.n, args.budget)
     qa = replace(qa, verified_to=args.n if rep.passed else None)
     if rep.passed and args.certify is not None:
         cert = verifier.certify_period(qa, *args.certify, budget=args.budget)
@@ -176,7 +193,7 @@ def cmd_analyze(args) -> int:
 def cmd_verify(args) -> int:
     qa = _load_analysis(args.analysis)
     n = args.n if args.n is not None else qa.n
-    rep = verifier.verify_to_heap(qa, n, budget=args.budget)
+    rep = _verify(qa, n, args.budget)
     _print_report(qa, rep)
     return EXIT_OK if rep.passed else EXIT_FAILED
 

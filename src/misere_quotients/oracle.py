@@ -99,7 +99,7 @@ def _mex(values: Iterable[int]) -> int:
 
 
 # Bits per count field of a packed canonical position (see _Game), and the
-# token total from which _Game.key refuses a position.
+# token total from which _Game.cover refuses a position.
 _W = 16
 _FIELD = (1 << _W) - 1
 _TOKENS = 1 << (_W - 1)
@@ -137,11 +137,12 @@ class _Game:
     the s1 field holds the parity.  A sum is then an addition.  Each
     operand's s1 field is 0 or 1, so the sum's is 0, 1 or 2, and clearing
     that field's bit of value 2, an AND with ``fold``, folds a *1 pair and
-    changes nothing else.  ``key`` packs heap sizes, ``join`` adds two
+    changes nothing else.  ``key`` packs heap sizes: ``cover`` admits
+    the position and extends the game, ``pack`` packs it.  ``join`` adds two
     packed positions and ``options`` lists the moves of one; ``unpack``
     reads one back as heaps.
 
-    No field carries into the next: ``key`` refuses a position of
+    No field carries into the next: ``cover`` refuses a position of
     ``_TOKENS`` (2**15) tokens or more, before it extends the game to the
     position's heaps.  Every canonical heap but s1 has at least two tokens,
     so a field of a sum of two such positions counts fewer than 2**15
@@ -182,9 +183,20 @@ class _Game:
         >>> game.unpack(game.key((1, 1, 2, 4, 7)))
         (3, 7)
         """
-        if sum(heaps) >= _TOKENS:
+        self.cover(sum(heaps), max(heaps, default=0))
+        return self.pack(heaps)
+
+    def cover(self, tokens: int, size: int) -> None:
+        """Extend the game to cover heaps up to ``size``, for positions of
+        at most ``tokens`` tokens.  Raises ValueError from ``_TOKENS``
+        tokens on, before the game grows."""
+        if tokens >= _TOKENS:
             raise ValueError(f"a position of {_TOKENS} tokens or more is too large to pack")
-        self.extend(max(heaps, default=0))
+        self.extend(size)
+
+    def pack(self, heaps: tuple[int, ...]) -> int:
+        """``key`` for a position that ``cover`` has already admitted: the
+        game covers its heaps and it holds fewer than ``_TOKENS`` tokens."""
         return _pack(self._canonical(heaps))
 
     def join(self, a: int, b: int) -> int:

@@ -190,14 +190,15 @@ class _Context:
         for h in self.live:
             self.by_value.setdefault(self.heap_phi[h], []).append(h)
         self._bad_heaps: dict[tuple[int, int], list[int]] = {}
-        self._closures: dict[tuple[int, int], int] = {}
+        # closures[g]: submonoid mask -> its closure with generator g added.
+        self.closures: list[dict[int, int]] = [{} for _ in range(k)]
 
     def closure_add(self, mask: int, g: int) -> int:
         """S(U) as a bitmask after adding generator g to the submonoid mask."""
-        key = (mask, g)
-        got = self._closures.get(key)
+        memo = self.closures[g]
+        got = memo.get(mask)
         if got is None:
-            got = self._closures[key] = _closure_add(self.table, mask, g)
+            got = memo[mask] = _closure_add(self.table, mask, g)
         return got
 
     def bad_heaps(self, value: int, base: int) -> list[int]:
@@ -312,92 +313,121 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
     Their split per omega, ``cases``, is tallied by (P, set of s) during the
     walk and expanded once after it.  A walk stopped at its limit lists the
     failures it found first, and its counts cover the part walked.
+
+    Each node works through lists indexed by element: the closure memo of
+    its value, the preimage memo of its multiplier v^mu, the preimage of
+    the failing bases of (v, mu) by its base, and the s with s*P in watch
+    for its product.  A child's memo key is tested before descending into
+    it.
     """
     table = ctx.table
     k = len(table)
     values = sorted(ctx.by_value)
-    mus = [_multiplicities(ctx, v) for v in values]
-    # preimages[a][y]: the x with x*a = y, as a bitmask.
-    preimages = [[0] * k for _ in range(k)]
+    # inverse[a][y]: the x with x*a = y, as a bitmask.
+    inverse = [[0] * k for _ in range(k)]
     for a in range(k):
-        inv = preimages[a]
+        inv = inverse[a]
         for x, y in enumerate(table[a]):
             inv[y] |= 1 << x
-    preimage_memo: dict[tuple[int, int], int] = {}
+    # preimages[a]: mask -> the x with x*a in mask, as a bitmask.
+    preimages: list[dict[int, int]] = [{} for _ in range(k)]
 
     def preimage(a: int, mask: int) -> int:
-        """The x with x*a in mask, as a bitmask."""
-        key = (a, mask)
-        out = preimage_memo.get(key)
-        if out is None:
-            inv = preimages[a]
-            out = 0
-            for y in _bits(mask):
-                out |= inv[y]
-            preimage_memo[key] = out
+        """The x with x*a in mask, stored in preimages[a]."""
+        inv = inverse[a]
+        out = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            out |= inv[low.bit_length() - 1]
+            rest ^= low
+        preimages[a][mask] = out
         return out
 
-    # fails[(v, mu)]: the bases b at which at least mu heaps of value v have
-    # no move into P.
-    fails = {}
-    for v, options in zip(values, mus):
-        counts = [len(ctx.bad_heaps(v, b)) for b in range(k)]
-        for mu in options:
-            fails[v, mu] = sum(1 << b for b in range(k) if counts[b] >= mu)
     watch_mask = sum(1 << w for w in watch)
+    # watched[P]: the s with s*P in watch.
+    watched = [preimage(p, watch_mask) for p in range(k)]
+    # One step per value v: (the index after v, v, its closure memo, its
+    # options), an option (mu, v^mu, the row that maps P to the base
+    # P*v^(mu-1), the bases at which at least mu heaps of value v have no
+    # move into P, and their preimage by each base, filled on first use).
+    identity_row = table[ctx.qa.monoid.identity_index]
+    steps = []
+    for j, v in enumerate(values, 1):
+        counts = [len(ctx.bad_heaps(v, b)) for b in range(k)]
+        options = []
+        for mu in _multiplicities(ctx, v):
+            fails = sum(1 << b for b in range(k) if counts[b] >= mu)
+            v_mu, shift = (v, identity_row) if mu == 1 else (table[v][v], table[v])
+            options.append((mu, v_mu, shift, fails, [None] * k))
+        steps.append((j, v, ctx.closures[v], options))
+    # later[i]: the steps from value index i on.
+    later = [steps[i:] for i in range(len(steps) + 1)]
     failures: list[tuple[int, tuple[int, ...], int]] = []
-    # tally[(P, hits)]: how many evaluated states have product P and the
+    # tally[P][hits]: how many evaluated states have product P and the
     # multipliers hits; it turns into cases once the walk is over.
-    tally: dict[tuple[int, int], int] = {}
+    tally: list[dict[int, int]] = [{} for _ in range(k)]
     nodes = evaluations = 0
     memo: dict[tuple[int, int, int, int], bool] = {}
     chosen: list[tuple[int, int]] = []
 
     def descend(i, g_mask, product, submonoid):
         nonlocal nodes, evaluations
-        key = (i, g_mask, product, submonoid)
-        if memo.get(key) is False:
-            return
         listed = len(failures)
-        for j in range(i, len(values)):
-            v = values[j]
-            sub2 = ctx.closure_add(submonoid, v)
-            for mu in mus[j]:
-                v_mu, base = (v, product) if mu == 1 else (
-                    table[v][v], table[product][v]
-                )
+        row = table[product]
+        for j, v, closures, options in later[i]:
+            sub2 = closures.get(submonoid)
+            if sub2 is None:
+                sub2 = closures[submonoid] = _closure_add(table, submonoid, v)
+            for mu, v_mu, shift, fails, by_base in options:
                 nodes += 1
-                f_mask = preimage(base, fails[v, mu])
-                g2 = f_mask and preimage(v_mu, g_mask) & f_mask
+                base = shift[product]
+                f_mask = by_base[base]
+                if f_mask is None:
+                    f_mask = by_base[base] = preimage(base, fails)
+                if not f_mask:
+                    continue
+                g2 = preimages[v_mu].get(g_mask)
+                if g2 is None:
+                    g2 = preimage(v_mu, g_mask)
+                g2 &= f_mask
                 if not g2:
                     continue
-                product2 = table[product][v_mu]
-                hits = sub2 & preimage(product2, watch_mask)
+                product2 = row[v_mu]
+                hits = sub2 & watched[product2]
                 if hits:
                     evaluations += hits.bit_count()
                     if budget is not None and evaluations > budget:
                         raise BudgetExceededError("subset scan exceeded budget")
-                    tally[product2, hits] = tally.get((product2, hits), 0) + 1
-                chosen.append((v, mu))
-                row = table[product2]
-                for s in _bits(g2 & hits):
-                    failures.append((row[s], _witness(ctx, chosen, s), s))
-                    if len(failures) == limit:
-                        raise _Enough
-                descend(j + 1, g2, product2, sub2)
-                chosen.pop()
-        memo[key] = len(failures) > listed
+                    seen = tally[product2]
+                    seen[hits] = seen.get(hits, 0) + 1
+                    if g2 & hits:
+                        path = chosen + [(v, mu)]
+                        row2 = table[product2]
+                        for s in _bits(g2 & hits):
+                            failures.append((row2[s], _witness(ctx, path, s), s))
+                            if len(failures) == limit:
+                                raise _Enough
+                if memo.get((j, g2, product2, sub2)) is not False:
+                    chosen.append((v, mu))
+                    descend(j, g2, product2, sub2)
+                    chosen.pop()
+        memo[i, g_mask, product, submonoid] = len(failures) > listed
 
     identity = ctx.qa.monoid.identity_index
     try:
         descend(0, (1 << k) - 1, identity, 1 << identity)
     except _Enough:
         pass
-    cases: dict[int, int] = {}
-    for (product, hits), count in tally.items():
+    per_omega = [0] * k
+    for product, seen in enumerate(tally):
         row = table[product]
-        for s in _bits(hits):
-            cases[row[s]] = cases.get(row[s], 0) + count
+        for hits, count in seen.items():
+            while hits:
+                low = hits & -hits
+                per_omega[row[low.bit_length() - 1]] += count
+                hits ^= low
+    cases = {omega: count for omega, count in enumerate(per_omega) if count}
     stats = {"nodes": nodes, "evaluations": evaluations, "states": len(memo)}
     return failures, cases, stats
 
@@ -470,7 +500,10 @@ def verify_to_heap(
     collapsed scan is tested against.  ``limit`` caps the stuck cases the
     scan lists; None lists them all.  A caller that sets it wants a verdict
     more than a listing, so the scan is skipped when the P-to-P half has
-    already failed.  The stuck all-dead products are always listed."""
+    already failed.  The stuck all-dead products are always listed.
+    ``stats["scan"]`` is "complete" when the scan listed every stuck case,
+    "stopped" when it stopped at ``limit`` cases (there may be more) and
+    "skipped" when it did not run."""
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
     ctx = _Context(qa, n)
@@ -478,9 +511,11 @@ def verify_to_heap(
     pp = check_no_PP(qa, n, pairs)
     if pp and limit is not None:
         failures, cases, stats = [], {}, {"nodes": 0, "evaluations": 0, "states": 0}
+        status = "skipped"
     else:
         scan = _scan_collapsed if collapse else _scan_naive
         failures, cases, stats = scan(ctx, qa.partition.n_set, budget, limit)
+        status = "stopped" if len(failures) == limit else "complete"
 
     # All-dead positions have no moves: their label must be N under misere
     # play (the player to move has already won) and P under normal play.
@@ -496,6 +531,7 @@ def verify_to_heap(
 
     np_failures = sorted(failures + dead_failures)
     stats = dict(stats)
+    stats["scan"] = status
     stats["cases_by_omega"] = {k: cases[k] for k in sorted(cases)}
     stats["move_pairs"] = len(pairs)
     stats["dead_heaps"] = list(ctx.dead)

@@ -233,6 +233,23 @@ class TestSignatureKernel:
             assert got[:width] == before[u]
             assert got == fresh.sig(fresh._game.key(u))
 
+    def test_widen_packs_every_context_as_key_does(self, monkeypatch):
+        sigs = _Signatures(G123, 8, MISERE)
+        sigs.widen(3)
+        key = sigs._game.key
+        combos = itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(1, 9), m) for m in range(4)
+        )
+        want = list(dict.fromkeys(map(key, combos)))
+        assert sigs.contexts == want
+        # The token check runs once per round, on its largest context: four
+        # heaps of 8 make 32 tokens, refused under a bound of 32 before
+        # the round changes anything.
+        monkeypatch.setattr(oracle, "_TOKENS", 32)
+        with pytest.raises(ValueError, match="32 tokens or more"):
+            sigs.widen(4)
+        assert (sigs.m, sigs.contexts) == (3, want)
+
     @pytest.mark.parametrize("play", [MISERE, NORMAL])
     def test_signature_bytes_are_outcomes(self, play):
         sigs = _Signatures(G123, 6, play)

@@ -316,6 +316,73 @@ class TestVerifyAndCertify:
         assert "budget exceeded" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def broken_kayles(tmp_path_factory):
+    """Packaged Kayles analyses broken three ways, as files: z2 moved from P
+    to N; cut at heap 30 with heap 30 sent to g; cut at heap 30 with heap 30
+    sent to vf, which P-to-P already refutes."""
+    doc = json.loads(analysis_to_json(kayles_analysis()))
+    names = doc["names"]
+    z2 = dict(doc, p_set=[e for e in doc["p_set"] if e != names.index("z2")])
+    files = {"z2": z2}
+    for name in ("g", "vf"):
+        files[name] = dict(doc, n=30, claimed_period=None,
+                           phi=doc["phi"][:29] + [names.index(name)])
+    folder = tmp_path_factory.mktemp("broken")
+    paths = {}
+    for name, broken in files.items():
+        paths[name] = str(folder / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as f:
+            json.dump(broken, f)
+    return paths
+
+
+class TestStuckListing:
+    """verify lists at most 20 stuck N cases.  Its scan stops at the 21st,
+    so that the report can say more were left out; a full listing of the
+    first two files runs for half a minute or more and holds hundreds of
+    thousands of cases or millions."""
+
+    @pytest.mark.parametrize("which,n", [("z2", 25), ("g", 30)])
+    def test_listing_stops_after_twenty(self, capsys, broken_kayles, which, n):
+        assert main(["verify", broken_kayles[which], "-n", str(n)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            f"verified to heap {n}: 0 P-to-P violations, at least 21 stuck N cases"
+        )
+        assert sum(line.startswith("  stuck N: ") for line in lines) == 20
+        assert lines[-2:] == ["  more stuck N cases were not listed", "FAILED"]
+        # The walk stopped early, so its counts are no full tally.
+        assert not any(line.startswith("cases checked") for line in lines)
+
+    def test_scan_skipped_after_a_PP_failure(self, capsys, broken_kayles):
+        assert main(["verify", broken_kayles["vf"], "-n", "30"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "verified to heap 30: 10 P-to-P violations, "
+            "N-to-P scan skipped, since P-to-P failed"
+        )
+        assert sum(line.startswith("  P-to-P: ") for line in lines) == 10
+        assert not any("stuck N" in line or "cases checked" in line for line in lines[1:])
+        assert lines[-1] == "FAILED"
+
+    def test_short_listing_is_complete(self, capsys, analysis_file, tmp_path):
+        # 0.123 with heap 12 sent to xb: four stuck cases, every one
+        # listed, and the full counts printed.
+        with open(analysis_file, encoding="utf-8") as f:
+            doc = json.load(f)
+        doc.update(claimed_period=None, certified_period=None, verified_to=None)
+        doc["phi"][11] = doc["names"].index("xb")
+        path = tmp_path / "heap12.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "verified to heap 12: 0 P-to-P violations, 4 stuck N cases"
+        assert sum(line.startswith("  stuck N: ") for line in lines) == 4
+        assert lines[-2].startswith("cases checked per element: ")
+        assert lines[-1] == "FAILED"
+
+
 class TestRawMoves:
     """The paths that need raw moves read them from the rules and leave
     the oracle's canonical game objects alone."""

@@ -1,5 +1,6 @@
 """Induction checks for the 0.123 analysis against the published tables."""
 
+import hashlib
 import itertools
 import math
 from dataclasses import replace
@@ -460,6 +461,40 @@ KAYLES_25_CASES = {
 }
 
 
+# The collapsed scan of qa123_12 with b2 moved to N, at window 12, per
+# limit: nodes, evaluations, states and the cases per omega of the part
+# walked.  A walk stopped at its limit has stored no state yet.
+B2_FIRST_CASES = {
+    0: 2, 2: 2, 4: 3, 5: 2, 7: 3, 9: 1, 11: 2, 12: 4, 13: 1, 14: 3, 15: 2,
+    16: 3, 17: 2, 18: 3, 19: 2,
+}
+B2_WALKS = {
+    1: (5, 35, 0, B2_FIRST_CASES),
+    2: (5, 35, 0, B2_FIRST_CASES),
+    5: (5, 35, 0, B2_FIRST_CASES),
+    None: (323, 3290, 144, {
+        0: 17, 2: 18, 3: 9, 4: 108, 5: 12, 7: 72, 9: 9, 11: 792, 12: 54,
+        13: 6, 14: 66, 15: 702, 16: 72, 17: 690, 18: 48, 19: 615,
+    }),
+}
+# Its first five failures, and the SHA-256 of the repr of all 2 574.
+B2_FIRST_FAILURES = [
+    (15, (1, 3, 7, 8, 9), 4), (11, (1, 3, 7, 8, 9), 7),
+    (19, (1, 3, 7, 8, 9), 10), (11, (1, 3, 7, 8, 9), 11),
+    (15, (1, 3, 7, 8, 9), 15),
+]
+B2_FAILURES_SHA256 = "285806201a25367a5bb2f798cd450da097c439ca3e9d56b9b475b71c1221bcdf"
+
+# verify_to_heap of Kayles cut at heap 30, heap 30 sent to vf: cases per omega.
+KAYLES_VF_30_CASES = {
+    0: 2, 2: 68669, 3: 6, 6: 12, 7: 32590, 8: 68729, 10: 4, 11: 2, 12: 8,
+    13: 31714, 15: 68664, 16: 26066, 17: 3, 18: 82908, 19: 32067, 20: 3,
+    21: 86, 22: 12, 23: 169, 24: 83739, 25: 68724, 26: 26116, 28: 84194,
+    29: 31241, 33: 161, 34: 26088, 35: 80, 36: 169, 37: 26137, 38: 77,
+    39: 161,
+}
+
+
 class TestMemoizedScan:
     def test_every_single_flip_agrees(self, qa123_12):
         stuck = 0
@@ -535,6 +570,29 @@ class TestMemoizedScan:
         with pytest.raises(ValueError, match="limit"):
             verify_to_heap(bad, 12, limit=0)
 
+    @pytest.mark.parametrize("limit", [1, 2, 5, None])
+    def test_partial_walk_counters(self, qa123_12, limit):
+        bad = flip_labels(qa123_12, {qa123_12.monoid.index_of("b2")})
+        ctx = _Context(bad, 12)
+        watch = frozenset(bad.partition.n_set)
+        listed, cases, stats = _scan_collapsed(ctx, watch, None, limit)
+        nodes, evaluations, states, want = B2_WALKS[limit]
+        assert (stats["nodes"], stats["evaluations"], stats["states"]) == (
+            nodes, evaluations, states
+        )
+        assert cases == want
+        assert listed[:5] == B2_FIRST_FAILURES[:limit]
+        assert len(listed) == (limit or 2574)
+        if limit is None:
+            digest = hashlib.sha256(repr(listed).encode()).hexdigest()
+            assert digest == B2_FAILURES_SHA256
+        # A walk stopped by its budget: the budget is tested before a
+        # state's failures are listed, so one evaluation short raises even
+        # where the limit would have stopped the walk at that state.
+        assert _scan_collapsed(ctx, watch, evaluations, limit) == (listed, cases, stats)
+        with pytest.raises(BudgetExceededError):
+            _scan_collapsed(ctx, watch, evaluations - 1, limit)
+
     def test_limit_skips_the_scan_after_a_PP_failure(self, qa123_12):
         # Every element asserted P: P-to-P fails, so a limited report needs
         # no scan, while an unlimited one still walks it.
@@ -556,6 +614,9 @@ class TestMemoizedScan:
         bad = replace(kayles, phi=PretendingFunction(tuple(values)))
         report = verify_to_heap(bad, 30)
         assert report.np_failures == [(2, (1, 11, 30), 0)]
-        assert (report.stats["nodes"], report.stats["evaluations"]) == (
-            43_967, 758_601
-        )
+        assert (report.stats["nodes"], report.stats["evaluations"],
+                report.stats["states"]) == (43_967, 758_601, 11_733)
+        assert report.stats["cases_by_omega"] == KAYLES_VF_30_CASES
+        assert verify_to_heap(bad, 30, budget=758_601).np_failures == report.np_failures
+        with pytest.raises(BudgetExceededError):
+            verify_to_heap(bad, 30, budget=758_600)

@@ -9,10 +9,11 @@ The verifier module turns a candidate into a proof.
 
 Misere classes are discovered with signatures: sig(u) = the outcome of u + w
 for every context w with at most m heaps, all heap sizes <= n.  The budget m
-escalates until a round's candidate is proved correct to heap n, or else two
-consecutive rounds produce identical results.  Normal-play
-classes are the nim values.  The classes of either convention are closed,
-folded and named by semigroup._generated_table and _named_monoid.
+escalates from 1 until a round's candidate is proved correct to heap n, or
+else, from m = 3 on, two consecutive rounds produce identical results.
+Normal-play classes are the nim values.  The classes of either convention
+are closed, folded and named by semigroup._generated_table and
+_named_monoid.
 """
 
 from __future__ import annotations
@@ -135,9 +136,10 @@ class QuotientAnalysis:
 # ---------------------------------------------------------------------------
 # construction
 
-# build_quotient widens its contexts from _START_CONTEXT to _MAX_CONTEXT heaps
-# and gives up past _MAX_CLASSES classes.
-_START_CONTEXT = 3
+# build_quotient widens its contexts from one heap to _MAX_CONTEXT heaps and
+# gives up past _MAX_CLASSES classes.  Two agreeing rounds end the widening
+# only when the earlier of them had at least _AGREEMENT_FLOOR heaps.
+_AGREEMENT_FLOOR = 3
 _MAX_CONTEXT = 6
 _MAX_CLASSES = 500
 
@@ -156,8 +158,9 @@ def _letter_names():
 class _Signatures:
     """Outcome signatures over a growing list of contexts.
 
-    _signature_quotient widens them round by round and stops at the first
-    round whose candidate proves to heap n, or else at two agreeing rounds.
+    _signature_quotient widens them round by round from m = 1 and stops at
+    the first round whose candidate proves to heap n, or else at two
+    agreeing rounds from m = _AGREEMENT_FLOOR on.
 
     The contexts are the empty position, then every position of one heap,
     two heaps, ... up to m heaps, all heap sizes <= n, each in the oracle's
@@ -263,33 +266,38 @@ def _named_analysis(code: GameCode, play: PlayConvention, n: int, table,
 
 def _signature_quotient(code: GameCode, n: int, play: PlayConvention) -> QuotientAnalysis:
     """The first signature round's analysis that verify_to_heap proves to
-    heap n, or else the first that two consecutive rounds agree on.
+    heap n, or else the first that two consecutive rounds m - 1 and m agree
+    on with m - 1 >= _AGREEMENT_FLOOR.  The rounds run m = 1, 2, ...
 
-    A proved candidate is what every later round would give, so returning it
-    leaves the output unchanged.  Distinct classes of round m have distinct
-    signatures, and once the candidate is proved its classes are exactly the
-    indistinguishability classes of the positions of heaps <= n.  Round m+1
-    refines round m, since its signatures extend those of round m, and is
-    refined by indistinguishability, since indistinguishable positions share
-    every signature.  So it finds the same representatives in the same
-    closure order, and with them the same table, phi, P and names.
+    A proved candidate is what every later round would give, whatever its m,
+    so returning it leaves the output unchanged.  Distinct classes of round
+    m have distinct signatures, and once the candidate is proved its classes
+    are exactly the indistinguishability classes of the positions of heaps
+    <= n.  Round m+1 refines round m, since its signatures extend those of
+    round m, and is refined by indistinguishability, since indistinguishable
+    positions share every signature.  So it finds the same representatives
+    in the same closure order, and with them the same table, phi, P and
+    names.  Rounds below _AGREEMENT_FLOOR end the search only by a proof,
+    so an unproved result always rests on contexts of at least
+    _AGREEMENT_FLOOR + 1 heaps.
     """
     # verifier imports builder, so builder imports verifier at call time.
     from .verifier import verify_to_heap
 
     previous = None
     sigs = _Signatures(code, n, play)
-    for m in range(_START_CONTEXT, _MAX_CONTEXT + 1):
+    for m in range(1, _MAX_CONTEXT + 1):
         sigs.widen(m)
         qa = _run_round(sigs)
         if qa is not None and (
-            qa == previous or verify_to_heap(qa, n, limit=1).passed
+            (m > _AGREEMENT_FLOOR and qa == previous)
+            or verify_to_heap(qa, n, limit=1).passed
         ):
             return qa
         previous = qa
     raise RuntimeError(
-        "no round proved and no two consecutive rounds agreed"
-        f" with context budget <= {_MAX_CONTEXT}"
+        f"no round proved with context budget <= {_MAX_CONTEXT}, and no two"
+        f" consecutive rounds from budget {_AGREEMENT_FLOOR} on agreed"
     )
 
 
@@ -298,10 +306,10 @@ def build_quotient(
 ) -> QuotientAnalysis:
     """Candidate quotient of the game to heap size n.
 
-    Under misere play, context budgets m = _START_CONTEXT, _START_CONTEXT+1,
-    ... are tried until a round's candidate is proved correct to heap n by
-    verify_to_heap, or else two consecutive signature rounds agree; raises
-    RuntimeError if neither happens up to _MAX_CONTEXT.  Under normal
+    Under misere play, context budgets m = 1, 2, ... are tried until a
+    round's candidate is proved correct to heap n by verify_to_heap, or else
+    two consecutive signature rounds m - 1 >= _AGREEMENT_FLOOR and m agree;
+    raises RuntimeError if neither happens up to _MAX_CONTEXT.  Under normal
     play a position's class is its nim value, sums add by xor and P is {0}.
     Either convention raises BudgetExceededError on more than _MAX_CLASSES
     classes.

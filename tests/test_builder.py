@@ -3,10 +3,11 @@
 import hashlib
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from misere_quotients import builder, oracle
+from misere_quotients import builder, oracle, verifier
 from misere_quotients.builder import (
     _run_round,
     _signature_quotient,
@@ -332,8 +333,9 @@ def _product_signature_mismatches(sigs, table):
     ]
 
 
-# Two-place codes whose first round at n = 8 gives a class table that is no
-# monoid, so the builder must widen, and their element counts.
+# Two-place codes whose rounds at n = 8 give class tables that are no monoid
+# up to three-heap contexts, so the builder must widen to four, and their
+# element counts.
 NO_MONOID_AT_FIRST_ROUND = {"0.35": 106, "0.71": 36}
 
 
@@ -345,7 +347,8 @@ class TestFoldedTable:
         + [f"{code}-8-misere" for code in NO_MONOID_AT_FIRST_ROUND],
     )
     def test_equals_product_signature_table(self, code, n, play, monkeypatch):
-        # Every round that yields an analysis, up to the two that agree.
+        # Every round that yields an analysis, from one-heap contexts up to
+        # the two that agree past the agreement floor.
         tables = []
         named = builder._named_analysis
 
@@ -356,14 +359,14 @@ class TestFoldedTable:
         monkeypatch.setattr(builder, "_named_analysis", spy)
         sigs = _Signatures(parse_game_code(code), n, play)
         previous, checked = None, 0
-        for m in range(builder._START_CONTEXT, builder._MAX_CONTEXT + 1):
+        for m in range(1, builder._MAX_CONTEXT + 1):
             sigs.widen(m)
             tables.clear()
             qa = _run_round(sigs)
             if qa is not None:
                 assert _product_signature_mismatches(sigs, tables[0]) == []
                 checked += 1
-                if qa == previous:
+                if m > builder._AGREEMENT_FLOOR and qa == previous:
                     break
             previous = qa
         assert checked >= 2
@@ -372,14 +375,21 @@ class TestFoldedTable:
 class TestCorpus:
     CODES = [f"0.{d1}{d2}" for d1 in range(8) for d2 in range(1, 8)]
 
+    # sha256 of the 56 analyses at n = 8, concatenated in CODES order,
+    # recorded while the signature rounds still started at three heaps.
+    DIGEST = "b4d627aaf71684a9cdd9259433abd34547170931feae78f65affa20d7ddcf2fa"
+
     def test_two_place_codes_build_and_verify(self):
         # Each nontrivial last digit: the quotient builds at n = 8 and the
-        # verifier proves it to heap 8.
+        # verifier proves it to heap 8, with the recorded bytes.
+        texts = []
         for code in self.CODES:
             qa = build_quotient(code, 8)
             assert verify_to_heap(qa, 8).passed, code
             if code in NO_MONOID_AT_FIRST_ROUND:
                 assert len(qa.monoid) == NO_MONOID_AT_FIRST_ROUND[code]
+            texts.append(analysis_to_json(qa))
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == self.DIGEST
 
 
 # Builds whose first proved round is checked against the round after it.
@@ -401,7 +411,7 @@ class TestEarlyExit:
         # bytes, and build_quotient returns them.
         game = parse_game_code(code)
         sigs = _Signatures(game, n, play)
-        for m in range(builder._START_CONTEXT, builder._MAX_CONTEXT + 1):
+        for m in range(1, builder._MAX_CONTEXT + 1):
             sigs.widen(m)
             qa = _run_round(sigs)
             if qa is not None and verify_to_heap(qa, n).passed:
@@ -417,16 +427,50 @@ class TestEarlyExit:
     @pytest.mark.parametrize("code", ["0.07", "0.72"])
     def test_unproved_candidate_is_widened_past(self, code, monkeypatch):
         # From one-heap contexts these codes give a 4-element monoid that
-        # fails verification; the builder widens past it to the quotient it
-        # builds from its usual start.
+        # fails verification; the builder tries it first, widens past it and
+        # returns the 6-element quotient that the next round proves.
         game = parse_game_code(code)
         sigs = _Signatures(game, 8, MISERE)
         sigs.widen(1)
         first = _run_round(sigs)
-        assert first is not None and not verify_to_heap(first, 8).passed
-        expected = analysis_to_json(build_quotient(game, 8))
-        monkeypatch.setattr(builder, "_START_CONTEXT", 1)
-        assert analysis_to_json(build_quotient(game, 8)) == expected
+        assert first is not None and len(first.monoid) == 4
+        assert not verify_to_heap(first, 8).passed
+        verdicts = []
+
+        def spy(qa, n, **kwargs):
+            report = verify_to_heap(qa, n, **kwargs)
+            verdicts.append((len(qa.monoid), report.passed))
+            return report
+
+        monkeypatch.setattr(verifier, "verify_to_heap", spy)
+        qa = build_quotient(game, 8)
+        assert verdicts == [(4, False), (6, True)]
+        assert len(qa.monoid) == 6
+
+    def test_agreement_floor_without_a_proof(self, monkeypatch):
+        # With no round proved, 0.123 at n = 6 gives one 6-element analysis
+        # from every round.  Rounds 1 = 2 and 2 = 3 agree below the floor and
+        # go on; rounds 3 = 4 agree at it, so round 4 is returned without
+        # being verified.
+        rounds, verified = [], []
+
+        def run_round(sigs):
+            qa = _run_round(sigs)
+            rounds.append((sigs.m, qa))
+            return qa
+
+        def fail(qa, n, **kwargs):
+            verified.append(qa)
+            return SimpleNamespace(passed=False)
+
+        monkeypatch.setattr(builder, "_run_round", run_round)
+        monkeypatch.setattr(verifier, "verify_to_heap", fail)
+        qa = build_quotient(G123, 6)
+        assert [m for m, _ in rounds] == [1, 2, 3, 4]
+        assert qa is rounds[-1][1]
+        assert all(other == qa for _, other in rounds)
+        assert [id(x) for x in verified] == [id(x) for _, x in rounds[:3]]
+        assert builder._AGREEMENT_FLOOR == 3
 
 
 class TestSmallWindows:
@@ -579,11 +623,13 @@ QA123_20_DIGEST = "42ffb2ac5ee4c89ab62b40fa74de2480e8b194e8ff27dfd3746ab2503ed00
 # More outputs of the one table closure, recorded before the presented
 # monoid, the misere classes and the nim-value classes shared it: normal
 # Kayles from its nim values, 0.35 (106 classes, after a first round that
-# is no monoid) and 0.71 (36 classes).
+# is no monoid) and 0.71 (36 classes).  Kayles to heap 10 was recorded
+# while the signature rounds still started at three heaps.
 ANALYSIS_DIGESTS.update({
     ("0.77", 96, NORMAL): "8324bb7f25d93dae1493175d1ff7f469b3fa0486131dbc7dc2e3781732a9fcc9",
     ("0.35", 8, MISERE): "947d00515edbc8351b2c61493c6bb78976dbbc75eea751a1956153b5fc67eb94",
     ("0.71", 8, MISERE): "8973a4d16d0ab8da12ec3bda7ffee76e9e8efc1a9bfc7f1cabc5b0bd333e00d2",
+    ("0.77", 10, MISERE): "74a6ee1b183d448ba4f943eceb68eb78acaaf497707366726ffc1ca713aa6bbf",
 })
 # The same for kayles_analysis(), enumerated from the packaged presentation.
 KAYLES_DIGEST = "be27212597bb357128ddc5981e60c013a181e72ef140035c140d6e686faa4024"

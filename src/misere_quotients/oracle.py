@@ -20,7 +20,7 @@ import weakref
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
-from operator import xor
+from operator import add, lshift, xor
 from typing import Callable, Iterable
 
 from .octal import GameCode, Position, _heap_moves, parse_game_code, period_window
@@ -619,6 +619,10 @@ def _trim_exponents(values: list[int], cap: int, what: str) -> tuple[int, ...]:
     raise GenusTailError(f"{what}: no settled tail within {cap} exponents")
 
 
+# Bits per column of the packed rows that _gminus_rows starts from.
+_FIELD_BITS = 16
+
+
 def _gminus_rows(memo: dict, root, x_options: Callable,
                  length: int) -> tuple[list[int], list[int]]:
     """The rows of the game ``root``, computed without building sums:
@@ -641,12 +645,39 @@ def _gminus_rows(memo: dict, root, x_options: Callable,
     suffices: once every option of x has its rows in ``memo``, one loop
     fills x's rows, n2 upward and n1 = 0 before n1 = 1 at each n2.
 
+    The loop reads the option rows packed into ints: column n2 owns a field
+    of ``width`` bits, and value v sets bit v of that field.  One OR per
+    option (x', flip) of its row n1 ^ flip gives the values x sees at parity
+    n1 in every column at once.  At each n2 the loop takes that column's
+    field, adds the bits of x's two values at n2 - 1 (and of g0 for n1 = 1),
+    and the lowest clear bit is the mex.  The width starts at _FIELD_BITS
+    and doubles when a value reaches width - 1.  The packed rows are a view
+    local to one call: x's are built as its rows are filled, those of rows
+    from an earlier call or from before a doubling are packed from ``memo``
+    when first read, and all are freed on return.  The rows in ``memo`` are
+    exact whatever the width, so a width change discards no row.
+
     ``x_options(x)``, called once per x whose rows are missing or short,
     lists x's options as pairs (x', flip): x' plus flip (0 or 1) copies of
     *1.  ``memo`` maps x to its rows; a row shorter than ``length`` is
     extended in place, so a later call with fewer copies of *2 is a hit.
     """
     get, unseen = memo.get, ((), ())
+    width, packed = _FIELD_BITS, {}
+
+    def pack(t) -> tuple[int, int]:
+        # t's rows in memo to column length - 1, packed at the width they need.
+        nonlocal width
+        rows = [row[:length] for row in memo[t]]
+        top = max(map(max, rows))
+        while top >= width - 1:
+            width *= 2
+            packed.clear()
+        # The sum of 1 << (n2 * width + v) over the columns n2 of each row.
+        offsets = range(0, length * width, width)
+        packed[t] = tuple(sum(map(lshift, repeat(1), map(add, offsets, row))) for row in rows)
+        return packed[t]
+
     stack = [(root, None)]
     while stack:
         x, opts = stack.pop()
@@ -659,30 +690,38 @@ def _gminus_rows(memo: dict, root, x_options: Callable,
                 stack.append((x, opts))
                 stack += pending
                 continue
+        # The OR of the option rows that each n1 of x reads; packing an
+        # option may double the width, and then the OR starts again.  The
+        # endgame has no option, but its value at n2 = 0 is 1, as if it had
+        # one of value 0.
+        w = 0
+        while w != width:
+            w, seen0, seen1 = width, 0 if opts else 1, 0
+            for t, flip in opts:
+                r0, r1 = packed.get(t) or pack(t)
+                if flip:
+                    r0, r1 = r1, r0
+                seen0 |= r0
+                seen1 |= r1
         row0, row1 = memo.setdefault(x, ([], []))
-        start = len(row0)
-        # Per n1 of x, the columns n2 = start .. length - 1 of the option
-        # rows that n1 reads: option (x', flip) reads row n1 ^ flip of x'.
-        columns = [
-            zip(*[memo[t][n1 ^ flip][start:length] for t, flip in opts])
-            if opts else repeat((), length - start)
-            for n1 in (0, 1)
-        ]
-        # The values at n2 - 1, which every state at n2 has as options.
-        prev = (row0[-1], row1[-1]) if start else ()
-        for col0, col1 in zip(*columns):
-            seen = {*col0, *prev}
-            # Nothing is seen only at n2 = 0 for an x with no option: the endgame.
-            g0 = 0 if seen else 1
-            while g0 in seen:
-                g0 += 1
-            seen = {*col1, *prev, g0}
-            g1 = 0
-            while g1 in seen:
-                g1 += 1
-            row0.append(g0)
-            row1.append(g1)
-            prev = (g0, g1)
+        start, mask = len(row0), (1 << w) - 1
+        # Bits of the values at n2 - 1, which every state at n2 has as options.
+        prev = 1 << row0[-1] | 1 << row1[-1] if start else 0
+        p0 = p1 = 0
+        for off in range(start * w, length * w, w):
+            # b0 and b1 are the lowest clear bits, 1 << g0 and 1 << g1.
+            s = seen0 >> off & mask | prev
+            b0 = ~s & s + 1
+            s = seen1 >> off & mask | prev | b0
+            b1 = ~s & s + 1
+            row0.append(b0.bit_length() - 1)
+            row1.append(b1.bit_length() - 1)
+            prev = b0 | b1
+            p0 |= b0 << off
+            p1 |= b1 << off
+        # Whole rows that fit their fields are packed already.
+        if not start and max(max(row0), max(row1)) < w - 1:
+            packed[x] = p0, p1
     return memo[root]
 
 

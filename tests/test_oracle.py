@@ -82,6 +82,9 @@ class TestNormalPlay:
     def test_period_kayles(self):
         assert normal_period(KAYLES) == (71, 12)
 
+    def test_no_period_within_r0_max(self):
+        assert normal_period(KAYLES, r0_max=2) is None
+
 
 class TestOutcome:
     def test_empty_position(self):
@@ -519,12 +522,39 @@ class TestGenusSearch:
         assert [_genus_or_tail_error(genus, code, p) for code, p in cases] == fresh
         assert {len(r0) for g in oracle._games.values() for r0, _ in g.gminus.values()} == {18}
         # The same on a tree's memo, which genus_of_tree frees on return.
-        tree = tree_of_position(KAYLES, Position.of(14))
         children = lambda t: [(o, 0) for o in t.options]
+
+        def rows(memo, tree, length):
+            return oracle._gminus_rows(memo, tree, children, length)
+
+        # Each second call extends the short rows of the first one's
+        # subtrees and fills the rest, which read those rows whole.
+        small, tree = (tree_of_position(KAYLES, Position.of(h)) for h in (10, 14))
         memo = {}
-        oracle._gminus_rows(memo, tree, children, 4)
-        assert oracle._gminus_rows(memo, tree, children, 18) == \
-            oracle._gminus_rows({}, tree, children, 18)
+        rows(memo, small, 4)
+        assert rows(memo, tree, 18) == rows({}, tree, 18)
+        # Values past the starting field width: short rows are extended at a
+        # doubled width, and whole rows of an earlier call are packed again
+        # at the width they need.
+        small, big, bigger = (nim_heap_tree(oracle._FIELD_BITS + k) for k in (2, 4, 6))
+        fresh = rows({}, big, 18)
+        assert min(fresh[0] + fresh[1]) >= oracle._FIELD_BITS
+        memo = {}
+        rows(memo, small, 4)
+        assert rows(memo, big, 18) == fresh
+        assert rows(memo, bigger, 18) == rows({}, bigger, 18)
+
+    def test_nim_heaps_across_field_widths(self):
+        # *k has genus k^{k, k ^ 2} for k >= 2.  The values double the
+        # starting field width of 16 from k = 15 on, and again from k = 29
+        # on, where k ^ 2 = 31.
+        ks = range(2, 41)
+        assert ks[-1] >= 2 * oracle._FIELD_BITS
+        for k in ks:
+            assert genus_of_tree(nim_heap_tree(k)) == GenusSymbol(k, (k, k ^ 2)), k
+        for k in range(oracle._FIELD_BITS - 1, oracle._FIELD_BITS + 3):
+            tree = nim_heap_tree(k)
+            assert genus_of_tree(tree) == genus_by_tree_sums(tree), k
 
     def test_every_two_digit_code_against_tree_sums(self):
         # Every code 0.d1d2, heaps 1..8: both searches against the sums with

@@ -16,6 +16,7 @@ from misere_quotients.semigroup import (
     Presentation,
     _check_associative,
     _closure,
+    _element_profile,
     _least_words,
     action_table,
     enumerate_elements,
@@ -333,6 +334,18 @@ class TestIsomorphism:
         z2 = _monoid_from("gens: x\nx^2 = 1")
         z4 = _monoid_from("gens: g\ng^4 = 1")
         assert is_isomorphic(z2, z4) is None
+
+    def test_equal_profiles_not_isomorphic(self):
+        # Z2 x {1, b} with b idempotent, against Z2 beside a group {b, b^2}
+        # that a fixes.  The element profiles agree, so only the backtrack
+        # tells them apart: a times b is a new element in one, b in the other.
+        m1 = _monoid_from("gens: a b\na^2 = 1\nb^2 = b")
+        m2 = _monoid_from("gens: a b\na^2 = 1\nb^3 = b\na b = b")
+        assert len(m1) == len(m2) == 4
+        assert sorted(_element_profile(m1, i) for i in range(4)) == \
+            sorted(_element_profile(m2, i) for i in range(4))
+        assert is_isomorphic(m1, m2) is None
+        assert is_isomorphic(m2, m1) is None
 
     def test_bound(self):
         names = tuple(f"g{i}" for i in range(65))

@@ -219,6 +219,10 @@ class TestVerification:
         with pytest.raises(BudgetExceededError):
             verify_to_heap(qa123_12, 12, budget=10)
 
+    def test_naive_scan_budget(self, qa123_12):
+        with pytest.raises(BudgetExceededError):
+            verify_to_heap(qa123_12, 12, collapse=False, budget=1)
+
 
 class TestMutations:
     def test_misclassified_p_element_is_caught(self, qa123_12):

@@ -9,8 +9,7 @@ The verifier module turns a candidate into a proof.
 
 Misere classes are discovered with signatures: sig(u) = the outcome of u + w
 for every context w with at most m heaps, all heap sizes <= n.  The budget m
-escalates from 1 until a round's candidate is proved correct to heap n, or
-else, from m = 3 on, two consecutive rounds produce identical results.
+escalates from 1 until a round's candidate is proved correct to heap n.
 Normal-play classes are the nim values.  The classes of either convention
 are closed, folded and named by semigroup._generated_table and
 _named_monoid.
@@ -28,6 +27,7 @@ from .oracle import (
     MISERE,
     NORMAL,
     GenusSymbol,
+    InternalError,
     Outcome,
     PlayConvention,
     _game,
@@ -51,6 +51,7 @@ __all__ = [
     "OutcomePartition",
     "QuotientAnalysis",
     "build_quotient",
+    "prove_quotient",
     "phi_of_position",
     "predicted_outcome",
     "detect_period",
@@ -136,10 +137,8 @@ class QuotientAnalysis:
 # ---------------------------------------------------------------------------
 # construction
 
-# build_quotient widens its contexts from one heap to _MAX_CONTEXT heaps and
-# gives up past _MAX_CLASSES classes.  Two agreeing rounds end the widening
-# only when the earlier of them had at least _AGREEMENT_FLOOR heaps.
-_AGREEMENT_FLOOR = 3
+# prove_quotient widens its contexts from one heap to _MAX_CONTEXT heaps and
+# gives up past _MAX_CLASSES classes.
 _MAX_CONTEXT = 6
 _MAX_CLASSES = 500
 
@@ -159,8 +158,7 @@ class _Signatures:
     """Outcome signatures over a growing list of contexts.
 
     _signature_quotient widens them round by round from m = 1 and stops at
-    the first round whose candidate proves to heap n, or else at two
-    agreeing rounds from m = _AGREEMENT_FLOOR on.
+    the first round whose candidate proves to heap n.
 
     The contexts are the empty position, then every position of one heap,
     two heaps, ... up to m heaps, all heap sizes <= n, each in the oracle's
@@ -264,10 +262,10 @@ def _named_analysis(code: GameCode, play: PlayConvention, n: int, table,
     )
 
 
-def _signature_quotient(code: GameCode, n: int, play: PlayConvention) -> QuotientAnalysis:
-    """The first signature round's analysis that verify_to_heap proves to
-    heap n, or else the first that two consecutive rounds m - 1 and m agree
-    on with m - 1 >= _AGREEMENT_FLOOR.  The rounds run m = 1, 2, ...
+def _signature_quotient(code: GameCode, n: int, play: PlayConvention, budget=None):
+    """The analysis of the first signature round, m = 1, 2, ..., that
+    verify_to_heap proves to heap n, with the passing report.  ``budget``
+    bounds each round's N-to-P scan.
 
     A proved candidate is what every later round would give, whatever its m,
     so returning it leaves the output unchanged.  Distinct classes of round
@@ -277,55 +275,60 @@ def _signature_quotient(code: GameCode, n: int, play: PlayConvention) -> Quotien
     round m, and is refined by indistinguishability, since indistinguishable
     positions share every signature.  So it finds the same representatives
     in the same closure order, and with them the same table, phi, P and
-    names.  Rounds below _AGREEMENT_FLOOR end the search only by a proof,
-    so an unproved result always rests on contexts of at least
-    _AGREEMENT_FLOOR + 1 heaps.
+    names.
     """
     # verifier imports builder, so builder imports verifier at call time.
     from .verifier import verify_to_heap
 
-    previous = None
     sigs = _Signatures(code, n, play)
     for m in range(1, _MAX_CONTEXT + 1):
         sigs.widen(m)
         qa = _run_round(sigs)
-        if qa is not None and (
-            (m > _AGREEMENT_FLOOR and qa == previous)
-            or verify_to_heap(qa, n, limit=1).passed
-        ):
-            return qa
-        previous = qa
-    raise RuntimeError(
-        f"no round proved with context budget <= {_MAX_CONTEXT}, and no two"
-        f" consecutive rounds from budget {_AGREEMENT_FLOOR} on agreed"
-    )
+        if qa is not None:
+            report = verify_to_heap(qa, n, budget=budget, limit=1)
+            if report.passed:
+                return qa, report
+    raise RuntimeError(f"no round proved with context budget <= {_MAX_CONTEXT}")
 
 
-def build_quotient(
-    code: GameCode, n: int, play: PlayConvention = MISERE
-) -> QuotientAnalysis:
-    """Candidate quotient of the game to heap size n.
+def prove_quotient(code: GameCode, n: int, play: PlayConvention = MISERE,
+                   *, budget: int | None = None):
+    """The quotient of the game to heap size n, with the passing
+    verifier.VerificationReport of verify_to_heap(qa, n, limit=1) that
+    proves it.  ``budget`` bounds each N-to-P scan of those proofs.
 
     Under misere play, context budgets m = 1, 2, ... are tried until a
-    round's candidate is proved correct to heap n by verify_to_heap, or else
-    two consecutive signature rounds m - 1 >= _AGREEMENT_FLOOR and m agree;
-    raises RuntimeError if neither happens up to _MAX_CONTEXT.  Under normal
-    play a position's class is its nim value, sums add by xor and P is {0}.
-    Either convention raises BudgetExceededError on more than _MAX_CLASSES
-    classes.
+    round's candidate is proved correct to heap n; raises RuntimeError if
+    none is up to _MAX_CONTEXT.  Under normal play a position's class is its
+    nim value, sums add by xor and P is {0}; by Sprague-Grundy theory that
+    analysis is correct, so a failed proof raises InternalError.  Either
+    convention raises BudgetExceededError on more than _MAX_CLASSES classes.
     """
     if isinstance(code, str):
         code = parse_game_code(code)
     if n < 1:
         raise ValueError("heap bound must be at least 1")
     if play is MISERE:
-        return _signature_quotient(code, n, play)
+        return _signature_quotient(code, n, play, budget)
+    from .verifier import verify_to_heap
+
     # The classes are the nim values that xor of heap values G(1..n) reach.
     values = [grundy(code, h) for h in range(1, n + 1)]
     _, table, phi_classes = _generated_table(
         0, values, xor, lambda v: v, _MAX_CLASSES
     )
-    return _named_analysis(code, play, n, table, phi_classes, [0])
+    qa = _named_analysis(code, play, n, table, phi_classes, [0])
+    report = verify_to_heap(qa, n, budget=budget, limit=1)
+    if not report.passed:
+        raise InternalError(f"the nim values of {code} fail their proof to heap {n}")
+    return qa, report
+
+
+def build_quotient(code: GameCode, n: int,
+                   play: PlayConvention = MISERE) -> QuotientAnalysis:
+    """The analysis of prove_quotient(code, n, play) without its report;
+    its verified_to stays None."""
+    return prove_quotient(code, n, play)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from misere_quotients import builder, oracle, verifier
+from misere_quotients import builder, cli, oracle, verifier
 from misere_quotients.builder import (
     _run_round,
     _signature_quotient,
@@ -28,6 +28,7 @@ from misere_quotients.oracle import (
     MISERE,
     NORMAL,
     BudgetExceededError,
+    InternalError,
     Outcome,
     genus,
     nim_value,
@@ -203,7 +204,7 @@ class TestNormalFromNimValues:
         qa = build_quotient(game, n, NORMAL)
         # No outcome search ran: the nim values alone named the classes.
         assert oracle._game(game).outcomes[NORMAL] == {}
-        reference = _signature_quotient(game, n, NORMAL)
+        reference, _ = _signature_quotient(game, n, NORMAL)
         assert analysis_to_json(qa) == analysis_to_json(reference)
 
     def test_class_limit(self, monkeypatch):
@@ -348,7 +349,8 @@ class TestFoldedTable:
     )
     def test_equals_product_signature_table(self, code, n, play, monkeypatch):
         # Every round that yields an analysis, from one-heap contexts up to
-        # the two that agree past the agreement floor.
+        # the first round from four-heap contexts on that equals the round
+        # before it.
         tables = []
         named = builder._named_analysis
 
@@ -366,7 +368,7 @@ class TestFoldedTable:
             if qa is not None:
                 assert _product_signature_mismatches(sigs, tables[0]) == []
                 checked += 1
-                if m > builder._AGREEMENT_FLOOR and qa == previous:
+                if m > 3 and qa == previous:
                     break
             previous = qa
         assert checked >= 2
@@ -406,9 +408,8 @@ class TestEarlyExit:
         ids=[f"{code}-{n}-{play.value}" for code, n, play in EARLY_EXIT_CASES],
     )
     def test_proved_round_is_confirmed_by_the_next(self, code, n, play):
-        # The old rule, two agreeing rounds, would return the same analysis
-        # one round later: the proved round m and round m + 1 give the same
-        # bytes, and build_quotient returns them.
+        # The proved round m and round m + 1 give the same bytes, and
+        # build_quotient returns them.
         game = parse_game_code(code)
         sigs = _Signatures(game, n, play)
         for m in range(1, builder._MAX_CONTEXT + 1):
@@ -447,30 +448,30 @@ class TestEarlyExit:
         assert verdicts == [(4, False), (6, True)]
         assert len(qa.monoid) == 6
 
-    def test_agreement_floor_without_a_proof(self, monkeypatch):
-        # With no round proved, 0.123 at n = 6 gives one 6-element analysis
-        # from every round.  Rounds 1 = 2 and 2 = 3 agree below the floor and
-        # go on; rounds 3 = 4 agree at it, so round 4 is returned without
-        # being verified.
-        rounds, verified = [], []
+    def test_no_round_proved(self, monkeypatch, capsys):
+        # With every proof rejected, the misere rounds run from one-heap
+        # contexts to _MAX_CONTEXT and the build fails.  The nim values
+        # cannot fail their proof, so failing it there is an internal error.
+        rounds = []
 
         def run_round(sigs):
-            qa = _run_round(sigs)
-            rounds.append((sigs.m, qa))
-            return qa
+            rounds.append(sigs.m)
+            return _run_round(sigs)
 
         def fail(qa, n, **kwargs):
-            verified.append(qa)
             return SimpleNamespace(passed=False)
 
         monkeypatch.setattr(builder, "_run_round", run_round)
         monkeypatch.setattr(verifier, "verify_to_heap", fail)
-        qa = build_quotient(G123, 6)
-        assert [m for m, _ in rounds] == [1, 2, 3, 4]
-        assert qa is rounds[-1][1]
-        assert all(other == qa for _, other in rounds)
-        assert [id(x) for x in verified] == [id(x) for _, x in rounds[:3]]
-        assert builder._AGREEMENT_FLOOR == 3
+        with pytest.raises(RuntimeError, match="no round proved"):
+            build_quotient(G123, 6)
+        assert rounds == list(range(1, builder._MAX_CONTEXT + 1))
+        assert cli.main(["analyze", "0.123", "-n", "6"]) == 2
+        assert "failed: no round proved" in capsys.readouterr().err
+        with pytest.raises(InternalError):
+            build_quotient(G123, 6, NORMAL)
+        assert cli.main(["analyze", "0.123", "-n", "6", "--normal"]) == 5
+        assert "internal error" in capsys.readouterr().err
 
 
 class TestSmallWindows:

@@ -75,6 +75,38 @@ class TestAnalyze:
         assert "quotient elements: 36" in out
         assert "PASSED" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["0.123", "-n", "11"],
+            ["0.07", "-n", "8"],
+            ["0.77", "--normal", "-n", "20"],
+        ],
+    )
+    def test_report_is_what_verify_prints(self, capsys, tmp_path, argv):
+        # analyze prints the report of the proof that stopped its build.
+        path = str(tmp_path / "out.json")
+
+        def report(out):
+            lines = out.splitlines()
+            start = next(i for i, line in enumerate(lines)
+                         if "P-to-P violations" in line)
+            return lines[start : lines.index("PASSED") + 1]
+
+        assert main(["analyze", *argv, "--out", path]) == 0
+        built = report(capsys.readouterr().out)
+        assert main(["verify", path]) == 0
+        assert report(capsys.readouterr().out) == built
+        assert len(built) == 3
+
+    def test_budget_boundary(self, capsys):
+        # The build's proving scan of 0.123 at n = 11 makes 1 205
+        # evaluations: one fewer is over budget.
+        assert main(["analyze", "0.123", "-n", "11", "--budget", "1205"]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "0.123", "-n", "11", "--budget", "1204"]) == 3
+        assert "budget exceeded" in capsys.readouterr().err
+
 
 class TestOutcome:
     def test_worked_example(self, capsys, analysis_file):
@@ -136,6 +168,17 @@ class TestOutcome:
         assert rc == 0
         assert "outcome: P" in captured.out
         assert "unverified" in captured.err
+
+    def test_built_analysis_is_verified(self, capsys):
+        # A code other than Kayles is built at n = 12, which proves it:
+        # 0.07 claims no period there, and 0.15 claims (11, 1), which does
+        # not certify.
+        assert main(["outcome", "0.07", "3", "4"]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["structure", "0.15"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["verified"] is True
 
     def test_rejects_nonpositive_heap(self, capsys, analysis_file):
         assert main(["outcome", analysis_file, "0"]) == 4

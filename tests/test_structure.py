@@ -117,6 +117,19 @@ class TestSeries0123:
                     assert m.table[u][v] in members
 
 
+class TestFactorLabels:
+    @pytest.mark.parametrize(
+        "text, label",
+        [
+            ("gens: a b\na^2 = 1\nb^2 = 1", "K4+0"),
+            ("gens: a\na^3 = 1", "group(3)+0"),
+        ],
+    )
+    def test_group_presentation_is_one_group_factor(self, text, label):
+        m = enumerate_elements(knuth_bendix(parse_presentation(text)), 10)
+        assert [f.label for f in principal_series(m).factors] == [label]
+
+
 class TestSubgroups0123:
     def test_z2_subgroup_is_klein(self, qa123_12):
         m = qa123_12.monoid

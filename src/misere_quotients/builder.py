@@ -8,8 +8,9 @@ merged here might be distinguished by some context larger than the budget.
 The verifier module turns a candidate into a proof.
 
 Misere classes are discovered with signatures: sig(u) = the outcome of u + w
-for every context w with at most m heaps, all heap sizes <= n.  The budget m
-escalates from 1 until a round's candidate is proved correct to heap n.
+for every context w, all heap sizes <= n.  The contexts start at the single
+heaps and grow by each round's class representatives, else by one heap,
+until a round's candidate is proved correct to heap n.
 Normal-play classes are the nim values.  The classes of either convention
 are closed, folded and named by semigroup._generated_table and
 _named_monoid.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from itertools import chain, combinations_with_replacement, islice, repeat
+from itertools import chain, islice, repeat
 from operator import xor
 
 from .octal import GameCode, Position, parse_game_code
@@ -137,8 +138,8 @@ class QuotientAnalysis:
 # ---------------------------------------------------------------------------
 # construction
 
-# prove_quotient widens its contexts from one heap to _MAX_CONTEXT heaps and
-# gives up past _MAX_CLASSES classes.
+# prove_quotient grows its contexts by one heap at most _MAX_CONTEXT - 1
+# times and gives up past _MAX_CLASSES classes.
 _MAX_CONTEXT = 6
 _MAX_CLASSES = 500
 
@@ -157,46 +158,44 @@ def _letter_names():
 class _Signatures:
     """Outcome signatures over a growing list of contexts.
 
-    _signature_quotient widens them round by round from m = 1 and stops at
-    the first round whose candidate proves to heap n.
-
-    The contexts are the empty position, then every position of one heap,
-    two heaps, ... up to m heaps, all heap sizes <= n, each in the oracle's
-    packed canonical form (see oracle._Game), and a context whose canonical
-    form repeats an earlier one is dropped.  Raising m only appends
-    contexts, so a signature kept from an earlier round is extended by the
-    new contexts alone.  A signature is bytes, one byte per context: 1 when
-    u + w is an N position.  Each extension is one call of the oracle's
-    batched outcome search, oracle._Game.wins.
+    The contexts start as the empty position and every single heap <= n,
+    each in the oracle's packed canonical form (see oracle._Game), and
+    ``add`` appends more.  A signature is bytes, one byte per context: 1
+    when u + w is an N position.  Contexts are only appended, so a kept
+    signature is extended by the new contexts alone, in one call of the
+    oracle's batched outcome search, oracle._Game.wins.
 
     The canonical form is exact: a dead heap adds no move, heaps with equal
     option sets are equal games, and X + *1 + *1 has the outcome of X.  So
-    two contexts of one canonical form give every u the same byte, and
-    dropping the repeat leaves signature equality, and with it every class,
-    unchanged.  Positions u of one canonical form share one signature.
+    two contexts of one canonical form give every u the same byte; ``add``
+    drops the repeat, which leaves every class unchanged and each kept byte
+    in line with its context.  Positions u of one canonical form share one
+    signature.
+
+    No packed field of u + w carries (see oracle._Game).  u is a class
+    representative plus one heap; w is the empty position or a
+    representative, plus at most _MAX_CONTEXT - 1 heaps; a representative
+    has fewer than _MAX_CLASSES heaps.  So each side has at most
+    _MAX_CLASSES + _MAX_CONTEXT heaps, far below 2**15.
     """
 
     def __init__(self, code: GameCode, n: int, play: PlayConvention):
         self.code = code
         self.play = play
         self.n = n
-        self.m = 0
-        self.contexts: list[int] = [0]
-        self._sigs: dict[int, bytes] = {}
         self._game = _game(code)
+        self.singles = [self._game.key((h,)) for h in range(1, n + 1)]
+        self.contexts: list[int] = []
+        self._held: set[int] = set()
+        self._sigs: dict[int, bytes] = {}
+        self.add([0, *self.singles])
 
-    def widen(self, m: int) -> None:
-        """Extend the contexts to every position of at most m heaps."""
-        game, heaps = self._game, range(1, self.n + 1)
-        # A dict keeps each canonical context at its first place.
-        contexts = dict.fromkeys(self.contexts)
-        for size in range(self.m + 1, m + 1):
-            # The largest context, size heaps of n, holds the most tokens.
-            game.cover(size * self.n, self.n)
-            combos = combinations_with_replacement(heaps, size)
-            contexts.update(dict.fromkeys(map(game.pack, combos)))
-        self.m = max(self.m, m)
-        self.contexts = list(contexts)
+    def add(self, contexts) -> bool:
+        """Append the contexts not yet held, in order; True if there were any."""
+        new = [w for w in dict.fromkeys(contexts) if w not in self._held]
+        self._held.update(new)
+        self.contexts += new
+        return bool(new)
 
     def sig(self, u: int) -> bytes:
         """The signature of packed canonical position ``u``."""
@@ -207,25 +206,24 @@ class _Signatures:
         return got
 
 
-def _run_round(sigs: _Signatures) -> QuotientAnalysis | None:
+def _run_round(sigs: _Signatures) -> tuple[QuotientAnalysis | None, list[int]]:
     """The candidate at the current contexts of ``sigs``, or None when its
-    class table is no monoid there.  The classes are those of packed
-    canonical positions (see oracle._Game) under signature equality, closed
-    under adding single heaps and folded by semigroup._generated_table."""
-    game = sigs._game
-    singles = [game.key((h,)) for h in range(1, sigs.n + 1)]
+    class table is no monoid there, with the representatives of its
+    classes.  The classes are those of packed canonical positions (see
+    oracle._Game) under signature equality, closed under adding single
+    heaps and folded by semigroup._generated_table."""
     reps, table, phi_classes = _generated_table(
-        0, singles, game.join, sigs.sig, _MAX_CLASSES
+        0, sigs.singles, sigs._game.join, sigs.sig, _MAX_CLASSES
     )
     try:
         _check_table(table, 0, phi_classes)
     except ValueError:
-        return None  # the classes are no monoid at this budget: widen
+        return None, reps  # the classes are no monoid at these contexts
 
     return _named_analysis(
         sigs.code, sigs.play, sigs.n, table, phi_classes,
         [cls for cls, rep in enumerate(reps) if not sigs.sig(rep)[0]],
-    )
+    ), reps
 
 
 def _named_analysis(code: GameCode, play: PlayConvention, n: int, table,
@@ -263,32 +261,43 @@ def _named_analysis(code: GameCode, play: PlayConvention, n: int, table,
 
 
 def _signature_quotient(code: GameCode, n: int, play: PlayConvention, budget=None):
-    """The analysis of the first signature round, m = 1, 2, ..., that
-    verify_to_heap proves to heap n, with the passing report.  ``budget``
-    bounds each round's N-to-P scan.
+    """The analysis of the first signature round that verify_to_heap proves
+    to heap n, with the passing report.  ``budget`` bounds each round's
+    N-to-P scan.
 
-    A proved candidate is what every later round would give, whatever its m,
-    so returning it leaves the output unchanged.  Distinct classes of round
-    m have distinct signatures, and once the candidate is proved its classes
-    are exactly the indistinguishability classes of the positions of heaps
-    <= n.  Round m+1 refines round m, since its signatures extend those of
-    round m, and is refined by indistinguishability, since indistinguishable
-    positions share every signature.  So it finds the same representatives
-    in the same closure order, and with them the same table, phi, P and
-    names.
+    After a round that does not prove, its class representatives become
+    contexts.  Indistinguishability is a congruence, so once the classes
+    are right they are a complete set of contexts: any w shares a class
+    with some representative r, and u + w has the outcome of u + r.  When
+    no representative is new, the one-heap step adds every context plus
+    every single heap.  A round that fails once the steps have reached
+    _MAX_CONTEXT heaps, and adds no representative, raises RuntimeError.
+
+    A proved candidate is what every later round would give, so returning
+    it leaves the output unchanged.  Distinct classes of a round have
+    distinct signatures, and a proved candidate's classes are exactly the
+    indistinguishability classes of the positions of heaps <= n.  A later
+    round refines it, since its signatures extend the earlier ones, and is
+    refined by indistinguishability, since indistinguishable positions
+    share every signature.  So it finds the same representatives in the
+    same closure order, and with them the same table, phi, P and names.
     """
     # verifier imports builder, so builder imports verifier at call time.
     from .verifier import verify_to_heap
 
     sigs = _Signatures(code, n, play)
-    for m in range(1, _MAX_CONTEXT + 1):
-        sigs.widen(m)
-        qa = _run_round(sigs)
+    join, heaps = sigs._game.join, 1
+    while True:
+        qa, reps = _run_round(sigs)
         if qa is not None:
             report = verify_to_heap(qa, n, budget=budget, limit=1)
             if report.passed:
                 return qa, report
-    raise RuntimeError(f"no round proved with context budget <= {_MAX_CONTEXT}")
+        if not sigs.add(reps):
+            if heaps == _MAX_CONTEXT:
+                raise RuntimeError(f"no round proved with context budget <= {_MAX_CONTEXT}")
+            heaps += 1
+            sigs.add([join(c, s) for c in sigs.contexts for s in sigs.singles])
 
 
 def prove_quotient(code: GameCode, n: int, play: PlayConvention = MISERE,
@@ -297,12 +306,15 @@ def prove_quotient(code: GameCode, n: int, play: PlayConvention = MISERE,
     verifier.VerificationReport of verify_to_heap(qa, n, limit=1) that
     proves it.  ``budget`` bounds each N-to-P scan of those proofs.
 
-    Under misere play, context budgets m = 1, 2, ... are tried until a
-    round's candidate is proved correct to heap n; raises RuntimeError if
-    none is up to _MAX_CONTEXT.  Under normal play a position's class is its
-    nim value, sums add by xor and P is {0}; by Sprague-Grundy theory that
-    analysis is correct, so a failed proof raises InternalError.  Either
-    convention raises BudgetExceededError on more than _MAX_CLASSES classes.
+    Under misere play, signature rounds run until a candidate is proved
+    correct to heap n (see _signature_quotient).  After j one-heap steps
+    the contexts hold every position of at most j + 1 heaps, so the rounds
+    split every class that such contexts split; they raise RuntimeError
+    only if that does not prove by _MAX_CONTEXT heaps.  Under normal play a
+    position's class is its nim value, sums add by xor and P is {0}; by
+    Sprague-Grundy theory that analysis is correct, so a failed proof
+    raises InternalError.  Either convention raises BudgetExceededError on
+    more than _MAX_CLASSES classes.
     """
     if isinstance(code, str):
         code = parse_game_code(code)

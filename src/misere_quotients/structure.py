@@ -128,32 +128,18 @@ def _factor_of(m: FiniteCommutativeMonoid, members: tuple[int, ...]) -> RFactor:
     for a in members:
         for b in members:
             table[local[a]][local[b]] = local.get(m.table[a][b], 0)
-    products = [
-        table[i][j] for i in range(1, k + 1) for j in range(1, k + 1)
-    ]
-    if all(p == 0 for p in products):
+    # A mutual-divisibility class of a finite commutative monoid is an
+    # H-class, and by Green's theorem an H-class is a group as soon as one
+    # product of two members stays inside it.  So the square of the first
+    # member decides: inside, the class is a group; outside, no product
+    # stays inside and the factor is null.  A group of four whose squares all
+    # agree squares to its identity.
+    if not table[1][1]:
         label = f"null({k})"
-    elif all(p != 0 for p in products):
-        ident = next(
-            (
-                i
-                for i in range(1, k + 1)
-                if all(table[i][j] == j for j in range(1, k + 1))
-            ),
-            None,
-        )
-        is_group = ident is not None and all(
-            any(table[i][j] == ident for j in range(1, k + 1))
-            for i in range(1, k + 1)
-        )
-        if not is_group:
-            label = f"other({k})"
-        elif k == 4 and all(table[i][i] == ident for i in range(1, k + 1)):
-            label = "K4+0"
-        else:
-            label = f"group({k})+0"
+    elif k == 4 and len({table[i][i] for i in range(1, 5)}) == 1:
+        label = "K4+0"
     else:
-        label = f"other({k})"
+        label = f"group({k})+0"
     return RFactor(
         members=members,
         names=("0",) + tuple(m.names[u] for u in members),

@@ -82,8 +82,9 @@ def test_rebuild_after_freeing_the_game(tracer, monkeypatch):
     monkeypatch.setattr(oracle, "_games", {})
     first = analysis_to_json(build_quotient("0.123", 11))
     sizes = tracer.memo_sizes()
-    # The rounds from one-heap contexts stop at m = 2, the first proved.
-    assert sizes["oracle.outcome.memo_entries"] == 1797
+    # The first contexts and the representatives of two rounds give the
+    # proved round.
+    assert sizes["oracle.outcome.memo_entries"] == 753
     oracle._games.pop(parse_game_code("0.123"))
     assert analysis_to_json(build_quotient("0.123", 11)) == first
     assert tracer.memo_sizes() == sizes

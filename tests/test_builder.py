@@ -216,46 +216,75 @@ class TestNormalFromNimValues:
         assert len(build_quotient(G123, 12, NORMAL).monoid) == 4
 
 
+def _step(sigs):
+    """The one-heap step of builder._signature_quotient: every context plus
+    every single heap."""
+    join = sigs._game.join
+    sigs.add([join(c, s) for c in sigs.contexts for s in sigs.singles])
+
+
+def _signatures(code, n, play, steps=0):
+    """Signatures of ``code`` to heap n after ``steps`` one-heap steps, with
+    no representative added."""
+    sigs = _Signatures(code, n, play)
+    for _ in range(steps):
+        _step(sigs)
+    return sigs
+
+
 class TestSignatureKernel:
     PROBES = [(), (1,), (2, 3), (1, 8, 8), (4, 5, 6)]
 
     @pytest.mark.parametrize("play", [MISERE, NORMAL])
     def test_round_signature_is_prefix_of_next(self, play):
-        sigs = _Signatures(G123, 8, play)
-        sigs.widen(2)
+        sigs = _signatures(G123, 8, play, steps=1)
         key = sigs._game.key
         before = {u: sigs.sig(key(u)) for u in self.PROBES}
         width = len(sigs.contexts)
-        sigs.widen(3)
-        fresh = _Signatures(G123, 8, play)
-        fresh.widen(3)
+        _step(sigs)
+        fresh = _signatures(G123, 8, play, steps=2)
         for u in self.PROBES:
             got = sigs.sig(key(u))
             assert len(got) == len(sigs.contexts) > width
             assert got[:width] == before[u]
             assert got == fresh.sig(fresh._game.key(u))
 
-    def test_widen_packs_every_context_as_key_does(self, monkeypatch):
+    def test_steps_hold_every_position_of_one_heap_more(self):
+        # From the empty position and the single heaps, j one-heap steps
+        # hold exactly the packed positions of at most j + 1 heaps, each once.
+        for steps in range(4):
+            sigs = _signatures(G123, 8, MISERE, steps)
+            combos = itertools.chain.from_iterable(
+                itertools.combinations_with_replacement(range(1, 9), m)
+                for m in range(steps + 2)
+            )
+            assert len(set(sigs.contexts)) == len(sigs.contexts)
+            assert set(sigs.contexts) == set(map(sigs._game.key, combos))
+
+    def test_add_keeps_bytes_in_line_with_contexts(self):
+        # Heap 2 of 0.123 is dead and packs to the empty position, so the
+        # first contexts hold it once; repeats that add drops leave every
+        # later byte on its own context.
         sigs = _Signatures(G123, 8, MISERE)
-        sigs.widen(3)
-        key = sigs._game.key
-        combos = itertools.chain.from_iterable(
-            itertools.combinations_with_replacement(range(1, 9), m) for m in range(4)
-        )
-        want = list(dict.fromkeys(map(key, combos)))
-        assert sigs.contexts == want
-        # The token check runs once per round, on its largest context: four
-        # heaps of 8 make 32 tokens, refused under a bound of 32 before
-        # the round changes anything.
-        monkeypatch.setattr(oracle, "_TOKENS", 32)
-        with pytest.raises(ValueError, match="32 tokens or more"):
-            sigs.widen(4)
-        assert (sigs.m, sigs.contexts) == (3, want)
+        key, unpack = sigs._game.key, sigs._game.unpack
+        assert key((2,)) == 0
+        assert len(sigs.contexts) == len(set(sigs.contexts)) < 9
+        before = {u: sigs.sig(key(u)) for u in self.PROBES}
+        new = [key((2, 2)), key((3,)), key((2, 3, 5)), key((1, 4)), key((4, 1)), key((3, 5))]
+        assert sigs.add(new)
+        assert not sigs.add([key((2, 5)), key((1, 1))])
+        assert sigs.contexts[-2:] == [key((3, 5)), key((1, 4))]
+        for u in self.PROBES:
+            got = sigs.sig(key(u))
+            assert got.startswith(before[u])
+            assert list(got) == [
+                outcome(G123, Position(u + unpack(w)), MISERE) is Outcome.N
+                for w in sigs.contexts
+            ]
 
     @pytest.mark.parametrize("play", [MISERE, NORMAL])
     def test_signature_bytes_are_outcomes(self, play):
-        sigs = _Signatures(G123, 6, play)
-        sigs.widen(2)
+        sigs = _signatures(G123, 6, play, steps=1)
         for u in self.PROBES:
             got = sigs.sig(sigs._game.key(u))
             assert got[0] == (outcome(G123, Position(u), play) is Outcome.N)
@@ -266,11 +295,8 @@ class TestSignatureKernel:
             ]
 
     def test_consecutive_rounds_compare_by_value(self):
-        sigs = _Signatures(G123, 6, MISERE)
-        sigs.widen(3)
-        first = _run_round(sigs)
-        sigs.widen(4)
-        second = _run_round(sigs)
+        first, _ = _run_round(_signatures(G123, 6, MISERE, steps=2))
+        second, _ = _run_round(_signatures(G123, 6, MISERE, steps=3))
         assert first is not None and first is not second
         assert first == second
 
@@ -335,8 +361,7 @@ def _product_signature_mismatches(sigs, table):
 
 
 # Two-place codes whose rounds at n = 8 give class tables that are no monoid
-# up to three-heap contexts, so the builder must widen to four, and their
-# element counts.
+# up to three-heap contexts, and their element counts.
 NO_MONOID_AT_FIRST_ROUND = {"0.35": 106, "0.71": 36}
 
 
@@ -362,9 +387,10 @@ class TestFoldedTable:
         sigs = _Signatures(parse_game_code(code), n, play)
         previous, checked = None, 0
         for m in range(1, builder._MAX_CONTEXT + 1):
-            sigs.widen(m)
+            if m > 1:
+                _step(sigs)
             tables.clear()
-            qa = _run_round(sigs)
+            qa, _ = _run_round(sigs)
             if qa is not None:
                 assert _product_signature_mismatches(sigs, tables[0]) == []
                 checked += 1
@@ -413,14 +439,15 @@ class TestEarlyExit:
         game = parse_game_code(code)
         sigs = _Signatures(game, n, play)
         for m in range(1, builder._MAX_CONTEXT + 1):
-            sigs.widen(m)
-            qa = _run_round(sigs)
+            if m > 1:
+                _step(sigs)
+            qa, _ = _run_round(sigs)
             if qa is not None and verify_to_heap(qa, n).passed:
                 break
         else:
             pytest.fail("no round proved")
-        sigs.widen(m + 1)
-        confirmed = _run_round(sigs)
+        _step(sigs)
+        confirmed, _ = _run_round(sigs)
         assert confirmed is not None
         assert analysis_to_json(confirmed) == analysis_to_json(qa)
         assert analysis_to_json(build_quotient(game, n, play)) == analysis_to_json(qa)
@@ -431,9 +458,7 @@ class TestEarlyExit:
         # fails verification; the builder tries it first, widens past it and
         # returns the 6-element quotient that the next round proves.
         game = parse_game_code(code)
-        sigs = _Signatures(game, 8, MISERE)
-        sigs.widen(1)
-        first = _run_round(sigs)
+        first, _ = _run_round(_Signatures(game, 8, MISERE))
         assert first is not None and len(first.monoid) == 4
         assert not verify_to_heap(first, 8).passed
         verdicts = []
@@ -449,23 +474,33 @@ class TestEarlyExit:
         assert len(qa.monoid) == 6
 
     def test_no_round_proved(self, monkeypatch, capsys):
-        # With every proof rejected, the misere rounds run from one-heap
-        # contexts to _MAX_CONTEXT and the build fails.  The nim values
-        # cannot fail their proof, so failing it there is an internal error.
-        rounds = []
+        # With every proof rejected, the misere rounds run out of new
+        # representatives once before each one-heap step and once at the
+        # end, when the steps have reached _MAX_CONTEXT heaps, and the
+        # build fails.  The nim values cannot fail their proof, so failing
+        # it there is an internal error.
+        added, held = [], []
+        add = _Signatures.add
 
-        def run_round(sigs):
-            rounds.append(sigs.m)
-            return _run_round(sigs)
+        def spy(sigs, contexts):
+            added.append(add(sigs, contexts))
+            held[:] = sigs.contexts
+            return added[-1]
 
         def fail(qa, n, **kwargs):
             return SimpleNamespace(passed=False)
 
-        monkeypatch.setattr(builder, "_run_round", run_round)
+        monkeypatch.setattr(_Signatures, "add", spy)
         monkeypatch.setattr(verifier, "verify_to_heap", fail)
         with pytest.raises(RuntimeError, match="no round proved"):
             build_quotient(G123, 6)
-        assert rounds == list(range(1, builder._MAX_CONTEXT + 1))
+        assert added.count(False) == builder._MAX_CONTEXT
+        key = oracle._game(G123).key
+        combos = itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(1, 7), m)
+            for m in range(builder._MAX_CONTEXT + 1)
+        )
+        assert set(map(key, combos)) <= set(held)
         assert cli.main(["analyze", "0.123", "-n", "6"]) == 2
         assert "failed: no round proved" in capsys.readouterr().err
         with pytest.raises(InternalError):

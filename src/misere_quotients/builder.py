@@ -19,11 +19,12 @@ _named_monoid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+import os
 from itertools import chain, islice, repeat
 from operator import xor
+from typing import NamedTuple
 
-from .octal import GameCode, Position, parse_game_code
+from .octal import GameCode, Position, _Frozen, parse_game_code
 from .oracle import (
     MISERE,
     NORMAL,
@@ -64,8 +65,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PretendingFunction:
+class PretendingFunction(_Frozen):
     """Element index pretended by each single heap, heap 1 first.
 
     claimed_period = (r0, p) asserts values[k] = values[k+p] from heap r0 on,
@@ -73,17 +73,19 @@ class PretendingFunction:
     empirical observation until certification.
     """
 
-    values: tuple[int, ...]
-    claimed_period: tuple[int, int] | None = None
+    __slots__ = _fields = ("values", "claimed_period")
 
-    def __post_init__(self):
-        if self.claimed_period is not None:
-            r0, p = self.claimed_period
+    def __init__(self, values: tuple[int, ...],
+                 claimed_period: tuple[int, int] | None = None) -> None:
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "claimed_period", claimed_period)
+        if claimed_period is not None:
+            r0, p = claimed_period
             if r0 < 1 or p < 1:
                 raise ValueError("period indices must be positive")
-            if len(self.values) < r0 + p - 1:
+            if len(values) < r0 + p - 1:
                 raise ValueError("stored values do not cover one full period")
-            for k in range(r0, len(self.values) - p + 1):
+            for k in range(r0, len(values) - p + 1):
                 if self.value(k) != self.value(k + p):
                     raise ValueError(f"period fails at heap {k}")
 
@@ -96,17 +98,17 @@ class PretendingFunction:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class OutcomePartition:
+class OutcomePartition(_Frozen):
     """P/N labels on monoid elements.  Disjoint and exhaustive; a trivial
     monoid may leave one side empty."""
 
-    p_set: frozenset[int]
-    n_set: frozenset[int]
+    __slots__ = _fields = ("p_set", "n_set")
 
-    def __post_init__(self):
-        if self.p_set & self.n_set:
+    def __init__(self, p_set: frozenset[int], n_set: frozenset[int]) -> None:
+        if p_set & n_set:
             raise ValueError("P and N sets overlap")
+        object.__setattr__(self, "p_set", p_set)
+        object.__setattr__(self, "n_set", n_set)
 
     def outcome_of(self, el: int) -> Outcome:
         if el in self.p_set:
@@ -116,8 +118,7 @@ class OutcomePartition:
         raise ValueError(f"element {el} not covered by the partition")
 
 
-@dataclass
-class QuotientAnalysis:
+class QuotientAnalysis(NamedTuple):
     code: GameCode
     play: PlayConvention
     n: int
@@ -255,7 +256,7 @@ def _named_analysis(code: GameCode, play: PlayConvention, n: int, table,
     phi = PretendingFunction(tuple(index_of[cls] for cls in phi_classes))
     p_set = frozenset(index_of[cls] for cls in p_classes)
     return QuotientAnalysis(
-        code, play, n, monoid, replace(phi, claimed_period=detect_period(phi)),
+        code, play, n, monoid, PretendingFunction(phi.values, detect_period(phi)),
         OutcomePartition(p_set, frozenset(range(len(monoid))) - p_set),
     )
 
@@ -587,9 +588,10 @@ def analysis_from_json(text: str) -> QuotientAnalysis:
 
 
 def _data_text(name: str) -> str:
-    from importlib.resources import files
-
-    return files("misere_quotients").joinpath("data", name).read_text()
+    # A plain open() beside this file: importlib.resources would import some
+    # thirty modules into every command that reads packaged data.
+    with open(os.path.join(os.path.dirname(__file__), "data", name), encoding="utf-8") as f:
+        return f.read()
 
 
 def packaged_presentation(game: str):

@@ -17,7 +17,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import replace
 
 from .octal import GameCodeError, Position, _heap_moves, parse_game_code, period_window
 from .oracle import (
@@ -84,7 +83,7 @@ def _load_analysis(source: str) -> builder.QuotientAnalysis:
     if str(code) == "0.77":
         return builder.kayles_analysis()
     # The build proves its analysis to heap 12.
-    qa = replace(builder.build_quotient(code, 12), verified_to=12)
+    qa = builder.build_quotient(code, 12)._replace(verified_to=12)
     claimed = qa.phi.claimed_period
     if claimed is not None:
         cert = verifier.certify_period(qa, *claimed)
@@ -170,14 +169,14 @@ def cmd_analyze(args) -> int:
     code = parse_game_code(args.game)
     play = NORMAL if args.normal else MISERE
     qa, rep = builder.prove_quotient(code, args.n, play, budget=args.budget)
-    qa = replace(qa, verified_to=args.n)
+    qa = qa._replace(verified_to=args.n)
     if args.certify is not None:
         cert = verifier.certify_period(qa, *args.certify, budget=args.budget)
         if cert is None:
             _print_summary(qa)
             print(f"certification of period {args.certify} FAILED")
             return EXIT_FAILED
-        qa = replace(cert, verified_to=max(args.n, cert.verified_to))
+        qa = cert._replace(verified_to=max(args.n, cert.verified_to))
     _print_summary(qa)
     _print_report(qa, rep)
     if args.out:

@@ -16,17 +16,15 @@ has places.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from functools import lru_cache, total_ordering
+from typing import Iterable, NamedTuple
 
 
 class GameCodeError(ValueError):
     """Raised for malformed or unsupported game code strings."""
 
 
-@dataclass(frozen=True)
-class GameCode:
+class GameCode(NamedTuple):
     """A parsed octal game code."""
 
     pre_point_digit: int
@@ -78,21 +76,63 @@ def parse_game_code(text: str) -> GameCode:
     return GameCode(pre, post)
 
 
-@dataclass(frozen=True, order=True)
-class Position:
+class _Frozen:
+    """Base of the package's immutable values that are not NamedTuples: a
+    subclass validates in ``__init__`` (setting its slots with
+    ``object.__setattr__``) or keeps a cache slot beside its fields.
+    Equality, hashing, repr and pickling read only the slots named in
+    ``_fields``, as a frozen dataclass would."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (
+            self.__class__.__qualname__,
+            ", ".join("%s=%r" % (f, getattr(self, f)) for f in self._fields),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # The default protocol would restore the slots through __setattr__.
+        return self.__class__, self._astuple()
+
+
+@total_ordering
+class Position(_Frozen):
     """A finite multiset of heap sizes, the canonical form of a game position.
 
     Stored as a sorted tuple; the empty position (no heaps) is the endgame.
     Multiplication of positions is disjoint union of their heaps.
     """
 
-    heaps: tuple[int, ...] = ()
+    __slots__ = _fields = ("heaps",)
 
-    def __post_init__(self) -> None:
-        if any(h < 1 for h in self.heaps):
-            raise ValueError("heap sizes must be >= 1: %r" % (self.heaps,))
-        if tuple(sorted(self.heaps)) != self.heaps:
-            object.__setattr__(self, "heaps", tuple(sorted(self.heaps)))
+    def __init__(self, heaps: tuple[int, ...] = ()) -> None:
+        if any(h < 1 for h in heaps):
+            raise ValueError("heap sizes must be >= 1: %r" % (heaps,))
+        object.__setattr__(self, "heaps", tuple(sorted(heaps)))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self.heaps < other.heaps
+        return NotImplemented
 
     @classmethod
     def of(cls, *heaps: int) -> "Position":

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import enum
 import weakref
-from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 from operator import add, lshift, xor
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .octal import GameCode, Position, _heap_moves, parse_game_code, period_window
 
@@ -584,8 +583,7 @@ def tree_outcome(tree: GameTree, play: PlayConvention) -> Outcome:
 # genus symbols
 
 
-@dataclass(frozen=True)
-class GenusSymbol:
+class GenusSymbol(NamedTuple):
     """Normal-play value plus the misere values of the position with 0, 1, 2,
     ... extra two-token nim heaps added, trimmed to the shortest prefix that
     pins down the eventual alternating tail."""

@@ -43,9 +43,10 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
+from typing import NamedTuple
 
+from .octal import _Frozen
 from .oracle import BudgetExceededError, InternalError
 
 __all__ = [
@@ -117,8 +118,7 @@ def format_word(w: Word, generators: tuple[str, ...]) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     generators: tuple[str, ...]
     relations: tuple[tuple[Word, Word], ...]
 
@@ -241,19 +241,20 @@ class _Kernel:
             yield x, i
 
 
-@dataclass(frozen=True)
-class RewriteSystem:
+class RewriteSystem(_Frozen):
     """Confluent, terminating rules; every pattern exceeds its replacement in
     word_key order, so reduction strictly descends and normal forms are the
     order-minimal representatives of their congruence classes."""
 
-    generators: tuple[str, ...]
-    rules: tuple[tuple[Word, Word], ...]
+    __slots__ = ("generators", "rules", "_kernel")
+    _fields = ("generators", "rules")
 
-    @cached_property
-    def _kernel(self) -> _Kernel:
-        # Stored in the instance dict, so equality still compares the fields.
-        return _Kernel(len(self.generators), self.rules)
+    def __init__(self, generators: tuple[str, ...],
+                 rules: tuple[tuple[Word, Word], ...]) -> None:
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "rules", rules)
+        # Not a field, so equality, hashing and pickling leave it out.
+        object.__setattr__(self, "_kernel", _Kernel(len(generators), rules))
 
 
 def reduce_word(rws: RewriteSystem, w: Word, rng: random.Random | None = None) -> Word:

@@ -13,7 +13,7 @@ attached gives a quick map of where a misere quotient looks classical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .oracle import GenusSymbol, InternalError
 from .semigroup import FiniteCommutativeMonoid
@@ -109,8 +109,7 @@ def kernel_ideal(m: FiniteCommutativeMonoid) -> tuple[int, ...]:
     return tuple(sorted(u for u in range(len(m)) if len(ideal[u]) == least))
 
 
-@dataclass(frozen=True)
-class RFactor:
+class RFactor(NamedTuple):
     """A quotient layer: one divisibility class with a zero adjoined.
 
     Products falling out of the class collapse to the zero at local index 0."""
@@ -148,8 +147,7 @@ def _factor_of(m: FiniteCommutativeMonoid, members: tuple[int, ...]) -> RFactor:
     )
 
 
-@dataclass(frozen=True)
-class PrincipalSeries:
+class PrincipalSeries(NamedTuple):
     """Maximal descending chain of ideals S = S_1 > S_2 > ... > S_k > ()."""
 
     chain: tuple[tuple[int, ...], ...]
@@ -189,8 +187,7 @@ def principal_series(m: FiniteCommutativeMonoid) -> PrincipalSeries:
     )
 
 
-@dataclass(frozen=True)
-class TameIsland:
+class TameIsland(NamedTuple):
     """A maximal subgroup all of whose elements square to its identity.
 
     Such a subgroup multiplies exactly like nim values under addition; the

@@ -29,12 +29,12 @@ final deliverable of this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import chain, repeat
+from typing import NamedTuple
 
 from .octal import _heap_moves, period_window
 from .oracle import MISERE, BudgetExceededError
-from .builder import QuotientAnalysis, phi_heap
+from .builder import PretendingFunction, QuotientAnalysis, phi_heap
 from .semigroup import _closure, _closure_add, _least_words
 
 __all__ = [
@@ -53,8 +53,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MovePair:
+class MovePair(NamedTuple):
     """Elements (phi(h_f), phi(t)) of some legal move h_f -> t, with the
     smallest witnessing move recorded."""
 
@@ -63,16 +62,14 @@ class MovePair:
     source: tuple[int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class Translate:
+class Translate(NamedTuple):
     basis: int
     pair: MovePair
     start: int
     end: int
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     n: int
     pp_violations: list[Translate]
     np_failures: list[tuple[int, tuple[int, ...], int]]
@@ -137,11 +134,13 @@ def check_no_PP(
     table = qa.monoid.table
     p_set = qa.partition.p_set
     bad = []
+    # Each pair's fields read once, not once per basis element.
+    ends = [(pair.lhs, pair.rhs, pair) for pair in pairs]
     for u in range(len(qa.monoid)):
         row = table[u]
-        for pair in pairs:
-            if row[pair.lhs] in p_set and row[pair.rhs] in p_set:
-                bad.append(Translate(u, pair, row[pair.lhs], row[pair.rhs]))
+        for lhs, rhs, pair in ends:
+            if row[lhs] in p_set and row[rhs] in p_set:
+                bad.append(Translate(u, pair, row[lhs], row[rhs]))
     return sorted(bad, key=lambda t: (t.basis, t.pair.lhs, t.pair.rhs))
 
 
@@ -561,12 +560,10 @@ def certify_period(
     """
     # Raises ValueError when the stored values break the period or do not
     # cover one full period.
-    claimed = replace(qa.phi, claimed_period=(r0, p))
+    claimed = PretendingFunction(qa.phi.values, (r0, p))
     n_window = period_window(qa.code, r0, p)
-    candidate = replace(qa, phi=claimed)
+    candidate = qa._replace(phi=claimed)
     report = verify_to_heap(candidate, n_window, budget=budget, limit=1)
     if not report.passed:
         return None
-    return replace(
-        candidate, verified_to=n_window, certified_period=(r0, p)
-    )
+    return candidate._replace(verified_to=n_window, certified_period=(r0, p))

@@ -8,7 +8,6 @@ import itertools
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 
 from misere_quotients.builder import (
     OutcomePartition,
@@ -373,8 +372,7 @@ def test_criterion_11_property_suites(qa123_12, qa123):
         assert fast.stats["evaluations"] < slow.stats["evaluations"]
 
         b2 = m.index_of("b2")
-        bad_part = replace(
-            qa123_12,
+        bad_part = qa123_12._replace(
             partition=OutcomePartition(
                 qa123_12.partition.p_set - {b2},
                 qa123_12.partition.n_set | {b2},
@@ -385,7 +383,7 @@ def test_criterion_11_property_suites(qa123_12, qa123):
 
         values = list(qa123_12.phi.values)
         values[7], values[8] = values[8], values[7]
-        bad_phi = replace(qa123_12, phi=PretendingFunction(tuple(values)))
+        bad_phi = qa123_12._replace(phi=PretendingFunction(tuple(values)))
         assert not verify_to_heap(bad_phi, 12).passed
 
         # Predictions match exhaustive search on every small position.

@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -230,8 +229,7 @@ class TestMutations:
         # move to the remaining P set.
         m = qa123_12.monoid
         b2 = m.index_of("b2")
-        bad = replace(
-            qa123_12,
+        bad = qa123_12._replace(
             partition=OutcomePartition(
                 qa123_12.partition.p_set - {b2},
                 qa123_12.partition.n_set | {b2},
@@ -244,8 +242,7 @@ class TestMutations:
     def test_misclassified_n_element_is_caught(self, qa123_12):
         m = qa123_12.monoid
         e = m.index_of("e")
-        bad = replace(
-            qa123_12,
+        bad = qa123_12._replace(
             partition=OutcomePartition(
                 qa123_12.partition.p_set | {e},
                 qa123_12.partition.n_set - {e},
@@ -264,7 +261,7 @@ class TestMutations:
         x, e = m.index_of("x"), m.index_of("e")
         values = list(qa123_12.phi.values)
         values[1] = x
-        bad = replace(qa123_12, phi=PretendingFunction(tuple(values)))
+        bad = qa123_12._replace(phi=PretendingFunction(tuple(values)))
         report = verify_to_heap(bad, 12)
         assert not report.passed
         assert report.stats["dead_heaps"] == [2]
@@ -274,7 +271,7 @@ class TestMutations:
         # Exchange the classes of heaps 8 and 9 (a and b).
         values = list(qa123_12.phi.values)
         values[7], values[8] = values[8], values[7]
-        bad = replace(qa123_12, phi=PretendingFunction(tuple(values)))
+        bad = qa123_12._replace(phi=PretendingFunction(tuple(values)))
         report = verify_to_heap(bad, 12)
         assert not report.passed
         assert report.pp_violations or report.np_failures
@@ -282,8 +279,7 @@ class TestMutations:
     def test_collapsed_failures_are_real_naive_failures(self, qa123_12):
         m = qa123_12.monoid
         b2 = m.index_of("b2")
-        bad = replace(
-            qa123_12,
+        bad = qa123_12._replace(
             partition=OutcomePartition(
                 qa123_12.partition.p_set - {b2},
                 qa123_12.partition.n_set | {b2},
@@ -320,8 +316,7 @@ class TestCertification:
     def test_failing_analysis_returns_none(self, qa123_12):
         m = qa123_12.monoid
         b2 = m.index_of("b2")
-        bad = replace(
-            qa123_12,
+        bad = qa123_12._replace(
             partition=OutcomePartition(
                 qa123_12.partition.p_set - {b2},
                 qa123_12.partition.n_set | {b2},
@@ -374,7 +369,7 @@ def scan_verdicts(qa, n):
 def flip_labels(qa, elements):
     p_set = qa.partition.p_set ^ frozenset(elements)
     everything = frozenset(range(len(qa.monoid)))
-    return replace(qa, partition=OutcomePartition(p_set, everything - p_set))
+    return qa._replace(partition=OutcomePartition(p_set, everything - p_set))
 
 
 def edit_phi(qa, edit):
@@ -387,7 +382,7 @@ def edit_phi(qa, edit):
     else:
         _, i, e = edit
         values[i] = e
-    return replace(qa, phi=PretendingFunction(tuple(values)))
+    return qa._replace(phi=PretendingFunction(tuple(values)))
 
 
 def phi_edits(n, k):
@@ -601,7 +596,7 @@ class TestMemoizedScan:
         # Every element asserted P: P-to-P fails, so a limited report needs
         # no scan, while an unlimited one still walks it.
         everything = frozenset(range(len(qa123_12.monoid)))
-        bad = replace(qa123_12, partition=OutcomePartition(everything, frozenset()))
+        bad = qa123_12._replace(partition=OutcomePartition(everything, frozenset()))
         brief = verify_to_heap(bad, 12, limit=1)
         full = verify_to_heap(bad, 12)
         assert brief.pp_violations == full.pp_violations != []
@@ -615,7 +610,7 @@ class TestMemoizedScan:
         # nodes) would list too.
         values = list(kayles.phi.values[:30])
         values[29] = kayles.monoid.index_of("vf")
-        bad = replace(kayles, phi=PretendingFunction(tuple(values)))
+        bad = kayles._replace(phi=PretendingFunction(tuple(values)))
         report = verify_to_heap(bad, 30)
         assert report.np_failures == [(2, (1, 11, 30), 0)]
         assert (report.stats["nodes"], report.stats["evaluations"],

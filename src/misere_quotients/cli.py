@@ -174,7 +174,7 @@ def cmd_analyze(args) -> int:
         cert = verifier.certify_period(qa, *args.certify, budget=args.budget)
         if cert is None:
             _print_summary(qa)
-            print(f"certification of period {args.certify} FAILED")
+            print("certification of period r0={} p={} FAILED".format(*args.certify))
             return EXIT_FAILED
         qa = cert._replace(verified_to=max(args.n, cert.verified_to))
     _print_summary(qa)

@@ -98,7 +98,7 @@ def _mex(values: Iterable[int]) -> int:
 
 
 # Bits per count field of a packed canonical position (see _Game), and the
-# token total from which _Game.cover refuses a position.
+# token total from which _Game.key refuses a position.
 _W = 16
 _FIELD = (1 << _W) - 1
 _TOKENS = 1 << (_W - 1)
@@ -116,8 +116,9 @@ def _pack(heaps: tuple[int, ...]) -> int:
 class _Game:
     """Everything the oracle knows about one code, by heap size.
 
-    ``grundy[h]`` is the normal-play value of heap h.  The raw moves are
-    not kept: code that needs them reads them from the rules.
+    ``grundy[h]`` is the normal-play value of heap h, which ``grundy``
+    extends from the raw moves alone; it grows no canonical form.  The raw
+    moves are not kept: code that needs them reads them from the rules.
 
     The exact canonical form: ``heap[h]`` is 0 when heap h has no move, and
     otherwise the least heap whose canonical options are the same set;
@@ -136,12 +137,12 @@ class _Game:
     the s1 field holds the parity.  A sum is then an addition.  Each
     operand's s1 field is 0 or 1, so the sum's is 0, 1 or 2, and clearing
     that field's bit of value 2, an AND with ``fold``, folds a *1 pair and
-    changes nothing else.  ``key`` packs heap sizes: ``cover`` admits
-    the position and extends the game, ``pack`` packs it.  ``join`` adds two
-    packed positions and ``options`` lists the moves of one; ``unpack``
-    reads one back as heaps.
+    changes nothing else.  ``key`` packs heap sizes, the one way in: it
+    admits the position, extends the game to its heaps and packs it.
+    ``join`` adds two packed positions and ``options`` lists the moves of
+    one; ``unpack`` reads one back as heaps.
 
-    No field carries into the next: ``cover`` refuses a position of
+    No field carries into the next: ``key`` refuses a position of
     ``_TOKENS`` (2**15) tokens or more, before it extends the game to the
     position's heaps.  Every canonical heap but s1 has at least two tokens,
     so a field of a sum of two such positions counts fewer than 2**15
@@ -182,26 +183,15 @@ class _Game:
         >>> game.unpack(game.key((1, 1, 2, 4, 7)))
         (3, 7)
         """
-        self.cover(sum(heaps), max(heaps, default=0))
-        return self.pack(heaps)
-
-    def cover(self, tokens: int, size: int) -> None:
-        """Extend the game to cover heaps up to ``size``, for positions of
-        at most ``tokens`` tokens.  Raises ValueError from ``_TOKENS``
-        tokens on, before the game grows."""
-        if tokens >= _TOKENS:
+        if sum(heaps) >= _TOKENS:
             raise ValueError(f"a position of {_TOKENS} tokens or more is too large to pack")
-        self.extend(size)
-
-    def pack(self, heaps: tuple[int, ...]) -> int:
-        """``key`` for a position that ``cover`` has already admitted: the
-        game covers its heaps and it holds fewer than ``_TOKENS`` tokens."""
+        self.extend(max(heaps, default=0))
         return _pack(self._canonical(heaps))
 
     def join(self, a: int, b: int) -> int:
         """The packed canonical form of the sum of packed positions a and b.
 
-        >>> game = _game(parse_game_code("0.123"), 7)
+        >>> game = _game(parse_game_code("0.123"))
         >>> game.unpack(game.join(game.key((1, 7)), game.key((1, 3))))
         (3, 7)
         """
@@ -324,15 +314,13 @@ class _Game:
         return bytes(out)
 
     def extend(self, size: int) -> None:
-        """Cover heaps up to ``size``.  Each new heap's value and canonical
-        row are built from its moves, which reach smaller heaps only and
-        are not kept."""
-        heap, grundy = self.heap, self.grundy
+        """Cover heaps up to ``size``.  Each new heap's canonical row is
+        built from its moves, which reach smaller heaps only and are not
+        kept."""
+        heap = self.heap
         while len(heap) <= size:
             h = len(heap)
-            moves = _heap_moves(self.code, h)
-            grundy.append(_mex(reduce(xor, [grundy[x] for x in t], 0) for t in moves))
-            row = tuple(sorted({self._canonical(t) for t in moves}))
+            row = tuple(sorted({self._canonical(t) for t in _heap_moves(self.code, h)}))
             if row and not self.s1:
                 self.s1 = h
             heap.append(self._least.setdefault(row, h) if row else 0)
@@ -351,12 +339,11 @@ class _Game:
 _games: dict[GameCode, _Game] = {}
 
 
-def _game(code: GameCode, size: int = 0) -> _Game:
-    """The code's game object, extended to cover heaps up to ``size``."""
+def _game(code: GameCode) -> _Game:
+    """The code's game object."""
     game = _games.get(code)
     if game is None:
         game = _games[code] = _Game(code)
-    game.extend(size)
     return game
 
 
@@ -453,7 +440,11 @@ def grundy(code: GameCode, size: int) -> int:
     """Normal-play value of a single heap (0 for the empty heap)."""
     if size < 0:
         raise ValueError("heap size must be nonnegative")
-    return _game(code, size).grundy[size]
+    values = _game(code).grundy
+    while len(values) <= size:
+        moves = _heap_moves(code, len(values))
+        values.append(_mex(reduce(xor, [values[x] for x in t], 0) for t in moves))
+    return values[size]
 
 
 def nim_value(code: GameCode, position: Position) -> int:
@@ -752,7 +743,7 @@ def genus(code: GameCode, position: Position, cap: int = 16) -> GenusSymbol:
     splits it off into n1.
     """
     # Packed first, so that a position too large to pack is refused before
-    # the nim values grow the game to its heaps.
+    # the nim values run up to its heaps.
     game = _game(code)
     root = game.key(position.heaps)
     one = 1 << _W * game.s1

@@ -202,8 +202,10 @@ class TestNormalFromNimValues:
         monkeypatch.setattr(oracle, "_games", {})
         game = parse_game_code(code)
         qa = build_quotient(game, n, NORMAL)
-        # No outcome search ran: the nim values alone named the classes.
+        # No outcome search ran and no canonical form grew: the nim values
+        # alone named the classes.
         assert oracle._game(game).outcomes[NORMAL] == {}
+        assert len(oracle._game(game).heap) == 1
         reference, _ = _signature_quotient(game, n, NORMAL)
         assert analysis_to_json(qa) == analysis_to_json(reference)
 
@@ -365,13 +367,12 @@ def _product_signature_mismatches(sigs, table):
 NO_MONOID_AT_FIRST_ROUND = {"0.35": 106, "0.71": 36}
 
 
+FOLD_CASES = list(OTHER_GAMES) + [(code, 8, MISERE) for code in NO_MONOID_AT_FIRST_ROUND]
+FOLD_IDS = [f"{code}-{n}-{play.value}" for code, n, play in FOLD_CASES]
+
+
 class TestFoldedTable:
-    @pytest.mark.parametrize(
-        "code, n, play",
-        list(OTHER_GAMES) + [(code, 8, MISERE) for code in NO_MONOID_AT_FIRST_ROUND],
-        ids=[f"{code}-{n}-{play.value}" for code, n, play in OTHER_GAMES]
-        + [f"{code}-8-misere" for code in NO_MONOID_AT_FIRST_ROUND],
-    )
+    @pytest.mark.parametrize("code, n, play", FOLD_CASES, ids=FOLD_IDS)
     def test_equals_product_signature_table(self, code, n, play, monkeypatch):
         # Every round that yields an analysis, from one-heap contexts up to
         # the first round from four-heap contexts on that equals the round
@@ -398,6 +399,33 @@ class TestFoldedTable:
                     break
             previous = qa
         assert checked >= 2
+
+    @pytest.mark.parametrize("code, n, play", FOLD_CASES, ids=FOLD_IDS)
+    def test_rounds_the_builder_runs(self, code, n, play, monkeypatch):
+        # Every round of the build that yields an analysis, checked on its
+        # own signatures before the builder adds contexts.  Normal play is
+        # built from the nim values and runs no round; its reference,
+        # _signature_quotient, does.
+        tables, checked = [], []
+        named, run_round = builder._named_analysis, builder._run_round
+
+        def spy_named(code, play, n, table, *rest):
+            tables.append(table)
+            return named(code, play, n, table, *rest)
+
+        def spy_round(sigs):
+            tables.clear()
+            qa, reps = run_round(sigs)
+            if qa is not None:
+                assert _product_signature_mismatches(sigs, tables[0]) == []
+                checked.append(qa)
+            return qa, reps
+
+        monkeypatch.setattr(builder, "_named_analysis", spy_named)
+        monkeypatch.setattr(builder, "_run_round", spy_round)
+        build = build_quotient if play is MISERE else _signature_quotient
+        build(parse_game_code(code), n, play)
+        assert checked
 
 
 class TestCorpus:

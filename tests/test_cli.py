@@ -107,6 +107,17 @@ class TestAnalyze:
         assert main(["analyze", "0.123", "-n", "11", "--budget", "1204"]) == 3
         assert "budget exceeded" in capsys.readouterr().err
 
+    def test_failed_certification_exits_2(self, capsys, tmp_path):
+        # Kayles to heap 10 claims (7, 3), which heap 18 refutes; nothing
+        # is written.
+        path = tmp_path / "out.json"
+        rc = main(["analyze", "0.77", "-n", "10", "--certify", "7,3", "--out", str(path)])
+        out = capsys.readouterr().out
+        assert rc == 2
+        assert "claimed period: r0=7 p=3" in out
+        assert out.endswith("certification of period r0=7 p=3 FAILED\n")
+        assert not path.exists()
+
 
 class TestOutcome:
     def test_worked_example(self, capsys, analysis_file):
@@ -183,6 +194,15 @@ class TestOutcome:
     def test_rejects_nonpositive_heap(self, capsys, analysis_file):
         assert main(["outcome", analysis_file, "0"]) == 4
 
+    def test_no_winning_move_exits_2(self, capsys, broken_kayles):
+        # With z2 sent to N, the P position 3 + 3 reads as N, and none of
+        # its moves reaches a P element.
+        assert main(["outcome", broken_kayles["z2"], "3", "3"]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out == [
+            "position: [3, 3]", "element: z2", "outcome: N", "no winning move found",
+        ]
+
 
 class TestGenus:
     def test_single_heaps(self, capsys):
@@ -233,6 +253,10 @@ class TestGenus:
 
     def test_heap_required(self, capsys):
         assert main(["genus", "0.123"]) == 4
+
+    def test_negative_heap(self, capsys):
+        assert main(["genus", "0.123", "-1"]) == 4
+        assert "heap sizes are nonnegative" in capsys.readouterr().err
 
     def test_tree_file_needs_no_game(self, capsys, tmp_path):
         path = tmp_path / "star2.json"
@@ -308,6 +332,12 @@ class TestReduce:
     def test_missing_presentation_file(self, capsys):
         assert main(["reduce", "nope.txt", "x"]) == 4
 
+    def test_presentation_file(self, capsys, tmp_path):
+        path = tmp_path / "z2.txt"
+        path.write_text("gens: x\nx^2 = 1\n", encoding="utf-8")
+        assert main(["reduce", str(path), "x^3"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "normal form: x"
+
     def test_internal_fault_exits_5(self, capsys, monkeypatch):
         # Completion capped at zero rules trips a check only a bug can trip.
         monkeypatch.setattr(knuth_bendix, "__defaults__", (0,))
@@ -336,6 +366,41 @@ class TestVerifyAndCertify:
         assert rc == 0
         assert "certifying period r0=6 p=5: verifying to heap 19" in out
         assert "certified: the analysis is correct for every heap size" in out
+
+    @pytest.fixture(scope="class")
+    def kayles10(self, tmp_path_factory):
+        """Kayles to heap 10, whose claimed period (7, 3) is wrong."""
+        path = str(tmp_path_factory.mktemp("kayles") / "k10.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze", "0.77", "-n", "10", "--out", path]) == 0
+        return path
+
+    def test_certify_refutes_claimed_period(self, capsys, kayles10):
+        assert main(["certify", kayles10]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["certifying period r0=7 p=3: verifying to heap 18", "FAILED"]
+
+    def test_certify_period_failing_at_once(self, capsys, kayles10):
+        assert main(["certify", kayles10, "--certify", "1,1"]) == 4
+        assert "period fails at heap 1" in capsys.readouterr().err
+
+    def test_certify_needs_a_period(self, capsys, tmp_path):
+        path = str(tmp_path / "q8.json")
+        assert main(["analyze", "0.123", "-n", "8", "--out", path]) == 0
+        capsys.readouterr()
+        assert main(["certify", path]) == 4
+        assert "no period given and none claimed by the analysis" in (
+            capsys.readouterr().err
+        )
+
+    def test_certify_writes_the_certificate(self, capsys, tmp_path):
+        built, certified = str(tmp_path / "q12.json"), tmp_path / "c12.json"
+        assert main(["analyze", "0.123", "-n", "12", "--out", built]) == 0
+        assert main(["certify", built, "--out", str(certified)]) == 0
+        assert f"analysis written to {certified}" in capsys.readouterr().out
+        with open(built, encoding="utf-8") as f:
+            assert json.load(f)["certified_period"] is None
+        assert json.loads(certified.read_text(encoding="utf-8"))["certified_period"] == [6, 5]
 
     def test_budget_exit_code(self, capsys):
         assert main(["analyze", "0.123", "--budget", "5"]) == 3

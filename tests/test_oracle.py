@@ -261,7 +261,7 @@ class TestSolver:
         # The full closure of misere Kayles 8+9+10 over canonical positions
         # holds 1 919 of them; a search that builds every option of every
         # position it reaches stores them all.
-        table = oracle._game(KAYLES, 10)
+        table = oracle._game(KAYLES)
         root = table.key((8, 9, 10))
         assert table.unpack(root) == (8, 9, 10)
         full = {}
@@ -280,7 +280,7 @@ class TestPackedForm:
         # 2**15 - 1 tokens, the most key packs; one join of the position
         # with itself then counts 32 766 twos in one 16-bit field.
         heaps = (1,) + (2,) * 16383
-        table = oracle._game(KAYLES, 2)
+        table = oracle._game(KAYLES)
         packed = table.key(heaps)
         assert table.unpack(packed) == heaps
         assert table.unpack(table.join(packed, packed)) == (2,) * 32766
@@ -307,13 +307,16 @@ class TestPackedForm:
         assert len(oracle._game(KAYLES).heap) == 1
 
     def test_extending_packs_nothing(self, monkeypatch):
-        # Deltas are packed for the heaps a search reaches, not for every
+        # Nim values come from the raw moves and grow no canonical form;
+        # deltas are packed for the heaps a search reaches, not for every
         # heap the game covers.
         monkeypatch.setattr(oracle, "_games", {})
         grundy(KAYLES, 1000)
         normal_period(KAYLES)
         table = oracle._game(KAYLES)
-        assert len(table.heap) > 1000
+        assert len(table.heap) == 1
+        assert len(table.grundy) > 1000
+        table.extend(1000)
         assert table._deltas == []
         outcome(KAYLES, Position.of(3, 10), MISERE)
         assert len(table._deltas) == 11
@@ -333,7 +336,8 @@ class TestCanonicalForm:
     @pytest.mark.parametrize("code", sorted(CANONICAL_MAPS))
     def test_pinned_maps(self, code):
         s1, changed = CANONICAL_MAPS[code]
-        table = oracle._game(parse_game_code(code), 14)
+        table = oracle._game(parse_game_code(code))
+        table.extend(14)
         assert table.s1 == s1
         assert table.heap[:15] == [changed.get(h, h) for h in range(15)]
 
@@ -448,7 +452,8 @@ class TestGenusSearch:
         assert tree_outcome(tree, MISERE) is outcome(code, p, MISERE)
         assert tree_outcome(tree, NORMAL) is outcome(code, p, NORMAL)
         # The game's own *1 heaps live in the parity coordinate only.
-        table = oracle._game(code, 9)
+        table = oracle._game(code)
+        table.extend(9)
         assert all(table.s1 not in table.unpack(x) for x in table.gminus)
         # The identity the search folds by: g-(X + *1 + *1) = g-(X).
         star1 = nim_heap_tree(1)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from operator import xor
 from typing import NamedTuple
 
@@ -42,10 +42,7 @@ from .semigroup import (
     _closure,
     _generated_table,
     _named_monoid,
-    enumerate_elements,
-    knuth_bendix,
     parse_presentation,
-    parse_word,
 )
 
 __all__ = [
@@ -603,48 +600,11 @@ def packaged_presentation(game: str):
 
 
 def kayles_analysis() -> QuotientAnalysis:
-    """The full 0.77 analysis from packaged single-heap data.
+    """The full 0.77 analysis, loaded from the packaged analysis file.
 
-    The monoid is enumerated from the packaged presentation; the pretending
-    function and P-element set come from the packaged table to heap 96 with
-    its claimed period, each word read as a product in the monoid's table.
-    Not verified; certification is a separate step.
+    The file passes the same checks as any analysis file read from disk.
+    It holds the monoid of the packaged presentation and the pretending
+    function to heap 96 with its claimed period; it is not verified, and
+    certification is a separate step.
     """
-    monoid = enumerate_elements(knuth_bendix(packaged_presentation("0.77")), cap=200)
-    gen_els = [monoid.generator_map[name] for name in monoid.generators]
-
-    def el(text: str) -> int:
-        w = parse_word(text, monoid.generators)
-        return monoid.product(chain.from_iterable(map(repeat, gen_els, w)))
-
-    period: tuple[int, int] | None = None
-    p_words: list[str] = []
-    values: dict[int, int] = {}
-    for raw in _data_text("kayles_phi.txt").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("period:"):
-            r0, p = line[len("period:") :].split()
-            period = (int(r0), int(p))
-        elif line.startswith("ptypes:"):
-            p_words = [w.strip() for w in line[len("ptypes:") :].split("|")]
-        else:
-            heap, _, word = line.partition(" ")
-            values[int(heap)] = el(word)
-    n = max(values)
-    if sorted(values) != list(range(1, n + 1)):
-        raise ValueError("packaged pretending function has gaps")
-    p_set = frozenset(el(w) for w in p_words)
-    return QuotientAnalysis(
-        code=parse_game_code("0.77"),
-        play=MISERE,
-        n=n,
-        monoid=monoid,
-        phi=PretendingFunction(
-            tuple(values[h] for h in range(1, n + 1)), claimed_period=period
-        ),
-        partition=OutcomePartition(
-            p_set=p_set, n_set=frozenset(range(len(monoid))) - p_set
-        ),
-    )
+    return analysis_from_json(_data_text("kayles.json"))

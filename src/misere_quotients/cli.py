@@ -79,6 +79,8 @@ def _load_analysis(source: str) -> builder.QuotientAnalysis:
     if os.path.exists(source):
         with open(source, encoding="utf-8") as f:
             return builder.analysis_from_json(f.read())
+    if os.sep in source or "/" in source or source.endswith(".json"):
+        raise ValueError(f"no such analysis file: {source!r}")
     code = parse_game_code(source)
     if str(code) == "0.77":
         return builder.kayles_analysis()
@@ -92,10 +94,18 @@ def _load_analysis(source: str) -> builder.QuotientAnalysis:
     return qa
 
 
-def _warn_unverified(qa: builder.QuotientAnalysis) -> None:
-    if qa.verified_to is None and qa.certified_period is None:
+def _warn_unverified(qa: builder.QuotientAnalysis, heaps=()) -> None:
+    if qa.certified_period is not None:
+        return
+    if qa.verified_to is None:
         print(
             "warning: analysis is unverified; outputs are predictions",
+            file=sys.stderr,
+        )
+    elif heaps and max(heaps) > qa.verified_to:
+        print(
+            f"warning: heap {max(heaps)} is past the verified range "
+            f"(to heap {qa.verified_to}); outputs are predictions",
             file=sys.stderr,
         )
 
@@ -222,7 +232,7 @@ def _describe_move(h: int, t: tuple[int, ...]) -> str:
 
 def cmd_outcome(args) -> int:
     qa = _load_analysis(args.analysis)
-    _warn_unverified(qa)
+    _warn_unverified(qa, args.heaps)
     if any(h < 1 for h in args.heaps):
         raise ValueError("heap sizes must be positive")
     heaps = tuple(sorted(args.heaps))

@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import json
+import os
 import random
 from types import SimpleNamespace
 
@@ -9,6 +11,9 @@ import pytest
 
 from misere_quotients import builder, cli, oracle, verifier
 from misere_quotients.builder import (
+    OutcomePartition,
+    PretendingFunction,
+    QuotientAnalysis,
     _run_round,
     _signature_quotient,
     _Signatures,
@@ -39,6 +44,7 @@ from misere_quotients.semigroup import (
     enumerate_elements,
     is_isomorphic,
     knuth_bendix,
+    parse_word,
 )
 from misere_quotients.verifier import verify_to_heap
 
@@ -695,7 +701,8 @@ ANALYSIS_DIGESTS.update({
     ("0.71", 8, MISERE): "8973a4d16d0ab8da12ec3bda7ffee76e9e8efc1a9bfc7f1cabc5b0bd333e00d2",
     ("0.77", 10, MISERE): "74a6ee1b183d448ba4f943eceb68eb78acaaf497707366726ffc1ca713aa6bbf",
 })
-# The same for kayles_analysis(), enumerated from the packaged presentation.
+# The same for kayles_analysis(): the sha256 of the packaged data/kayles.json,
+# which _kayles_from_tables() rebuilds from the presentation and the phi table.
 KAYLES_DIGEST = "be27212597bb357128ddc5981e60c013a181e72ef140035c140d6e686faa4024"
 
 
@@ -716,3 +723,78 @@ class TestByteIdentity:
 
     def test_kayles_analysis_digest(self):
         assert _digest(kayles_analysis()) == KAYLES_DIGEST
+
+
+def _kayles_from_tables() -> QuotientAnalysis:
+    """The Kayles analysis rebuilt from its sources: the monoid completed and
+    enumerated from the packaged presentation, and phi and the P elements
+    read from tests/data/kayles_phi.txt, each word a product in that monoid."""
+    monoid = enumerate_elements(knuth_bendix(packaged_presentation("0.77")), cap=200)
+    gen_els = [monoid.generator_map[name] for name in monoid.generators]
+
+    def el(text: str) -> int:
+        w = parse_word(text, monoid.generators)
+        return monoid.product(itertools.chain.from_iterable(map(itertools.repeat, gen_els, w)))
+
+    period = None
+    p_words: list[str] = []
+    values: dict[int, int] = {}
+    path = os.path.join(os.path.dirname(__file__), "data", "kayles_phi.txt")
+    with open(path, encoding="utf-8") as f:
+        for raw in f:
+            line = raw.split("#", 1)[0].strip()
+            if line.startswith("period:"):
+                r0, p = line[len("period:"):].split()
+                period = (int(r0), int(p))
+            elif line.startswith("ptypes:"):
+                p_words = [w.strip() for w in line[len("ptypes:"):].split("|")]
+            elif line:
+                heap, _, word = line.partition(" ")
+                values[int(heap)] = el(word)
+    n = max(values)
+    assert sorted(values) == list(range(1, n + 1))
+    p_set = frozenset(el(w) for w in p_words)
+    return QuotientAnalysis(
+        code=parse_game_code("0.77"),
+        play=MISERE,
+        n=n,
+        monoid=monoid,
+        phi=PretendingFunction(tuple(values[h] for h in range(1, n + 1)), period),
+        partition=OutcomePartition(p_set, frozenset(range(len(monoid))) - p_set),
+    )
+
+
+class TestPackagedKayles:
+    """data/kayles.json is the Kayles analysis, shipped so that loading it
+    runs no completion; these tests tie it to the data it was made from."""
+
+    def test_rebuilt_from_tables(self):
+        assert analysis_to_json(_kayles_from_tables()) == builder._data_text("kayles.json")
+
+    def test_file_digest(self):
+        text = builder._data_text("kayles.json")
+        assert hashlib.sha256(text.encode()).hexdigest() == KAYLES_DIGEST
+
+    def test_monoid_is_the_presented_one(self, kayles):
+        presented = enumerate_elements(knuth_bendix(packaged_presentation("0.77")), cap=200)
+        assert kayles.monoid.generators == presented.generators
+        assert is_isomorphic(kayles.monoid, presented) is not None
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda d: d["table"][3].__setitem__(4, 0),
+        lambda d: d["generator_heaps"].update(x=3),
+        None,
+    ], ids=["table-entry", "generator-heaps", "truncated"])
+    def test_corrupted_file_exits_4(self, monkeypatch, capsys, corrupt):
+        text = builder._data_text("kayles.json")
+        if corrupt is None:
+            text = text[: len(text) // 2]
+        else:
+            doc = json.loads(text)
+            corrupt(doc)
+            text = json.dumps(doc)
+        monkeypatch.setattr(builder, "_data_text", lambda name: text)
+        assert cli.main(["verify", "0.77", "-n", "25"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -180,6 +180,23 @@ class TestOutcome:
         assert "outcome: P" in captured.out
         assert "unverified" in captured.err
 
+    def test_heap_past_verified_range_warns(self, capsys, tmp_path):
+        # A file verified to heap 25 with no certified period still answers
+        # for heap 50 from its stored phi, but says that it is a prediction.
+        doc = json.loads(analysis_to_json(kayles_analysis()))
+        doc["verified_to"] = 25
+        path = tmp_path / "k25.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["outcome", str(path), "50", "3"]) == 0
+        captured = capsys.readouterr()
+        assert "outcome: N" in captured.out and "winning move:" in captured.out
+        assert captured.err == (
+            "warning: heap 50 is past the verified range (to heap 25); "
+            "outputs are predictions\n"
+        )
+        assert main(["outcome", str(path), "25", "3"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_built_analysis_is_verified(self, capsys):
         # A code other than Kayles is built at n = 12, which proves it:
         # 0.07 claims no period there, and 0.15 claims (11, 1), which does
@@ -578,6 +595,14 @@ class TestBadInput:
 
     def test_missing_analysis_file(self, capsys):
         assert main(["outcome", "0.999", "3"]) == 4
+
+    @pytest.mark.parametrize("source", ["k.json", "out/k", "./0.77"])
+    def test_missing_path_is_no_game_code(self, capsys, tmp_path, monkeypatch, source):
+        monkeypatch.chdir(tmp_path)
+        assert main(["certify", source]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no such analysis file: {source!r}\n"
 
     def test_removed_analyze_flags(self):
         for flag in (["--misere"], ["--seed", "3"], ["--naive"]):

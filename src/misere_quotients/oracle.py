@@ -510,10 +510,6 @@ class GameTree:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("GameTree is immutable")
 
-    @property
-    def is_endgame(self) -> bool:
-        return not self.options
-
     def __repr__(self) -> str:
         return f"GameTree({len(self.options)} options)"
 

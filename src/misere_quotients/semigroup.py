@@ -381,7 +381,6 @@ class FiniteCommutativeMonoid:
         self.identity_index = identity_index
         self.words = words
         self.generators = generators
-        self._index = {name: i for i, name in enumerate(names)}
         _check_table(table, identity_index, self.generator_map.values())
 
     def __eq__(self, other: object) -> bool:
@@ -410,7 +409,7 @@ class FiniteCommutativeMonoid:
         return acc
 
     def index_of(self, name: str) -> int:
-        return self._index[name]
+        return self.names.index(name)
 
 
 def _check_table(table, identity: int, gens) -> None:

@@ -162,7 +162,6 @@ class _Context:
 
     def __init__(self, qa: QuotientAnalysis, n: int):
         self.qa = qa
-        self.n = n
         self.walk = _walk_moves(qa, n)
         m = qa.monoid
         self.table = m.table
@@ -188,31 +187,17 @@ class _Context:
         self.by_value: dict[int, list[int]] = {}
         for h in self.live:
             self.by_value.setdefault(self.heap_phi[h], []).append(h)
-        self._bad_heaps: dict[tuple[int, int], list[int]] = {}
         # closures[g]: submonoid mask -> its closure with generator g added.
         self.closures: list[dict[int, int]] = [{} for _ in range(k)]
-
-    def closure_add(self, mask: int, g: int) -> int:
-        """S(U) as a bitmask after adding generator g to the submonoid mask."""
-        memo = self.closures[g]
-        got = memo.get(mask)
-        if got is None:
-            got = memo[mask] = _closure_add(self.table, mask, g)
-        return got
 
     def bad_heaps(self, value: int, base: int) -> list[int]:
         """Heaps of this phi value with no move target landing in P after
         multiplication by base."""
-        key = (value, base)
-        got = self._bad_heaps.get(key)
-        if got is None:
-            good = self.goodmask[base]
-            got = [
-                h for h in self.by_value[value]
-                if not (self.heap_targetmask[h] & good)
-            ]
-            self._bad_heaps[key] = got
-        return got
+        good = self.goodmask[base]
+        return [
+            h for h in self.by_value[value]
+            if not (self.heap_targetmask[h] & good)
+        ]
 
 
 class _Enough(Exception):
@@ -238,7 +223,10 @@ def _scan_naive(ctx: _Context, watch: frozenset[int], budget: int | None,
             heaps2 = heaps + (h,)
             derivs2 = tuple(table[d][phi] for d in derivs) + (product,)
             product2 = table[product][phi]
-            sub2 = ctx.closure_add(submonoid, phi)
+            closures = ctx.closures[phi]
+            sub2 = closures.get(submonoid)
+            if sub2 is None:
+                sub2 = closures[submonoid] = _closure_add(table, submonoid, phi)
             stats["nodes"] += 1
             for s in _bits(sub2):
                 omega = table[s][product2]
@@ -454,14 +442,20 @@ def _iter_winning_moves(qa: QuotientAnalysis, heaps, s: int):
     heaps = tuple(sorted(heaps))
     table = qa.monoid.table
     p_set = qa.partition.p_set
-    for i, h in enumerate(heaps):
-        others = qa.monoid.product(
-            _phi(qa, x) for j, x in enumerate(heaps) if j != i
-        )
-        row = table[table[s][others]]
+    phis = [_phi(qa, h) for h in heaps]
+    # after[i]: the product of the heaps after heap i; before: s times the
+    # product of the heaps before it.  Linear in the number of heaps.
+    after = [qa.monoid.identity_index]
+    for el in reversed(phis[1:]):
+        after.append(table[after[-1]][el])
+    after.reverse()
+    before = s
+    for h, phi, rest in zip(heaps, phis, after):
+        row = table[table[before][rest]]
         for t, el in _move_targets(qa, h):
             if row[el] in p_set:
                 yield h, t, row[el]
+        before = table[before][phi]
 
 
 def winning_moves(qa: QuotientAnalysis, heaps, s: int):

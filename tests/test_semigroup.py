@@ -1,8 +1,10 @@
 """Commutative words, rewriting, completion, and monoid tables."""
 
+import inspect
 import itertools
 import math
 import random
+import sys
 from collections import deque
 from functools import lru_cache
 
@@ -346,6 +348,45 @@ class TestIsomorphism:
             sorted(_element_profile(m2, i) for i in range(4))
         assert is_isomorphic(m1, m2) is None
         assert is_isomorphic(m2, m1) is None
+
+    def test_non_injective_image_rejected(self):
+        # Six elements each, with equal element profiles.  Some images of
+        # m1's greedy generators pass every pruning test yet send two
+        # elements to one, so the search reaches check's injectivity test.
+        m1 = _monoid_from(
+            "gens: x y z\nx^4 = 1\ny^4 = y\nz^3 = z\nx y = x\nz x = z^2"
+        )
+        m2 = _monoid_from("gens: x y\nx^3 = x\ny^4 = 1\ny x = x")
+        assert len(m1) == len(m2) == 6
+        assert sorted(_element_profile(m1, i) for i in range(6)) == \
+            sorted(_element_profile(m2, i) for i in range(6))
+        lines, start = inspect.getsourcelines(is_isomorphic)
+        test_at = next(
+            start + i for i, line in enumerate(lines)
+            if "len(set(phi.values())) != len(m1)" in line
+        )
+        reached = []
+
+        def probe(frame, event, arg):
+            if frame.f_code.co_name != "check":
+                return None
+
+            def lines_of_check(frame, event, arg):
+                if event == "line":
+                    reached.append(frame.f_lineno)
+                return lines_of_check
+
+            return lines_of_check
+
+        outer = sys.gettrace()
+        sys.settrace(probe)
+        try:
+            found = is_isomorphic(m1, m2)
+        finally:
+            sys.settrace(outer)
+        assert found is None
+        # The line after the test, its return None, ran.
+        assert test_at + 1 in reached
 
     def test_bound(self):
         names = tuple(f"g{i}" for i in range(65))

@@ -15,7 +15,11 @@ and every such (U, s) is realized by some concrete position.
 The N-to-P half is one memoized search over sets of distinct heap values.
 It skips every subtree that holds no failing case (U, s) and lists the
 failing cases of the rest, so a failing run walks the paths to its failures
-rather than the whole tree.
+rather than the whole tree.  It takes the most constrained values first
+(fail-first), so the multipliers at which every chosen heap still fails run
+out, and subtrees are cut, nearer the root; since it enumerates unordered
+sets, the order changes its work and the order of its listing, never the
+verdict or the set of failing cases.
 
 Heaps with no moves at all need care under (2): a position made entirely of
 them has no move to anything, yet the player to move has already won under
@@ -301,6 +305,16 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
     walk and expanded once after it.  A walk stopped at its limit lists the
     failures it found first, and its counts cover the part walked.
 
+    Values are taken fail-first: those with a two-heap option, which fails
+    only where two heaps fail at once, then those whose one-heap option
+    fails at the fewest bases, then by index.  A value that fails at few
+    bases shrinks G most, so G empties, and the subtree is cut, after fewer
+    choices.  Any fixed order is sound: the walk enumerates unordered sets,
+    the memo key holds for a fixed order, and the witness of a failure does
+    not depend on the order of the chosen values.  So the order moves the
+    counters and which failures a limited walk lists first, but no verdict
+    and no complete listing taken as a set.
+
     Each node works through lists indexed by element: the closure memo of
     its value, the preimage memo of its multiplier v^mu, the preimage of
     the failing bases of (v, mu) by its base, and the s with s*P in watch
@@ -309,7 +323,14 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
     """
     table = ctx.table
     k = len(table)
-    values = sorted(ctx.by_value)
+    # counts[v][b]: how many heaps of value v have no move into P at base b.
+    counts = {
+        v: [len(ctx.bad_heaps(v, b)) for b in range(k)] for v in ctx.by_value
+    }
+    # Fail-first: values with a two-heap option, then by the bases at which
+    # their one-heap option fails, fewest first, then by index.
+    values = sorted(ctx.by_value, key=lambda v: (
+        _multiplicities(ctx, v) == (1,), k - counts[v].count(0), v))
     # inverse[a][y]: the x with x*a = y, as a bitmask.
     inverse = [[0] * k for _ in range(k)]
     for a in range(k):
@@ -341,10 +362,9 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
     identity_row = table[ctx.qa.monoid.identity_index]
     steps = []
     for j, v in enumerate(values, 1):
-        counts = [len(ctx.bad_heaps(v, b)) for b in range(k)]
         options = []
         for mu in _multiplicities(ctx, v):
-            fails = sum(1 << b for b in range(k) if counts[b] >= mu)
+            fails = sum(1 << b for b in range(k) if counts[v][b] >= mu)
             v_mu, shift = (v, identity_row) if mu == 1 else (table[v][v], table[v])
             options.append((mu, v_mu, shift, fails, [None] * k))
         steps.append((j, v, ctx.closures[v], options))

@@ -454,9 +454,9 @@ def synthetic_quotients(draw):
 
 # Evaluations per asserted N element of verify_to_heap(kayles, 25).
 KAYLES_25_CASES = {
-    0: 2, 2: 20011, 3: 6, 6: 6, 8: 20041, 10: 4, 11: 2, 12: 4, 15: 20035,
-    17: 3, 18: 22881, 20: 3, 21: 86, 22: 6, 23: 83, 24: 23376, 25: 20063,
-    28: 23827, 33: 79, 35: 80, 36: 86, 38: 77, 39: 82,
+    0: 2, 2: 3115, 3: 6, 6: 6, 8: 3086, 10: 4, 11: 2, 12: 4, 15: 3063,
+    17: 3, 18: 4394, 20: 3, 21: 70, 22: 6, 23: 59, 24: 4621, 25: 3034,
+    28: 4886, 33: 55, 35: 66, 36: 62, 38: 63, 39: 58,
 }
 
 
@@ -464,33 +464,36 @@ KAYLES_25_CASES = {
 # limit: nodes, evaluations, states and the cases per omega of the part
 # walked.  A walk stopped at its limit has stored no state yet.
 B2_FIRST_CASES = {
-    0: 2, 2: 2, 4: 3, 5: 2, 7: 3, 9: 1, 11: 2, 12: 4, 13: 1, 14: 3, 15: 2,
-    16: 3, 17: 2, 18: 3, 19: 2,
+    2: 3, 5: 1, 11: 3, 12: 2, 15: 3, 16: 3, 17: 3, 18: 1, 19: 3,
 }
 B2_WALKS = {
-    1: (5, 35, 0, B2_FIRST_CASES),
-    2: (5, 35, 0, B2_FIRST_CASES),
-    5: (5, 35, 0, B2_FIRST_CASES),
+    1: (4, 22, 0, B2_FIRST_CASES),
+    2: (4, 22, 0, B2_FIRST_CASES),
+    5: (4, 22, 0, B2_FIRST_CASES),
     None: (323, 3290, 144, {
         0: 17, 2: 18, 3: 9, 4: 108, 5: 12, 7: 72, 9: 9, 11: 792, 12: 54,
         13: 6, 14: 66, 15: 702, 16: 72, 17: 690, 18: 48, 19: 615,
     }),
 }
-# Its first five failures, and the SHA-256 of the repr of all 2 574.
+# Its first five failures in the scan's value order, the SHA-256 of the
+# repr of all 2 574 in that order, and that of their sorted repr, which no
+# fixed value order changes.
 B2_FIRST_FAILURES = [
-    (15, (1, 3, 7, 8, 9), 4), (11, (1, 3, 7, 8, 9), 7),
-    (19, (1, 3, 7, 8, 9), 10), (11, (1, 3, 7, 8, 9), 11),
-    (15, (1, 3, 7, 8, 9), 15),
+    (19, (1, 3, 6, 7), 0), (15, (1, 3, 6, 7), 2), (11, (1, 3, 6, 7), 5),
+    (19, (1, 3, 6, 7), 8), (19, (1, 3, 6, 7), 11),
 ]
-B2_FAILURES_SHA256 = "285806201a25367a5bb2f798cd450da097c439ca3e9d56b9b475b71c1221bcdf"
+B2_FAILURES_SHA256 = "583ea129d66889bceced65b86cc4a08e641f5de4d201c2362753ee17299aaee5"
+B2_SORTED_FAILURES_SHA256 = (
+    "860bef64f659acbb86fe93c2e1b0b2f364d0cdb00ae2b8652ff09b767543dc41"
+)
 
 # verify_to_heap of Kayles cut at heap 30, heap 30 sent to vf: cases per omega.
 KAYLES_VF_30_CASES = {
-    0: 2, 2: 68669, 3: 6, 6: 12, 7: 32590, 8: 68729, 10: 4, 11: 2, 12: 8,
-    13: 31714, 15: 68664, 16: 26066, 17: 3, 18: 82908, 19: 32067, 20: 3,
-    21: 86, 22: 12, 23: 169, 24: 83739, 25: 68724, 26: 26116, 28: 84194,
-    29: 31241, 33: 161, 34: 26088, 35: 80, 36: 169, 37: 26137, 38: 77,
-    39: 161,
+    0: 2, 2: 9406, 3: 6, 6: 12, 7: 4438, 8: 9364, 10: 4, 11: 2, 12: 8,
+    13: 4028, 15: 9300, 16: 2705, 17: 3, 18: 14668, 19: 4298, 20: 3,
+    21: 70, 22: 12, 23: 123, 24: 15009, 25: 9263, 26: 2678, 28: 15308,
+    29: 3917, 33: 115, 34: 2642, 35: 66, 36: 125, 37: 2618, 38: 63,
+    39: 117,
 }
 
 
@@ -500,6 +503,14 @@ class TestMemoizedScan:
         for e in range(len(qa123_12.monoid)):
             stuck += scan_verdicts(flip_labels(qa123_12, {e}), 12)
         assert stuck > 0  # some flips leave an N element stuck
+
+    def test_every_single_kayles_flip_agrees(self, kayles):
+        # At window 10 the collapsed scan's fail-first value order is not
+        # the index order, so this checks the reordered walk on 40 elements.
+        stuck = 0
+        for e in range(len(kayles.monoid)):
+            stuck += scan_verdicts(flip_labels(kayles, {e}), 10)
+        assert stuck == 6
 
     @settings(max_examples=60, deadline=None)
     @given(flips=st.one_of(st.just(frozenset()), label_flips(20)),
@@ -529,22 +540,22 @@ class TestMemoizedScan:
         report = verify_to_heap(kayles, 159)
         assert report.passed
         assert (report.stats["nodes"], report.stats["evaluations"],
-                report.stats["states"]) == (45_907, 876_202, 11_486)
+                report.stats["states"]) == (9_004, 131_349, 4_462)
 
     def test_kayles_window_25_counters(self, kayles):
         report = verify_to_heap(kayles, 25)
         assert report.passed
         assert (report.stats["nodes"], report.stats["evaluations"],
-                report.stats["states"]) == (10_707, 150_843, 2_888)
+                report.stats["states"]) == (2_575, 26_668, 1_245)
         assert report.stats["cases_by_omega"] == KAYLES_25_CASES
 
     def test_budget_boundary(self, kayles):
         # The budget is tested once per state, after all of its
         # evaluations: a budget of exactly the total still passes, one less
         # raises.
-        assert verify_to_heap(kayles, 25, budget=150_843).passed
+        assert verify_to_heap(kayles, 25, budget=26_668).passed
         with pytest.raises(BudgetExceededError):
-            verify_to_heap(kayles, 25, budget=150_842)
+            verify_to_heap(kayles, 25, budget=26_667)
 
     def test_failing_report_lists_every_case(self, qa123_12):
         bad = flip_labels(qa123_12, {qa123_12.monoid.index_of("b2")})
@@ -585,6 +596,8 @@ class TestMemoizedScan:
         if limit is None:
             digest = hashlib.sha256(repr(listed).encode()).hexdigest()
             assert digest == B2_FAILURES_SHA256
+            digest = hashlib.sha256(repr(sorted(listed)).encode()).hexdigest()
+            assert digest == B2_SORTED_FAILURES_SHA256
         # A walk stopped by its budget: the budget is tested before a
         # state's failures are listed, so one evaluation short raises even
         # where the limit would have stopped the walk at that state.
@@ -614,8 +627,8 @@ class TestMemoizedScan:
         report = verify_to_heap(bad, 30)
         assert report.np_failures == [(2, (1, 11, 30), 0)]
         assert (report.stats["nodes"], report.stats["evaluations"],
-                report.stats["states"]) == (43_967, 758_601, 11_733)
+                report.stats["states"]) == (8_015, 110_373, 4_695)
         assert report.stats["cases_by_omega"] == KAYLES_VF_30_CASES
-        assert verify_to_heap(bad, 30, budget=758_601).np_failures == report.np_failures
+        assert verify_to_heap(bad, 30, budget=110_373).np_failures == report.np_failures
         with pytest.raises(BudgetExceededError):
-            verify_to_heap(bad, 30, budget=758_600)
+            verify_to_heap(bad, 30, budget=110_372)

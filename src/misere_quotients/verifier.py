@@ -13,13 +13,22 @@ every position with support U and extra copies of its heaps factors that way,
 and every such (U, s) is realized by some concrete position.
 
 The N-to-P half is one memoized search over sets of distinct heap values.
-It skips every subtree that holds no failing case (U, s) and lists the
-failing cases of the rest, so a failing run walks the paths to its failures
-rather than the whole tree.  It takes the most constrained values first
-(fail-first), so the multipliers at which every chosen heap still fails run
-out, and subtrees are cut, nearer the root; since it enumerates unordered
-sets, the order changes its work and the order of its listing, never the
-verdict or the set of failing cases.
+It lists the failing cases (U, s) of the subtrees it enters and skips a
+subtree once it knows that no case below fails, so a failing run walks the
+paths to its failures rather than the whole tree.  It knows that when the
+subtree's state is memoized as holding no failure, or when no failure below
+can land anywhere.  With G the multipliers at which every chosen heap still
+fails and P the product so far, a case below that adds values W of product
+Q fails at s only if s*Q is in G, s*Q*P is an asserted N element, and s is
+in S(U, W), the submonoid generated by U and W.  The monoid is commutative,
+so the submonoid generated by two submonoids S and T is S*T; hence s*Q lies
+in the closure of S(U) with every value still to come, and when that
+closure shares no element with G and the watched multipliers of P, the
+subtree holds no failure.  The search takes the most constrained values
+first (fail-first), so G runs out nearer the root.  Since it enumerates
+unordered sets, the order changes its work and the order of its listing,
+never the verdict or the set of failing cases; the skips change its work
+alone.
 
 Heaps with no moves at all need care under (2): a position made entirely of
 them has no move to anything, yet the player to move has already won under
@@ -294,9 +303,21 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
     on the next value index, the product P so far, S(U) so far and G.  Adding
     (v, mu) maps G to {x : x*v^mu in G and (v, mu) fails at x*P*v^(mu-1)},
     and the new node fails at exactly the s in G, in S(U) and with s*P in
-    watch.  Those four are the memo key, as bitmasks.  A subtree is skipped
-    when its G is empty or its key is memoized as holding no failure; one
-    that holds a failure is walked again, since witnesses depend on the path.
+    watch.  Those four are the memo key, as bitmasks.  A child's subtree is
+    skipped when its G is empty, when its key is memoized as holding no
+    failure, or when its reach bound is empty; one that holds a failure is
+    walked again, since witnesses depend on the path.  The reach bound of a
+    child with next value index j: a descendant adds values W from index j
+    on, of product Q, and fails at s only if s*Q is in G (each step maps G
+    by the preimage of its v^mu), s*Q*P is in watch and s is in S(U, W).
+    S(U, W) is S(U)*S(W), since the monoid is commutative, and Q is in
+    S(W), so y = s*Q lies in R_j(S(U)), the closure of S(U) with every value
+    from index j on.  A descendant's failure thus needs a y in G, in
+    R_j(S(U)) and with y*P in watch; when no such y exists the subtree
+    holds no failure.  R_j(S) is memoized per (j, S) as R_(j+1) of the
+    closure of S with value j.  The child's own node is evaluated before
+    the test, so only failure-free subtrees go, and the listing and its
+    order stay as they would be without the bound.
     An evaluation is one (state, s) pair: a node that survives the pruning,
     and s in S(U) with s*P in watch.  A state's evaluations are counted
     together, and the budget is tested once per state; since the count only
@@ -318,8 +339,8 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
     Each node works through lists indexed by element: the closure memo of
     its value, the preimage memo of its multiplier v^mu, the preimage of
     the failing bases of (v, mu) by its base, and the s with s*P in watch
-    for its product.  A child's memo key is tested before descending into
-    it.
+    for its product.  A child's memo key and reach bound are tested before
+    descending into it.
     """
     table = ctx.table
     k = len(table)
@@ -370,6 +391,22 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
         steps.append((j, v, ctx.closures[v], options))
     # later[i]: the steps from value index i on.
     later = [steps[i:] for i in range(len(steps) + 1)]
+    # reaches[i]: submonoid S -> its closure with every value from index i
+    # on, R_i(S) = R_(i+1)(closure of S with value i).
+    reaches: list[dict[int, int]] = [{} for _ in steps]
+
+    def reach(i: int, submonoid: int) -> int:
+        if i == len(steps):
+            return submonoid
+        out = reaches[i].get(submonoid)
+        if out is None:
+            _, v, closures, _ = steps[i]
+            sub2 = closures.get(submonoid)
+            if sub2 is None:
+                sub2 = closures[submonoid] = _closure_add(table, submonoid, v)
+            out = reaches[i][submonoid] = reach(i + 1, sub2)
+        return out
+
     failures: list[tuple[int, tuple[int, ...], int]] = []
     # tally[P][hits]: how many evaluated states have product P and the
     # multipliers hits; it turns into cases once the walk is over.
@@ -415,7 +452,8 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
                             failures.append((row2[s], _witness(ctx, path, s), s))
                             if len(failures) == limit:
                                 raise _Enough
-                if memo.get((j, g2, product2, sub2)) is not False:
+                if (memo.get((j, g2, product2, sub2)) is not False
+                        and g2 & watched[product2] & reach(j, sub2)):
                     chosen.append((v, mu))
                     descend(j, g2, product2, sub2)
                     chosen.pop()

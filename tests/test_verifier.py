@@ -454,9 +454,9 @@ def synthetic_quotients(draw):
 
 # Evaluations per asserted N element of verify_to_heap(kayles, 25).
 KAYLES_25_CASES = {
-    0: 2, 2: 3115, 3: 6, 6: 6, 8: 3086, 10: 4, 11: 2, 12: 4, 15: 3063,
-    17: 3, 18: 4394, 20: 3, 21: 70, 22: 6, 23: 59, 24: 4621, 25: 3034,
-    28: 4886, 33: 55, 35: 66, 36: 62, 38: 63, 39: 58,
+    0: 2, 2: 513, 3: 6, 6: 6, 8: 478, 10: 4, 11: 2, 12: 4, 15: 372,
+    17: 3, 18: 480, 20: 3, 21: 70, 22: 6, 23: 25, 24: 664, 25: 335,
+    28: 537, 33: 22, 35: 66, 36: 27, 38: 63, 39: 25,
 }
 
 
@@ -489,12 +489,18 @@ B2_SORTED_FAILURES_SHA256 = (
 
 # verify_to_heap of Kayles cut at heap 30, heap 30 sent to vf: cases per omega.
 KAYLES_VF_30_CASES = {
-    0: 2, 2: 9406, 3: 6, 6: 12, 7: 4438, 8: 9364, 10: 4, 11: 2, 12: 8,
-    13: 4028, 15: 9300, 16: 2705, 17: 3, 18: 14668, 19: 4298, 20: 3,
-    21: 70, 22: 12, 23: 123, 24: 15009, 25: 9263, 26: 2678, 28: 15308,
-    29: 3917, 33: 115, 34: 2642, 35: 66, 36: 125, 37: 2618, 38: 63,
-    39: 117,
+    0: 2, 2: 2521, 3: 6, 6: 12, 7: 740, 8: 2489, 10: 4, 11: 2, 12: 8,
+    13: 637, 15: 2394, 16: 504, 17: 3, 18: 2689, 19: 562, 20: 3,
+    21: 70, 22: 12, 23: 39, 24: 3033, 25: 2365, 26: 476, 28: 2944,
+    29: 504, 33: 34, 34: 417, 35: 66, 36: 39, 37: 393, 38: 63,
+    39: 33,
 }
+
+# The SHA-256 of the repr of [(e, its complete listing in scan order)] over
+# the single P/N flips e of Kayles at window 10 that leave a stuck case.
+KAYLES_FLIP_LISTINGS_SHA256 = (
+    "4d327be0b6745a6a71e09e7923f114f1f09951f0dd8f8be29cf01e9965e4e06e"
+)
 
 
 class TestMemoizedScan:
@@ -511,6 +517,24 @@ class TestMemoizedScan:
         for e in range(len(kayles.monoid)):
             stuck += scan_verdicts(flip_labels(kayles, {e}), 10)
         assert stuck == 6
+
+    def test_kayles_flip_listings_keep_their_order(self, kayles):
+        # The reach bound skips subtrees here (fewer states in all), yet each
+        # stuck flip lists the same cases in the same order as the walk
+        # without it.
+        stuck, states = [], 0
+        for e in range(len(kayles.monoid)):
+            qa = flip_labels(kayles, {e})
+            listed, _, stats = _scan_collapsed(
+                _Context(qa, 10), frozenset(qa.partition.n_set), None)
+            states += stats["states"]
+            if listed:
+                stuck.append((e, listed))
+        assert [e for e, _ in stuck] == [1, 4, 9, 14, 27, 30]
+        digest = hashlib.sha256(repr(stuck).encode()).hexdigest()
+        assert digest == KAYLES_FLIP_LISTINGS_SHA256
+        # The walk without the reach bound stores 3 980 states.
+        assert states < 3_980
 
     @settings(max_examples=60, deadline=None)
     @given(flips=st.one_of(st.just(frozenset()), label_flips(20)),
@@ -540,22 +564,22 @@ class TestMemoizedScan:
         report = verify_to_heap(kayles, 159)
         assert report.passed
         assert (report.stats["nodes"], report.stats["evaluations"],
-                report.stats["states"]) == (9_004, 131_349, 4_462)
+                report.stats["states"]) == (1_214, 12_882, 167)
 
     def test_kayles_window_25_counters(self, kayles):
         report = verify_to_heap(kayles, 25)
         assert report.passed
         assert (report.stats["nodes"], report.stats["evaluations"],
-                report.stats["states"]) == (2_575, 26_668, 1_245)
+                report.stats["states"]) == (482, 3_713, 83)
         assert report.stats["cases_by_omega"] == KAYLES_25_CASES
 
     def test_budget_boundary(self, kayles):
         # The budget is tested once per state, after all of its
         # evaluations: a budget of exactly the total still passes, one less
         # raises.
-        assert verify_to_heap(kayles, 25, budget=26_668).passed
+        assert verify_to_heap(kayles, 25, budget=3_713).passed
         with pytest.raises(BudgetExceededError):
-            verify_to_heap(kayles, 25, budget=26_667)
+            verify_to_heap(kayles, 25, budget=3_712)
 
     def test_failing_report_lists_every_case(self, qa123_12):
         bad = flip_labels(qa123_12, {qa123_12.monoid.index_of("b2")})
@@ -627,8 +651,8 @@ class TestMemoizedScan:
         report = verify_to_heap(bad, 30)
         assert report.np_failures == [(2, (1, 11, 30), 0)]
         assert (report.stats["nodes"], report.stats["evaluations"],
-                report.stats["states"]) == (8_015, 110_373, 4_695)
+                report.stats["states"]) == (2_507, 23_064, 270)
         assert report.stats["cases_by_omega"] == KAYLES_VF_30_CASES
-        assert verify_to_heap(bad, 30, budget=110_373).np_failures == report.np_failures
+        assert verify_to_heap(bad, 30, budget=23_064).np_failures == report.np_failures
         with pytest.raises(BudgetExceededError):
-            verify_to_heap(bad, 30, budget=110_372)
+            verify_to_heap(bad, 30, budget=23_063)

@@ -18,7 +18,7 @@ import os
 import random
 import sys
 
-from .octal import GameCodeError, Position, _heap_moves, parse_game_code, period_window
+from .octal import Position, _heap_moves, parse_game_code, period_window
 from .oracle import (
     MISERE,
     NORMAL,
@@ -249,7 +249,7 @@ def cmd_outcome(args) -> int:
             h, t, target = move
             print(f"winning move: {_describe_move(h, t)} -> {m.names[target]} (P)")
             return EXIT_OK
-        if not any(_heap_moves(qa.code, h) for h in heaps):
+        if all(next(_heap_moves(qa.code, h), None) is None for h in heaps):
             print("no moves remain; the player to move has already won")
             return EXIT_OK
         print("no winning move found")
@@ -429,7 +429,7 @@ def main(argv=None) -> int:
     except GenusTailError as exc:
         print(f"genus tail not settled: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (GameCodeError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalError as exc:

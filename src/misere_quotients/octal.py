@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache, total_ordering
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GameCodeError(ValueError):
@@ -158,29 +158,36 @@ class Position(_Frozen):
 EMPTY = Position()
 
 
-def _heap_moves(code: GameCode, f: int) -> tuple[tuple[int, ...], ...]:
-    """The sorted replacement heap tuples of one legal move from a heap of size f.
+def _heap_moves(code: GameCode, f: int) -> Iterator[tuple[int, ...]]:
+    """The replacement heap tuples of each legal move from a heap of size f,
+    ascending, generated as they are read; none when the heap has no move.
 
     Splits are unordered: a remainder s yields pairs (a, s-a) for
-    1 <= a <= s // 2.  Empty when the heap has no move.
+    1 <= a <= s // 2.  No move repeats, since the parts of a move removing
+    k tokens sum to f - k.  In order, ``()`` comes first, then per least
+    part a, ``(a,)`` and the pairs ``(a, b)`` by ascending b (descending k).
     """
     if f < 1:
         raise ValueError("heap size must be >= 1, got %d" % (f,))
-    out: set[tuple[int, ...]] = set()
     # Digits past the code's places are 0, so no k beyond them moves.
-    for k in range(min(f, code.places) + 1):
-        d = code.digit(k)
-        if d == 0:
-            continue
-        rest = f - k
-        if d & 1 and rest == 0 and k >= 1:
-            out.add(())
-        if d & 2 and rest >= 1:
-            out.add((rest,))
-        if d & 4 and rest >= 2:
-            for a in range(1, rest // 2 + 1):
-                out.add((a, rest - a))
-    return tuple(sorted(out))
+    digits = (code.pre_point_digit,) + code.post_point_digits
+    ks = range(min(f, code.places), -1, -1)
+    if f <= code.places and digits[f] & 1:
+        yield ()
+    # By descending k, the single parts and the split remainders ascend; a
+    # pair's least part is at most half the largest remainder.
+    singles = [f - k for k in ks if digits[k] & 2 and k < f]
+    rests = [f - k for k in ks if digits[k] & 4 and k < f - 1]
+    top = rests[-1] // 2 if rests else 0
+    for a in range(1, top + 1):
+        if a in singles:
+            yield (a,)
+        for r in rests:
+            if r >= 2 * a:
+                yield (a, r - a)
+    for a in singles:
+        if a > top:
+            yield (a,)
 
 
 @lru_cache(maxsize=None)

@@ -122,15 +122,16 @@ class _Game:
 
     The exact canonical form: ``heap[h]`` is 0 when heap h has no move, and
     otherwise the least heap whose canonical options are the same set;
-    ``rows[h]`` is that set, as a sorted tuple of canonical positions, each
-    a sorted tuple of heaps.  ``s1`` is the least heap with a move (0 while
-    there is none).  Its options hold dead heaps only, so it is *1, it is
-    the least canonical heap, and every *1 heap maps to it.  A canonical
-    position maps each heap through ``heap``, drops the zeros and keeps the
-    *1 tokens by parity only.  Each step is exact under both conventions, by
-    induction on heap size: a heap with no move adds no move; heaps whose
-    options are equal games are equal games; and X + *1 + *1 has the
-    outcome and misere mex value of X (see _gminus_rows).
+    ``_least`` maps each such set, as a sorted tuple of canonical positions,
+    each a sorted tuple of heaps, to that heap.  ``s1`` is the least heap
+    with a move (0 while there is none).  Its options hold dead heaps only,
+    so it is *1, it is the least canonical heap, and every *1 heap maps to
+    it.  A canonical position maps each heap through ``heap``, drops the
+    zeros and keeps the *1 tokens by parity only.  Each step is exact under
+    both conventions, by induction on heap size: a heap with no move adds no
+    move; heaps whose options are equal games are equal games; and
+    X + *1 + *1 has the outcome and misere mex value of X (see
+    _gminus_rows).
 
     The searches take a canonical position packed into one int: the count
     of canonical heap h sits in the ``_W``-bit field at bit ``_W * h``, and
@@ -147,9 +148,10 @@ class _Game:
     position's heaps.  Every canonical heap but s1 has at least two tokens,
     so a field of a sum of two such positions counts fewer than 2**15
     heaps, and neither a move nor the canonical form adds a token.
-    ``deltas`` packs each canonical heap's options on first use, up to the
-    largest heap a search reaches, so extending the game to a large heap
-    packs nothing.
+    ``deltas[h]`` is canonical heap h's packed options less one h token, in
+    sorted option order, and ``[]`` for a dead or non-canonical heap;
+    ``extend`` packs it as it adds heap h.  A packed option of a position
+    is then the position plus a delta, folded.
 
     The memos: ``outcomes[play]`` maps a packed position to True when the
     player to move wins, and ``wins`` alone reads and fills it; ``gminus``
@@ -158,17 +160,16 @@ class _Game:
     is kept here.
     """
 
-    __slots__ = ("code", "grundy", "heap", "rows", "s1", "_least",
-                 "_deltas", "outcomes", "gminus")
+    __slots__ = ("code", "grundy", "heap", "deltas", "s1", "_least",
+                 "outcomes", "gminus")
 
     def __init__(self, code: GameCode) -> None:
         self.code = code
         self.grundy = [0]
         self.heap = [0]
-        self.rows: list[tuple[tuple[int, ...], ...]] = [()]
+        self.deltas: list[list[int]] = [[]]
         self.s1 = 0
         self._least: dict[tuple[tuple[int, ...], ...], int] = {}
-        self._deltas: list[list[int]] = []
         self.outcomes: dict[PlayConvention, dict[int, bool]] = {
             play: {} for play in PlayConvention
         }
@@ -212,20 +213,9 @@ class _Game:
             h += 1
         return tuple(out)
 
-    def deltas(self, node: int) -> list[list[int]]:
-        """Per canonical heap h, its packed options less one h token, in
-        the order of ``rows[h]``, covering every heap of packed ``node``;
-        a packed option of node is then node plus a delta, folded."""
-        out, rows, heap = self._deltas, self.rows, self.heap
-        while len(out) * _W < node.bit_length():
-            h = len(out)
-            unit = 1 << _W * h
-            out.append([_pack(t) - unit for t in rows[h]] if heap[h] == h else [])
-        return out
-
     def options(self, node: int) -> set[int]:
         """The packed canonical positions one move from packed ``node``."""
-        deltas, fold = self.deltas(node), self.fold
+        deltas, fold = self.deltas, self.fold
         out: set[int] = set()
         x = node
         while x:
@@ -248,7 +238,7 @@ class _Game:
         stored once.  A position is settled as a win at its first option
         known to lose, so the search builds no further options of it and
         visits none of their subtrees.  Options are built by heap, least
-        heap first, in the order of ``rows``.  Every position it settles
+        heap first, in the order of ``deltas``.  Every position it settles
         goes into ``cache``, exactly; positions it never needed are not
         stored.  Raises BudgetExceededError if ``cache`` would grow past
         ``budget`` entries; what it stored up to then stays correct.
@@ -259,9 +249,7 @@ class _Game:
         """
         cache = self.outcomes[play] if cache is None else cache
         get, fold, w, misere = cache.get, self.fold, _W, play is MISERE
-        # u + w is largest for the largest w, so one call covers every sum.
-        deltas = self.deltas(u + max(contexts, default=0))
-        out = []
+        deltas, out = self.deltas, []
         # (position, its options not yet known when it was last looked at)
         stack: list[tuple[int, list[int]]] = []
         for c in contexts:
@@ -314,9 +302,9 @@ class _Game:
         return bytes(out)
 
     def extend(self, size: int) -> None:
-        """Cover heaps up to ``size``.  Each new heap's canonical row is
-        built from its moves, which reach smaller heaps only and are not
-        kept."""
+        """Cover heaps up to ``size``.  Each new heap's canonical options
+        are built from its moves, which reach smaller heaps only and are not
+        kept, and packed into its deltas."""
         heap = self.heap
         while len(heap) <= size:
             h = len(heap)
@@ -324,7 +312,8 @@ class _Game:
             if row and not self.s1:
                 self.s1 = h
             heap.append(self._least.setdefault(row, h) if row else 0)
-            self.rows.append(row)
+            unit = 1 << _W * h
+            self.deltas.append([_pack(t) - unit for t in row] if heap[h] == h else [])
 
     def _canonical(self, heaps: tuple[int, ...]) -> tuple[int, ...]:
         # The canonical form as sorted heaps: the *1 tokens, which sort
@@ -360,7 +349,7 @@ def __getattr__(name: str):
 def _move_rows(code: GameCode, heaps: tuple[int, ...]) -> list:
     """The raw move rows of every heap size up to the largest of ``heaps``,
     indexed by size, for one search's _options."""
-    return [()] + [_heap_moves(code, h) for h in range(1, max(heaps, default=0) + 1)]
+    return [()] + [tuple(_heap_moves(code, h)) for h in range(1, max(heaps, default=0) + 1)]
 
 
 def _options(moves, heaps: tuple[int, ...]) -> set[tuple[int, ...]]:
@@ -381,7 +370,7 @@ def _options(moves, heaps: tuple[int, ...]) -> set[tuple[int, ...]]:
 def position_options(code: GameCode, position: Position) -> set[Position]:
     """All positions reachable in one move."""
     heaps = position.heaps
-    moves = {h: _heap_moves(code, h) for h in set(heaps)}
+    moves = {h: tuple(_heap_moves(code, h)) for h in set(heaps)}
     return {Position(t) for t in _options(moves, heaps)}
 
 

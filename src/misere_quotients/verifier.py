@@ -43,7 +43,7 @@ final deliverable of this module.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .octal import _heap_moves, period_window
 from .oracle import MISERE, BudgetExceededError
@@ -96,18 +96,18 @@ def _phi(qa: QuotientAnalysis, heap: int) -> int:
     return phi_heap(qa, heap, claimed_ok=True)
 
 
-def _move_targets(qa: QuotientAnalysis, h: int) -> list[tuple[tuple[int, ...], int]]:
-    """(t, phi(t)) for every move h -> t, ordered by t: the one place that
-    computes the element a move lands on."""
+def _move_targets(qa: QuotientAnalysis, h: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(t, phi(t)) for every move h -> t, ordered by t and generated as
+    read: the one place that computes the element a move lands on."""
     product = qa.monoid.product
-    return [(t, product(_phi(qa, x) for x in t)) for t in _heap_moves(qa.code, h)]
+    return ((t, product(_phi(qa, x) for x in t)) for t in _heap_moves(qa.code, h))
 
 
 def _walk_moves(
     qa: QuotientAnalysis, n: int
 ) -> dict[int, tuple[int, list[tuple[tuple[int, ...], int]]]]:
-    """h -> (phi(h), _move_targets(qa, h)) for every heap h <= n."""
-    return {h: (_phi(qa, h), _move_targets(qa, h)) for h in range(1, n + 1)}
+    """h -> (phi(h), the list of _move_targets(qa, h)) for every heap h <= n."""
+    return {h: (_phi(qa, h), list(_move_targets(qa, h))) for h in range(1, n + 1)}
 
 
 def _pairs_of(walk) -> set[MovePair]:
@@ -337,8 +337,8 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
     and no complete listing taken as a set.
 
     Each node works through lists indexed by element: the closure memo of
-    its value, the preimage memo of its multiplier v^mu, the preimage of
-    the failing bases of (v, mu) by its base, and the s with s*P in watch
+    its value, the preimage memos of its multiplier v^mu and of its base
+    (which maps the failing bases of (v, mu)), and the s with s*P in watch
     for its product.  A child's memo key and reach bound are tested before
     descending into it.
     """
@@ -378,8 +378,8 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
     watched = [preimage(p, watch_mask) for p in range(k)]
     # One step per value v: (the index after v, v, its closure memo, its
     # options), an option (mu, v^mu, the row that maps P to the base
-    # P*v^(mu-1), the bases at which at least mu heaps of value v have no
-    # move into P, and their preimage by each base, filled on first use).
+    # P*v^(mu-1), and the bases at which at least mu heaps of value v have
+    # no move into P; their preimage by a base is memoized in preimages).
     identity_row = table[ctx.qa.monoid.identity_index]
     steps = []
     for j, v in enumerate(values, 1):
@@ -387,7 +387,7 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
         for mu in _multiplicities(ctx, v):
             fails = sum(1 << b for b in range(k) if counts[v][b] >= mu)
             v_mu, shift = (v, identity_row) if mu == 1 else (table[v][v], table[v])
-            options.append((mu, v_mu, shift, fails, [None] * k))
+            options.append((mu, v_mu, shift, fails))
         steps.append((j, v, ctx.closures[v], options))
     # later[i]: the steps from value index i on.
     later = [steps[i:] for i in range(len(steps) + 1)]
@@ -423,12 +423,12 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
             sub2 = closures.get(submonoid)
             if sub2 is None:
                 sub2 = closures[submonoid] = _closure_add(table, submonoid, v)
-            for mu, v_mu, shift, fails, by_base in options:
+            for mu, v_mu, shift, fails in options:
                 nodes += 1
                 base = shift[product]
-                f_mask = by_base[base]
+                f_mask = preimages[base].get(fails)
                 if f_mask is None:
-                    f_mask = by_base[base] = preimage(base, fails)
+                    f_mask = preimage(base, fails)
                 if not f_mask:
                     continue
                 g2 = preimages[v_mu].get(g_mask)

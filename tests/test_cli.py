@@ -20,9 +20,19 @@ from misere_quotients.cli import _tree_from_json, main
 from misere_quotients.octal import Position, parse_game_code
 from misere_quotients.oracle import nim_heap_tree
 from misere_quotients.semigroup import knuth_bendix
-from misere_quotients.verifier import verify_to_heap
+from misere_quotients.verifier import certify_period, verify_to_heap
 
 G123 = parse_game_code("0.123")
+
+
+@pytest.fixture(scope="module")
+def kayles_file(tmp_path_factory):
+    """The packaged Kayles analysis, certified for every heap size."""
+    cert = certify_period(kayles_analysis(), 73, 12)
+    assert cert is not None
+    path = tmp_path_factory.mktemp("cli") / "kayles.json"
+    path.write_text(analysis_to_json(cert))
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +181,21 @@ class TestOutcome:
         assert rc == 0
         assert "outcome: N" in out
         assert f"winning move: take heap {10**12} down to {10**12 - 3} -> b2 (P)" in out
+        assert elapsed < 1
+
+    @pytest.mark.parametrize("heaps, move", [
+        ((10**6,), "split heap 1000000 into 1+999997"),
+        ((10**12, 10**12 + 1), "split heap 1000000000000 into 3+999999999995"),
+    ])
+    def test_huge_kayles_heaps_via_certificate(self, capsys, kayles_file, heaps, move):
+        # The move search stops at the first winning move, so a heap whose
+        # winning move comes early costs neither time nor memory in its size.
+        start = time.perf_counter()
+        rc = main(["outcome", kayles_file, *map(str, heaps)])
+        elapsed = time.perf_counter() - start
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.splitlines()[-1] == f"winning move: {move} -> z2 (P)"
         assert elapsed < 1
 
     def test_kayles_is_unverified(self, capsys):

@@ -1,10 +1,15 @@
+import itertools
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from misere_quotients.octal import (
     EMPTY,
+    GameCode,
     GameCodeError,
     Position,
+    _heap_moves,
     moves_from_heap,
     parse_game_code,
 )
@@ -12,6 +17,23 @@ from misere_quotients.octal import (
 
 def heaps(code, size):
     return sorted(m.heaps for m in moves_from_heap(code, size))
+
+
+def reference_heap_moves(code, f):
+    """The move rule read straight off the digits: every move into a set,
+    then sorted."""
+    out = set()
+    for k in range(min(f, code.places) + 1):
+        d = code.digit(k)
+        rest = f - k
+        if d & 1 and rest == 0 and k >= 1:
+            out.add(())
+        if d & 2 and rest >= 1:
+            out.add((rest,))
+        if d & 4 and rest >= 2:
+            for a in range(1, rest // 2 + 1):
+                out.add((a, rest - a))
+    return tuple(sorted(out))
 
 
 class TestGameCode:
@@ -68,6 +90,26 @@ class TestMoves:
         for size in range(1, 30):
             for t in heaps(code, size):
                 assert sum(t) in (size - 1, size - 2)
+
+    def test_stream_matches_the_sorted_set(self):
+        # Every code with pre-point digit 0 or 4 and one to three digits
+        # after the point, codes that permit no move included.
+        for pre in (0, 4):
+            for places in (1, 2, 3):
+                for post in itertools.product(range(8), repeat=places):
+                    code = GameCode(pre, post)
+                    for f in range(1, 41):
+                        want = reference_heap_moves(code, f)
+                        assert tuple(_heap_moves(code, f)) == want, (code, f)
+
+    @pytest.mark.parametrize("game, first", [
+        ("0.77", (1, 10**12 - 3)),
+        ("0.123", (10**12 - 3,)),
+    ])
+    def test_first_move_of_a_huge_heap_comes_at_once(self, game, first):
+        start = time.perf_counter()
+        assert next(_heap_moves(parse_game_code(game), 10**12)) == first
+        assert time.perf_counter() - start < 1
 
 
 class TestPosition:

@@ -306,20 +306,18 @@ class TestPackedForm:
         assert time.perf_counter() - start < 1
         assert len(oracle._game(KAYLES).heap) == 1
 
-    def test_extending_packs_nothing(self, monkeypatch):
-        # Nim values come from the raw moves and grow no canonical form;
-        # deltas are packed for the heaps a search reaches, not for every
-        # heap the game covers.
+    def test_nim_values_grow_no_canonical_form(self, monkeypatch):
+        # Nim values come from the raw moves and grow no canonical form; a
+        # search grows it to its largest heap, packing each heap's deltas
+        # as it adds the heap.
         monkeypatch.setattr(oracle, "_games", {})
         grundy(KAYLES, 1000)
         normal_period(KAYLES)
         table = oracle._game(KAYLES)
         assert len(table.heap) == 1
         assert len(table.grundy) > 1000
-        table.extend(1000)
-        assert table._deltas == []
         outcome(KAYLES, Position.of(3, 10), MISERE)
-        assert len(table._deltas) == 11
+        assert len(table.deltas) == len(table.heap) == 11
 
 
 # Per code: its *1 heap and the heaps <= 14 that the canonical table does not

@@ -12,6 +12,13 @@ multiplier s drawn from the submonoid S(U) generated by U's elements, since
 every position with support U and extra copies of its heaps factors that way,
 and every such (U, s) is realized by some concrete position.
 
+Both halves ask whether b*e lies in a set of elements, and both read the
+answer off one table of membership masks: for each element e, the bitmask
+of the b with b*e asserted P, read off e's row (the monoid is commutative).
+Under (1) the bases that send a move pair from P to P are the AND of the
+masks of its two ends.  Under (2) each heap keeps one mask, the bases at which no
+move of it lands in P: the complement of the OR of its targets' masks.
+
 The N-to-P half is one memoized search over sets of distinct heap values.
 It lists the failing cases (U, s) of the subtrees it enters and skips a
 subtree once it knows that no case below fails, so a failing run walks the
@@ -145,20 +152,13 @@ def check_no_PP(
     if pairs is None:
         pairs = move_pairs(qa, n)
     table = qa.monoid.table
-    p_set = qa.partition.p_set
-    bad = []
-    # Each pair's fields read once, not once per basis element.
-    ends = [(pair.lhs, pair.rhs, pair) for pair in pairs]
-    for u in range(len(qa.monoid)):
-        row = table[u]
-        for lhs, rhs, pair in ends:
-            if row[lhs] in p_set and row[rhs] in p_set:
-                bad.append(Translate(u, pair, row[lhs], row[rhs]))
+    good = _row_masks(table, qa.partition.p_set)
+    bad = [
+        Translate(u, pair, table[u][pair.lhs], table[u][pair.rhs])
+        for pair in pairs
+        for u in _bits(good[pair.lhs] & good[pair.rhs])
+    ]
     return sorted(bad, key=lambda t: (t.basis, t.pair.lhs, t.pair.rhs))
-
-
-# ---------------------------------------------------------------------------
-# the N-to-P half
 
 
 def _bits(mask: int):
@@ -169,6 +169,16 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _row_masks(table, members) -> list[int]:
+    """For each element e, the bitmask of the b with b*e in members, read
+    off e's row: the table is commutative (the loader refuses any other)."""
+    return [sum(1 << b for b, x in enumerate(row) if x in members) for row in table]
+
+
+# ---------------------------------------------------------------------------
+# the N-to-P half
+
+
 class _Context:
     """Per-(qa, n) data shared by the subset scans, from one walk of every
     heap's moves."""
@@ -176,41 +186,26 @@ class _Context:
     def __init__(self, qa: QuotientAnalysis, n: int):
         self.qa = qa
         self.walk = _walk_moves(qa, n)
-        m = qa.monoid
-        self.table = m.table
-        k = len(m)
-        p_set = qa.partition.p_set
-        # goodmask[b]: bit e set iff b*e is an asserted P element.
-        self.goodmask = [
-            sum(1 << e for e in range(k) if m.table[b][e] in p_set)
-            for b in range(k)
-        ]
+        self.table = qa.monoid.table
+        k = len(self.table)
+        good = _row_masks(self.table, qa.partition.p_set)
         self.live: list[int] = []
         self.dead: list[int] = []
         self.heap_phi: dict[int, int] = {}
-        # heap_targetmask[h]: bit e set iff some move of heap h lands on e.
-        self.heap_targetmask: dict[int, int] = {}
+        # fails[h]: the bases b at which no move of heap h lands in P.
+        self.fails: dict[int, int] = {}
         for h, (phi, targets) in self.walk.items():
             self.heap_phi[h] = phi
-            mask = 0
+            lands = 0
             for _, el in targets:
-                mask |= 1 << el
-            self.heap_targetmask[h] = mask
-            (self.live if mask else self.dead).append(h)
+                lands |= good[el]
+            self.fails[h] = ((1 << k) - 1) ^ lands
+            (self.live if targets else self.dead).append(h)
         self.by_value: dict[int, list[int]] = {}
         for h in self.live:
             self.by_value.setdefault(self.heap_phi[h], []).append(h)
         # closures[g]: submonoid mask -> its closure with generator g added.
         self.closures: list[dict[int, int]] = [{} for _ in range(k)]
-
-    def bad_heaps(self, value: int, base: int) -> list[int]:
-        """Heaps of this phi value with no move target landing in P after
-        multiplication by base."""
-        good = self.goodmask[base]
-        return [
-            h for h in self.by_value[value]
-            if not (self.heap_targetmask[h] & good)
-        ]
 
 
 class _Enough(Exception):
@@ -222,7 +217,7 @@ def _scan_naive(ctx: _Context, watch: frozenset[int], budget: int | None,
     """Enumerate all nonempty sets of distinct live heaps, stopping once
     ``limit`` failures are listed."""
     table = ctx.table
-    goodmask = ctx.goodmask
+    fails = ctx.fails
     failures: list[tuple[int, tuple[int, ...], int]] = []
     cases: dict[int, int] = {}
     stats = {"nodes": 0, "evaluations": 0, "states": 0}
@@ -249,11 +244,8 @@ def _scan_naive(ctx: _Context, watch: frozenset[int], budget: int | None,
                 if budget is not None and stats["evaluations"] > budget:
                     raise BudgetExceededError("subset scan exceeded budget")
                 cases[omega] = cases.get(omega, 0) + 1
-                if not any(
-                    ctx.heap_targetmask[heaps2[i2]]
-                    & goodmask[table[s][derivs2[i2]]]
-                    for i2 in range(len(heaps2))
-                ):
+                row = table[s]
+                if all(fails[h2] >> row[d] & 1 for h2, d in zip(heaps2, derivs2)):
                     failures.append((omega, heaps2, s))
                     if len(failures) == limit:
                         raise _Enough
@@ -264,12 +256,6 @@ def _scan_naive(ctx: _Context, watch: frozenset[int], budget: int | None,
     except _Enough:
         pass
     return failures, cases, stats
-
-
-def _multiplicities(ctx: _Context, v: int) -> tuple[int, ...]:
-    # Two heaps of one value are the most a failing case ever needs: a third
-    # copy folds into the multiplier s.
-    return (1, 2) if len(ctx.by_value[v]) >= 2 else (1,)
 
 
 def _witness(ctx: _Context, chosen, s: int) -> tuple[int, ...]:
@@ -283,7 +269,7 @@ def _witness(ctx: _Context, chosen, s: int) -> tuple[int, ...]:
         for j, (v2, mu2) in enumerate(chosen):
             for _ in range(mu2 - (i == j)):
                 base = table[base][v2]
-        heaps.extend(ctx.bad_heaps(v, base)[:mu])
+        heaps.extend([h for h in ctx.by_value[v] if ctx.fails[h] >> base & 1][:mu])
     return tuple(sorted(heaps))
 
 
@@ -324,7 +310,7 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
     grows, that raises at the same state as a test after each s would.
     Their split per omega, ``cases``, is tallied by (P, set of s) during the
     walk and expanded once after it.  A walk stopped at its limit lists the
-    failures it found first, and its counts cover the part walked.
+    failures it found first, and its counters cover the part walked.
 
     Values are taken fail-first: those with a two-heap option, which fails
     only where two heaps fail at once, then those whose one-heap option
@@ -336,22 +322,32 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
     counters and which failures a limited walk lists first, but no verdict
     and no complete listing taken as a set.
 
-    Each node works through lists indexed by element: the closure memo of
-    its value, the preimage memos of its multiplier v^mu and of its base
-    (which maps the failing bases of (v, mu)), and the s with s*P in watch
-    for its product.  A child's memo key and reach bound are tested before
-    descending into it.
+    Every failure test reads membership masks.  ``ctx.fails[h]`` holds the
+    bases at which no move of heap h lands in P; a value's one-heap option
+    fails at the OR of its heaps' masks and its two-heap option at the OR of
+    their pairwise ANDs, and the popcount of the one-heap mask is the
+    fail-first key.  The s with s*P in watch are P's row of the table read
+    as a mask of watch.  Each node works through lists indexed by element:
+    the closure memo of its value, the preimage memos of its multiplier v^mu
+    and of its base (which maps the failing bases of (v, mu)), and the
+    watched mask of its product.  A child's memo key and reach bound are
+    tested before descending into it.
     """
     table = ctx.table
     k = len(table)
-    # counts[v][b]: how many heaps of value v have no move into P at base b.
-    counts = {
-        v: [len(ctx.bad_heaps(v, b)) for b in range(k)] for v in ctx.by_value
-    }
+    # failing[v]: the bases at which at least one, and at least two, heaps
+    # of value v have no move into P.
+    failing = {}
+    for v, heaps in ctx.by_value.items():
+        once = twice = 0
+        for h in heaps:
+            twice |= once & ctx.fails[h]
+            once |= ctx.fails[h]
+        failing[v] = once, twice
     # Fail-first: values with a two-heap option, then by the bases at which
     # their one-heap option fails, fewest first, then by index.
     values = sorted(ctx.by_value, key=lambda v: (
-        _multiplicities(ctx, v) == (1,), k - counts[v].count(0), v))
+        len(ctx.by_value[v]) < 2, failing[v][0].bit_count(), v))
     # inverse[a][y]: the x with x*a = y, as a bitmask.
     inverse = [[0] * k for _ in range(k)]
     for a in range(k):
@@ -373,21 +369,21 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
         preimages[a][mask] = out
         return out
 
-    watch_mask = sum(1 << w for w in watch)
     # watched[P]: the s with s*P in watch.
-    watched = [preimage(p, watch_mask) for p in range(k)]
+    watched = _row_masks(table, watch)
     # One step per value v: (the index after v, v, its closure memo, its
     # options), an option (mu, v^mu, the row that maps P to the base
-    # P*v^(mu-1), and the bases at which at least mu heaps of value v have
-    # no move into P; their preimage by a base is memoized in preimages).
+    # P*v^(mu-1), and failing[v][mu-1]; its preimage by a base is memoized
+    # in preimages).
     identity_row = table[ctx.qa.monoid.identity_index]
     steps = []
     for j, v in enumerate(values, 1):
-        options = []
-        for mu in _multiplicities(ctx, v):
-            fails = sum(1 << b for b in range(k) if counts[v][b] >= mu)
-            v_mu, shift = (v, identity_row) if mu == 1 else (table[v][v], table[v])
-            options.append((mu, v_mu, shift, fails))
+        once, twice = failing[v]
+        options = [(1, v, identity_row, once)]
+        # Two heaps of one value are the most a failing case ever needs: a
+        # third copy folds into the multiplier s.
+        if len(ctx.by_value[v]) >= 2:
+            options.append((2, table[v][v], table[v], twice))
         steps.append((j, v, ctx.closures[v], options))
     # later[i]: the steps from value index i on.
     later = [steps[i:] for i in range(len(steps) + 1)]

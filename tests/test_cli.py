@@ -779,6 +779,16 @@ class TestMalformedAnalysis:
         assert captured.out == ""
         assert "nested too deeply" in captured.err
 
+    @pytest.mark.parametrize("command", ["outcome", "structure", "verify", "certify"])
+    @pytest.mark.parametrize("text", ["[]", "3", "null", '"x"'])
+    def test_json_that_is_not_an_object(self, capsys, tmp_path, command, text):
+        path = tmp_path / "not_an_object.json"
+        path.write_text(text)
+        assert main([command, str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "an analysis file holds a JSON object" in captured.err
+
     def test_well_formed_files_still_load(self, analysis_file):
         text = analysis_to_json(kayles_analysis())
         assert analysis_to_json(analysis_from_json(text)) == text

@@ -196,6 +196,15 @@ class TestIslands0123:
         assert all(got[name] != true[name] for name in got)
 
 
+class TestIslandSkipped:
+    def test_subgroup_whose_squares_miss_its_idempotent(self):
+        # In Z/3 the square of x is x2, not e: the one maximal subgroup is
+        # the whole monoid, and no island.
+        m = enumerate_elements(knuth_bendix(parse_presentation("gens: x\nx^3 = 1")), 10)
+        assert maximal_subgroup(m, 0).names == ("e", "x", "x2")
+        assert tame_islands(m) == []
+
+
 class TestKayles:
     def test_five_idempotents(self, kayles):
         m = kayles.monoid

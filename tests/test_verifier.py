@@ -17,7 +17,9 @@ from misere_quotients.oracle import MISERE, BudgetExceededError
 from misere_quotients.semigroup import FiniteCommutativeMonoid
 from misere_quotients.verifier import (
     MovePair,
+    Translate,
     _Context,
+    _move_targets,
     _scan_collapsed,
     _scan_naive,
     certify_period,
@@ -656,3 +658,59 @@ class TestMemoizedScan:
         assert verify_to_heap(bad, 30, budget=23_064).np_failures == report.np_failures
         with pytest.raises(BudgetExceededError):
             verify_to_heap(bad, 30, budget=23_063)
+
+
+# ---------------------------------------------------------------------------
+# the membership masks both halves read, against their definitions
+
+
+def pp_by_basis(qa, n):
+    """The P-to-P check as one test of every basis element against every
+    pair: the reference for the AND of two membership masks."""
+    table, p_set = qa.monoid.table, qa.partition.p_set
+    pairs = move_pairs(qa, n)
+    bad = []
+    for u in range(len(qa.monoid)):
+        row = table[u]
+        for pair in pairs:
+            if row[pair.lhs] in p_set and row[pair.rhs] in p_set:
+                bad.append(Translate(u, pair, row[pair.lhs], row[pair.rhs]))
+    return sorted(bad, key=lambda t: (t.basis, t.pair.lhs, t.pair.rhs))
+
+
+class TestMembershipMasks:
+    def assert_fails_by_definition(self, qa, n):
+        # fails[h] holds base b iff no move of heap h lands in P at b.
+        ctx = _Context(qa, n)
+        table, p_set = qa.monoid.table, qa.partition.p_set
+        assert sorted(ctx.fails) == list(range(1, n + 1))
+        for h in range(1, n + 1):
+            targets = [el for _, el in _move_targets(qa, h)]
+            for b in range(len(qa.monoid)):
+                want = not any(table[b][el] in p_set for el in targets)
+                assert bool(ctx.fails[h] >> b & 1) == want, (h, b)
+
+    def test_kayles_to_25(self, kayles):
+        self.assert_fails_by_definition(kayles, 25)
+
+    def test_certified_0123_to_its_window(self, qa123):
+        assert qa123.certified_period == (6, 5)
+        self.assert_fails_by_definition(qa123, 19)
+
+    def test_kayles_with_z2_sent_to_N(self, kayles):
+        z2 = kayles.monoid.index_of("z2")
+        assert z2 in kayles.partition.p_set
+        self.assert_fails_by_definition(flip_labels(kayles, {z2}), 25)
+
+    def test_pp_listing_matches_the_basis_by_pair_loop(self, kayles):
+        z = kayles.monoid.index_of("z")
+        assert z in kayles.partition.n_set
+        bad = flip_labels(kayles, {z})
+        got = check_no_PP(bad, 25)
+        assert len(got) == 133
+        assert got == pp_by_basis(bad, 25)
+
+    def test_pp_listing_on_every_single_kayles_flip(self, kayles):
+        for e in range(len(kayles.monoid)):
+            qa = flip_labels(kayles, {e})
+            assert check_no_PP(qa, 10) == pp_by_basis(qa, 10)

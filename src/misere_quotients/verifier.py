@@ -18,6 +18,11 @@ of the b with b*e asserted P, read off e's row (the monoid is commutative).
 Under (1) the bases that send a move pair from P to P are the AND of the
 masks of its two ends.  Under (2) each heap keeps one mask, the bases at which no
 move of it lands in P: the complement of the OR of its targets' masks.
+Every such mask, and every preimage the N-to-P search takes, comes from one
+kernel that runs in C: e's row is held once as a string whose x-th
+character from the right is chr(e*x), str.translate turns each character
+into its element's bit of the set, "0" or "1", and int(..., 2) reads the
+result as the mask.
 
 The N-to-P half is one memoized search over sets of distinct heap values.
 It lists the failing cases (U, s) of the subtrees it enters and skips a
@@ -49,8 +54,9 @@ final deliverable of this module.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain, repeat
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .octal import _heap_moves, period_window
 from .oracle import MISERE, BudgetExceededError
@@ -103,18 +109,29 @@ def _phi(qa: QuotientAnalysis, heap: int) -> int:
     return phi_heap(qa, heap, claimed_ok=True)
 
 
-def _move_targets(qa: QuotientAnalysis, h: int) -> Iterator[tuple[tuple[int, ...], int]]:
+def _move_targets(
+    qa: QuotientAnalysis, h: int, phi: Callable[[int], int] | None = None
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """(t, phi(t)) for every move h -> t, ordered by t and generated as
-    read: the one place that computes the element a move lands on."""
+    read: the one place that computes the element a move lands on.  ``phi``
+    gives a part's element; by default each part is read with _phi, which
+    extends by the period, so a heap of any size works."""
+    if phi is None:
+        phi = partial(_phi, qa)
     product = qa.monoid.product
-    return ((t, product(_phi(qa, x) for x in t)) for t in _heap_moves(qa.code, h))
+    return ((t, product(map(phi, t))) for t in _heap_moves(qa.code, h))
 
 
 def _walk_moves(
     qa: QuotientAnalysis, n: int
 ) -> dict[int, tuple[int, list[tuple[tuple[int, ...], int]]]]:
-    """h -> (phi(h), the list of _move_targets(qa, h)) for every heap h <= n."""
-    return {h: (_phi(qa, h), list(_move_targets(qa, h))) for h in range(1, n + 1)}
+    """h -> (phi(h), the list of _move_targets(qa, h)) for every heap h <= n,
+    with phi(1..n) read once: every part of a move of h is below h."""
+    phis = [0, *map(partial(_phi, qa), range(1, n + 1))]
+    return {
+        h: (phis[h], list(_move_targets(qa, h, phis.__getitem__)))
+        for h in range(1, n + 1)
+    }
 
 
 def _pairs_of(walk) -> set[MovePair]:
@@ -139,9 +156,9 @@ def translates_for_basis(
     per-move view; check_no_PP works with the deduplicated pairs instead."""
     row = qa.monoid.table[basis]
     return [
-        (f, t, row[_phi(qa, f)], row[el])
-        for f in range(1, n + 1)
-        for t, el in _move_targets(qa, f)
+        (f, t, row[lhs], row[el])
+        for f, (lhs, targets) in _walk_moves(qa, n).items()
+        for t, el in targets
     ]
 
 
@@ -152,7 +169,7 @@ def check_no_PP(
     if pairs is None:
         pairs = move_pairs(qa, n)
     table = qa.monoid.table
-    good = _row_masks(table, qa.partition.p_set)
+    good = _row_masks(_rows(table), qa.partition.p_set)
     bad = [
         Translate(u, pair, table[u][pair.lhs], table[u][pair.rhs])
         for pair in pairs
@@ -169,10 +186,33 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _row_masks(table, members) -> list[int]:
-    """For each element e, the bitmask of the b with b*e in members, read
-    off e's row: the table is commutative (the loader refuses any other)."""
-    return [sum(1 << b for b, x in enumerate(row) if x in members) for row in table]
+def _rows(table) -> list[str]:
+    """Each element e's row as a string whose x-th character from the
+    right is chr(e*x): the operand of every membership mask."""
+    return ["".join(map(chr, reversed(row))) for row in table]
+
+
+def _digits(mask: int, k: int) -> str:
+    """The str.translate table that sends element y to its bit of mask, the
+    character "0" or "1".  It is padded to all k elements: translate passes
+    a character past the end of its table through unchanged, and while most
+    such characters make int() fail, elements 48 and 49 are the characters
+    "0" and "1" and would be read as digits."""
+    return bin(mask)[:1:-1].ljust(k, "0")
+
+
+def _preimage(rows: list[str], a: int, mask: int) -> int:
+    """The bitmask of the x with a*x in mask: a's row with each element
+    replaced by its bit of mask, read as a binary numeral."""
+    return int(rows[a].translate(_digits(mask, len(rows))), 2)
+
+
+def _row_masks(rows: list[str], members) -> list[int]:
+    """For each element e, the bitmask of the b with b*e in members: the
+    preimage of members under e, with one translate table for every row
+    (the table is commutative; the loader refuses any other)."""
+    digits = _digits(sum(1 << e for e in members), len(rows))
+    return [int(row.translate(digits), 2) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +227,9 @@ class _Context:
         self.qa = qa
         self.walk = _walk_moves(qa, n)
         self.table = qa.monoid.table
+        self.rows = _rows(self.table)
         k = len(self.table)
-        good = _row_masks(self.table, qa.partition.p_set)
+        good = _row_masks(self.rows, qa.partition.p_set)
         self.live: list[int] = []
         self.dead: list[int] = []
         self.heap_phi: dict[int, int] = {}
@@ -330,8 +371,9 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
     as a mask of watch.  Each node works through lists indexed by element:
     the closure memo of its value, the preimage memos of its multiplier v^mu
     and of its base (which maps the failing bases of (v, mu)), and the
-    watched mask of its product.  A child's memo key and reach bound are
-    tested before descending into it.
+    watched mask of its product.  A preimage missing from its memo is one
+    translate of a row string (_preimage).  A child's memo key and reach
+    bound are tested before descending into it.
     """
     table = ctx.table
     k = len(table)
@@ -348,29 +390,11 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
     # their one-heap option fails, fewest first, then by index.
     values = sorted(ctx.by_value, key=lambda v: (
         len(ctx.by_value[v]) < 2, failing[v][0].bit_count(), v))
-    # inverse[a][y]: the x with x*a = y, as a bitmask.
-    inverse = [[0] * k for _ in range(k)]
-    for a in range(k):
-        inv = inverse[a]
-        for x, y in enumerate(table[a]):
-            inv[y] |= 1 << x
-    # preimages[a]: mask -> the x with x*a in mask, as a bitmask.
+    rows = ctx.rows
+    # preimages[a]: mask -> _preimage(rows, a, mask).
     preimages: list[dict[int, int]] = [{} for _ in range(k)]
-
-    def preimage(a: int, mask: int) -> int:
-        """The x with x*a in mask, stored in preimages[a]."""
-        inv = inverse[a]
-        out = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            out |= inv[low.bit_length() - 1]
-            rest ^= low
-        preimages[a][mask] = out
-        return out
-
     # watched[P]: the s with s*P in watch.
-    watched = _row_masks(table, watch)
+    watched = _row_masks(rows, watch)
     # One step per value v: (the index after v, v, its closure memo, its
     # options), an option (mu, v^mu, the row that maps P to the base
     # P*v^(mu-1), and failing[v][mu-1]; its preimage by a base is memoized
@@ -424,12 +448,12 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
                 base = shift[product]
                 f_mask = preimages[base].get(fails)
                 if f_mask is None:
-                    f_mask = preimage(base, fails)
+                    f_mask = preimages[base][fails] = _preimage(rows, base, fails)
                 if not f_mask:
                     continue
                 g2 = preimages[v_mu].get(g_mask)
                 if g2 is None:
-                    g2 = preimage(v_mu, g_mask)
+                    g2 = preimages[v_mu][g_mask] = _preimage(rows, v_mu, g_mask)
                 g2 &= f_mask
                 if not g2:
                     continue

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from misere_quotients.builder import (
     OutcomePartition,
     PretendingFunction,
     QuotientAnalysis,
+    build_quotient,
+    phi_heap,
 )
 from misere_quotients.octal import parse_game_code
 from misere_quotients.oracle import MISERE, BudgetExceededError
@@ -20,8 +23,12 @@ from misere_quotients.verifier import (
     Translate,
     _Context,
     _move_targets,
+    _preimage,
+    _row_masks,
+    _rows,
     _scan_collapsed,
     _scan_naive,
+    _walk_moves,
     certify_period,
     check_N_to_P,
     check_no_PP,
@@ -678,6 +685,45 @@ def pp_by_basis(qa, n):
     return sorted(bad, key=lambda t: (t.basis, t.pair.lhs, t.pair.rhs))
 
 
+def preimage_by_definition(table, a, mask):
+    """The bitmask of the x with a*x in mask, bit by bit."""
+    return sum(1 << x for x, y in enumerate(table[a]) if mask >> y & 1)
+
+
+# Cyclic products of 50 elements, whose last two are the characters "0" and
+# "1", and of 294, past one byte per element.
+WIDE_SHAPES = {50: [(1, 4), (0, 10)], 294: [(2, 5), (1, 6), (0, 6)]}
+
+
+def wide_masks(k):
+    """Membership masks over k elements whose top bit lies below, at and
+    past elements 48 and 49."""
+    rng = random.Random(k)
+    return [
+        0, 1, (1 << 48) - 1, 1 << 48, 1 << 49, 3 << 48, 1 << (k - 1), (1 << k) - 1,
+        *(rng.getrandbits(40) for _ in range(4)),
+        *(rng.getrandbits(k) for _ in range(4)),
+    ]
+
+
+def wide_analysis(k):
+    """A candidate analysis of Kayles to heap 12 on WIDE_SHAPES[k], with a
+    random pretending function and a random P set.  The last element is N,
+    so the digits of the P mask fall short of k without their padding."""
+    monoid = cyclic_product(WIDE_SHAPES[k])
+    rng = random.Random(k)
+    values = tuple(rng.randrange(k) for _ in range(12))
+    p_set = frozenset(e for e in range(k - 1) if rng.random() < 0.5)
+    return QuotientAnalysis(
+        code=parse_game_code("0.77"),
+        play=MISERE,
+        n=12,
+        monoid=monoid,
+        phi=PretendingFunction(values),
+        partition=OutcomePartition(p_set, frozenset(range(k)) - p_set),
+    )
+
+
 class TestMembershipMasks:
     def assert_fails_by_definition(self, qa, n):
         # fails[h] holds base b iff no move of heap h lands in P at b.
@@ -714,3 +760,53 @@ class TestMembershipMasks:
         for e in range(len(kayles.monoid)):
             qa = flip_labels(kayles, {e})
             assert check_no_PP(qa, 10) == pp_by_basis(qa, 10)
+
+    @pytest.mark.parametrize("k", sorted(WIDE_SHAPES))
+    def test_kernel_past_the_digit_characters(self, k):
+        table = cyclic_product(WIDE_SHAPES[k]).table
+        assert len(table) == k
+        rows = _rows(table)
+        for mask in wide_masks(k):
+            members = {e for e in range(k) if mask >> e & 1}
+            want = [preimage_by_definition(table, a, mask) for a in range(k)]
+            assert [_preimage(rows, a, mask) for a in range(k)] == want
+            # b*e read down e's column, the table being commutative.
+            assert _row_masks(rows, members) == [
+                sum(1 << b for b in range(k) if table[b][e] in members)
+                for e in range(k)
+            ]
+
+    def test_both_halves_past_one_byte_per_element(self):
+        qa = wide_analysis(294)
+        self.assert_fails_by_definition(qa, qa.n)
+        got = check_no_PP(qa, qa.n)
+        assert got  # a random P set is far from closed under translates
+        assert got == pp_by_basis(qa, qa.n)
+
+    @given(a=st.integers(0, 39), mask=st.integers(0, (1 << 40) - 1))
+    def test_preimage_on_kayles(self, kayles, a, mask):
+        table = kayles.monoid.table
+        assert _preimage(_rows(table), a, mask) == preimage_by_definition(table, a, mask)
+
+
+# ---------------------------------------------------------------------------
+# the move walk reads phi(1..n) once, the per-part path each time
+
+
+class TestWalkMoves:
+    def assert_walk_reads_phi_per_part(self, qa, n):
+        assert _walk_moves(qa, n) == {
+            h: (phi_heap(qa, h, claimed_ok=True), list(_move_targets(qa, h)))
+            for h in range(1, n + 1)
+        }
+
+    def test_kayles_to_its_certificate_window(self, kayles):
+        self.assert_walk_reads_phi_per_part(kayles, 159)
+
+    def test_certified_0123_to_its_window(self, qa123):
+        self.assert_walk_reads_phi_per_part(qa123, 19)
+
+    def test_035_with_106_elements(self):
+        qa = build_quotient("0.35", 8)
+        assert len(qa.monoid) == 106
+        self.assert_walk_reads_phi_per_part(qa, 8)

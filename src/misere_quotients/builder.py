@@ -214,7 +214,7 @@ def _run_round(sigs: _Signatures) -> tuple[QuotientAnalysis | None, list[int]]:
         0, sigs.singles, sigs._game.join, sigs.sig, _MAX_CLASSES
     )
     try:
-        _check_table(table, 0, phi_classes)
+        _check_table(table, phi_classes)
     except ValueError:
         return None, reps  # the classes are no monoid at these contexts
 
@@ -245,7 +245,7 @@ def _named_analysis(code: GameCode, play: PlayConvention, n: int, table,
     letter_cls = list(first_heap)
     for cls in list(letter_cls):
         others = [c for c in letter_cls if c != cls]
-        if cls in _closure(table, 0, others):
+        if cls in _closure(table, others):
             letter_cls.remove(cls)
     letters = tuple(islice(_letter_names(), len(letter_cls)))
 
@@ -543,7 +543,6 @@ def analysis_from_json(text: str) -> QuotientAnalysis:
         names=tuple(doc["names"]),
         table=tuple(tuple(row) for row in doc["table"]),
         generator_map=dict(doc["generator_map"]),
-        identity_index=0,
         words=words or None,
         generators=generators,
     )

@@ -56,12 +56,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_period(text: str) -> tuple[int, int]:
+    """An argparse type: a period "r0,p" of two positive integers."""
     try:
         r0, p = (int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"expected r0,p integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected r0,p integers, got {text!r}")
     if r0 < 1 or p < 1:
-        raise ValueError("period indices must be positive")
+        raise argparse.ArgumentTypeError("period indices must be positive")
     return r0, p
 
 
@@ -231,10 +232,10 @@ def _describe_move(h: int, t: tuple[int, ...]) -> str:
 
 
 def cmd_outcome(args) -> int:
-    qa = _load_analysis(args.analysis)
-    _warn_unverified(qa, args.heaps)
     if any(h < 1 for h in args.heaps):
         raise ValueError("heap sizes must be positive")
+    qa = _load_analysis(args.analysis)
+    _warn_unverified(qa, args.heaps)
     heaps = tuple(sorted(args.heaps))
     m = qa.monoid
     el = builder.phi_of_position(qa, heaps)
@@ -244,7 +245,7 @@ def cmd_outcome(args) -> int:
     print(f"outcome: {out.value}")
     if out is Outcome.N:
         # One-ply search over the quotient: first move whose target is P.
-        move = next(verifier._iter_winning_moves(qa, heaps, m.identity_index), None)
+        move = next(verifier._iter_winning_moves(qa, heaps, 0), None)
         if move is not None:
             h, t, target = move
             print(f"winning move: {_describe_move(h, t)} -> {m.names[target]} (P)")

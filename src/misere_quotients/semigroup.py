@@ -354,41 +354,35 @@ def _assert_confluent(rws: RewriteSystem) -> None:
             raise InternalError("completion produced a non-confluent system")
 
 
-class FiniteCommutativeMonoid:
+class FiniteCommutativeMonoid(_Frozen):
     """A finite commutative monoid as an explicit multiplication table.
 
-    ``names`` label the elements; ``words`` holds their exponent vectors when
-    the monoid came from a rewriting system (None for derived monoids such as
-    subgroups and quotient factors).  The table passes ``_check_table`` on
-    construction, so the ``generator_map`` images must generate it.
+    Element 0 is the identity.  ``names`` label the elements; ``words``
+    holds their exponent vectors when the monoid came from a rewriting
+    system (None for derived monoids such as subgroups and quotient
+    factors).  The table passes ``_check_table`` on construction, so the
+    ``generator_map`` images must generate it.
     """
+
+    __slots__ = _fields = ("names", "table", "generator_map", "words", "generators")
 
     def __init__(
         self,
         names: tuple[str, ...],
         table: tuple[tuple[int, ...], ...],
         generator_map: dict[str, int],
-        identity_index: int = 0,
         words: tuple[Word, ...] | None = None,
         generators: tuple[str, ...] = (),
-    ):
+    ) -> None:
         k = len(names)
         if len(table) != k or any(len(row) != k for row in table):
             raise ValueError("table shape does not match element count")
-        self.names = names
-        self.table = table
-        self.generator_map = dict(generator_map)
-        self.identity_index = identity_index
-        self.words = words
-        self.generators = generators
-        _check_table(table, identity_index, self.generator_map.values())
-
-    def __eq__(self, other: object) -> bool:
-        # By value, over the fields that define the monoid.
-        if not isinstance(other, FiniteCommutativeMonoid):
-            return NotImplemented
-        fields = ("names", "table", "generator_map", "identity_index", "words", "generators")
-        return all(getattr(self, f) == getattr(other, f) for f in fields)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "generator_map", dict(generator_map))
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "generators", generators)
+        _check_table(table, self.generator_map.values())
 
     def __len__(self) -> int:
         return len(self.names)
@@ -397,13 +391,13 @@ class FiniteCommutativeMonoid:
         return self.table[i][j]
 
     def power(self, i: int, k: int) -> int:
-        acc = self.identity_index
+        acc = 0
         for _ in range(k):
             acc = self.table[acc][i]
         return acc
 
     def product(self, indices) -> int:
-        acc = self.identity_index
+        acc = 0
         for i in indices:
             acc = self.table[acc][i]
         return acc
@@ -412,9 +406,9 @@ class FiniteCommutativeMonoid:
         return self.names.index(name)
 
 
-def _check_table(table, identity: int, gens) -> None:
+def _check_table(table, gens) -> None:
     """Raise ValueError unless the square ``table`` is a commutative monoid
-    with ``identity`` as its identity, generated by the elements ``gens``.
+    with element 0 as its identity, generated by the elements ``gens``.
 
     Generation makes Light's test over ``gens`` a proof of associativity, so
     this is the one check every table passes, whatever its size or source.
@@ -425,14 +419,14 @@ def _check_table(table, identity: int, gens) -> None:
     rows = list(map(tuple, table))
     columns = list(zip(*table))
     identity_map = tuple(range(k))
-    if rows[identity] != identity_map or columns[identity] != identity_map:
+    if rows[0] != identity_map or columns[0] != identity_map:
         raise ValueError("identity row/column is not the identity map")
     if columns != rows:
         raise ValueError("table is not commutative")
     gens = set(gens)
     if not gens <= set(range(k)):
         raise ValueError("generator map points outside the table")
-    if len(_closure(table, identity, gens)) != k:
+    if len(_closure(table, gens)) != k:
         raise ValueError("'generator_map' does not generate the table")
     _check_associative(table, gens)
 
@@ -502,14 +496,13 @@ def _named_monoid(table, letters, names: tuple[str, ...]):
     classes ``letters`` generate, renumbered by ``_least_words`` and each
     element named by its least word over ``names``, one name per letter.
     Returns (monoid, old class -> new index)."""
-    least = _least_words(table, 0, letters)
+    least = _least_words(table, letters)
     index_of = {cls: i for i, cls in enumerate(least)}
     words = tuple(least.values())
     monoid = FiniteCommutativeMonoid(
         names=tuple(format_word(w, names) for w in words),
         table=tuple(tuple(index_of[table[a][b]] for b in least) for a in least),
         generator_map=dict(zip(names, map(index_of.get, letters))),
-        identity_index=0,
         words=words,
         generators=names,
     )
@@ -589,13 +582,13 @@ def _closure_add(table, mask: int, g: int) -> int:
     return mask
 
 
-def _closure(table, identity: int, gens) -> set[int]:
+def _closure(table, gens) -> set[int]:
     """The submonoid of a multiplication table generated by gens."""
-    mask = reduce(partial(_closure_add, table), gens, 1 << identity)
+    mask = reduce(partial(_closure_add, table), gens, 1)
     return {x for x, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"}
 
 
-def _least_words(table, identity: int, letters) -> dict[int, Word]:
+def _least_words(table, letters) -> dict[int, Word]:
     """Each element generated by ``letters`` mapped to its least word, as an
     exponent vector over ``letters``; the keys are in word_key order.
 
@@ -606,8 +599,8 @@ def _least_words(table, identity: int, letters) -> dict[int, Word]:
     letter from their last one on, and the first tuple to reach an element
     is its least word.
     """
-    found: dict[int, tuple[int, ...]] = {identity: ()}
-    layer = [(identity, ())]
+    found: dict[int, tuple[int, ...]] = {0: ()}
+    layer = [(0, ())]
     while layer:
         below, layer = layer, []
         for el, combo in below:
@@ -621,17 +614,21 @@ def _least_words(table, identity: int, letters) -> dict[int, Word]:
     return {el: tuple(map(combo.count, width)) for el, combo in found.items()}
 
 
+# is_isomorphic refuses monoids larger than this.
+_ISO_BOUND = 64
+
+
 def is_isomorphic(
-    m1: FiniteCommutativeMonoid, m2: FiniteCommutativeMonoid, bound: int = 64
+    m1: FiniteCommutativeMonoid, m2: FiniteCommutativeMonoid
 ) -> dict[int, int] | None:
     """Search for an isomorphism; returns an index bijection or None.
 
     Backtracks over images of a greedy generating set of m1, pruning by
     element invariants and by generated-submonoid size.  Raises ValueError
-    beyond ``bound`` elements.
+    beyond ``_ISO_BOUND`` elements.
     """
-    if len(m1) > bound or len(m2) > bound:
-        raise ValueError(f"monoid larger than the {bound}-element bound")
+    if len(m1) > _ISO_BOUND or len(m2) > _ISO_BOUND:
+        raise ValueError(f"monoid larger than the {_ISO_BOUND}-element bound")
     if len(m1) != len(m2):
         return None
     prof1 = [_element_profile(m1, i) for i in range(len(m1))]
@@ -640,9 +637,9 @@ def is_isomorphic(
         return None
     # Greedy generating set: adjoin the smallest element not yet generated.
     gens: list[int] = []
-    while len(reached := _closure(m1.table, m1.identity_index, gens)) < len(m1):
+    while len(reached := _closure(m1.table, gens)) < len(m1):
         gens.append(min(set(range(len(m1))) - reached))
-    words = _least_words(m1.table, m1.identity_index, gens)
+    words = _least_words(m1.table, gens)
 
     def check(images: list[int]) -> dict[int, int] | None:
         phi = {
@@ -667,8 +664,8 @@ def is_isomorphic(
             if prof2[cand] != want or cand in images:
                 continue
             images.append(cand)
-            sub1 = _closure(m1.table, m1.identity_index, gens[: depth + 1])
-            if len(sub1) == len(_closure(m2.table, m2.identity_index, images)):
+            sub1 = _closure(m1.table, gens[: depth + 1])
+            if len(sub1) == len(_closure(m2.table, images)):
                 found = backtrack(depth + 1, images)
                 if found is not None:
                     return found

@@ -84,11 +84,12 @@ def maximal_subgroup(
 ) -> FiniteCommutativeMonoid:
     """The largest group inside m whose identity is the idempotent f.
 
-    Its members are exactly the elements mutually divisible with f."""
+    Its members are exactly the elements mutually divisible with f, listed
+    f first (the identity of every monoid is element 0) and then in order."""
     if m.table[f][f] != f:
         raise ValueError("maximal subgroups sit at idempotents")
     ideal = _divides(m)
-    members = sorted(u for u in range(len(m)) if ideal[u] == ideal[f])
+    members = [f] + [u for u in range(len(m)) if u != f and ideal[u] == ideal[f]]
     local = {u: i for i, u in enumerate(members)}
     table = tuple(
         tuple(local[m.table[a][b]] for b in members) for a in members
@@ -98,7 +99,6 @@ def maximal_subgroup(
         names=names,
         table=table,
         generator_map=dict(zip(names, range(len(members)))),
-        identity_index=local[f],
     )
 
 

@@ -262,7 +262,6 @@ def _scan_naive(ctx: _Context, watch: frozenset[int], budget: int | None,
     failures: list[tuple[int, tuple[int, ...], int]] = []
     cases: dict[int, int] = {}
     stats = {"nodes": 0, "evaluations": 0, "states": 0}
-    identity = ctx.qa.monoid.identity_index
     live = ctx.live
 
     def descend(i, heaps, submonoid, product, derivs):
@@ -293,7 +292,7 @@ def _scan_naive(ctx: _Context, watch: frozenset[int], budget: int | None,
             descend(j + 1, heaps2, sub2, product2, derivs2)
 
     try:
-        descend(0, (), 1 << identity, identity, ())
+        descend(0, (), 1, 0, ())  # no heaps: S = {e} (mask 1), product e = 0
     except _Enough:
         pass
     return failures, cases, stats
@@ -399,11 +398,10 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
     # options), an option (mu, v^mu, the row that maps P to the base
     # P*v^(mu-1), and failing[v][mu-1]; its preimage by a base is memoized
     # in preimages).
-    identity_row = table[ctx.qa.monoid.identity_index]
     steps = []
     for j, v in enumerate(values, 1):
         once, twice = failing[v]
-        options = [(1, v, identity_row, once)]
+        options = [(1, v, table[0], once)]  # row 0, the identity's, maps P to P
         # Two heaps of one value are the most a failing case ever needs: a
         # third copy folds into the multiplier s.
         if len(ctx.by_value[v]) >= 2:
@@ -479,9 +477,8 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
                     chosen.pop()
         memo[i, g_mask, product, submonoid] = len(failures) > listed
 
-    identity = ctx.qa.monoid.identity_index
     try:
-        descend(0, (1 << k) - 1, identity, 1 << identity)
+        descend(0, (1 << k) - 1, 0, 1)  # no heaps: product e = 0, S = {e}
     except _Enough:
         pass
     per_omega = [0] * k
@@ -500,7 +497,7 @@ def _scan_collapsed(ctx: _Context, watch: frozenset[int], budget: int | None,
 def submonoid_of(qa: QuotientAnalysis, heaps) -> tuple[int, ...]:
     """S(U): the submonoid generated by the elements of the given heaps."""
     elements = (_phi(qa, h) for h in heaps)
-    return tuple(sorted(_closure(qa.monoid.table, qa.monoid.identity_index, elements)))
+    return tuple(sorted(_closure(qa.monoid.table, elements)))
 
 
 def solutions_for(qa: QuotientAnalysis, omega: int, heaps) -> tuple[int, ...]:
@@ -523,7 +520,7 @@ def _iter_winning_moves(qa: QuotientAnalysis, heaps, s: int):
     phis = [_phi(qa, h) for h in heaps]
     # after[i]: the product of the heaps after heap i; before: s times the
     # product of the heaps before it.  Linear in the number of heaps.
-    after = [qa.monoid.identity_index]
+    after = [0]
     for el in reversed(phis[1:]):
         after.append(table[after[-1]][el])
     after.reverse()
@@ -591,12 +588,11 @@ def verify_to_heap(
     # All-dead positions have no moves: their label must be N under misere
     # play (the player to move has already won) and P under normal play.
     # Each failing product is listed with its least word over the dead heaps.
-    identity = qa.monoid.identity_index
     required = qa.partition.n_set if qa.play is MISERE else qa.partition.p_set
     letters = [ctx.heap_phi[h] for h in ctx.dead]
     dead_failures = [
-        (el, tuple(chain.from_iterable(map(repeat, ctx.dead, word))), identity)
-        for el, word in _least_words(qa.monoid.table, identity, letters).items()
+        (el, tuple(chain.from_iterable(map(repeat, ctx.dead, word))), 0)
+        for el, word in _least_words(qa.monoid.table, letters).items()
         if el not in required
     ]
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import time
@@ -235,6 +236,14 @@ class TestOutcome:
 
     def test_rejects_nonpositive_heap(self, capsys, analysis_file):
         assert main(["outcome", analysis_file, "0"]) == 4
+
+    def test_bad_heap_is_refused_before_any_warning(self, capsys):
+        # The packaged Kayles analysis is unverified, but a bad heap is
+        # refused before the analysis is loaded, so no warning precedes it.
+        assert main(["outcome", "0.77", "0", "3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: heap sizes must be positive\n"
 
     def test_no_winning_move_exits_2(self, capsys, broken_kayles):
         # With z2 sent to N, the P position 3 + 3 reads as N, and none of
@@ -560,6 +569,21 @@ class TestRawMoves:
 
 
 class TestStructure:
+    # SHA-256 of the stdout of ``misereq structure``, recorded while a
+    # monoid could still name any element its identity, and never edited to
+    # match: listing a maximal subgroup's idempotent first reaches no report.
+    STDOUT_SHA256 = {
+        "analysis_file": "58ab0c969b5834ac94da67669fceca83d6950b7f6f399754a28e4a0745681837",
+        "0.77": "6aa2d865d35881ee80c60ef380443e42f627ed479ba7c9ca287efc5ec1d140d9",
+    }
+
+    @pytest.mark.parametrize("source", sorted(STDOUT_SHA256))
+    def test_report_digest(self, request, capsys, source):
+        path = request.getfixturevalue(source) if source == "analysis_file" else source
+        assert main(["structure", path]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == self.STDOUT_SHA256[source]
+
     def test_report_content(self, capsys, analysis_file):
         rc = main(["structure", analysis_file])
         doc = json.loads(capsys.readouterr().out)
@@ -612,6 +636,20 @@ class TestBadInput:
         with pytest.raises(SystemExit) as excinfo:
             main(["analyze", "0.123", "--certify", "6:5"])
         assert excinfo.value.code == 4
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "0.123", "--certify", "0,5"], "period indices must be positive"),
+        (["certify", "0.77", "--certify", "5"], "expected r0,p integers, got '5'"),
+    ])
+    def test_period_messages_reach_the_user(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"misereq {argv[0]}: error: argument --certify: {message}\n"
+        )
 
     def test_unknown_subcommand_exits_4(self):
         with pytest.raises(SystemExit) as excinfo:

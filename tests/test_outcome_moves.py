@@ -72,7 +72,7 @@ def test_printed_move(request, capsys, tmp_path, game, heaps, want):
     path = tmp_path / "analysis.json"
     path.write_text(analysis_to_json(qa))
     assert printed_move(capsys, str(path), heaps) == want
-    moves = winning_moves(qa, heaps, qa.monoid.identity_index)
+    moves = winning_moves(qa, heaps, 0)
     if moves:
         h, t, target = moves[0]
         names = qa.monoid.names
@@ -110,7 +110,7 @@ def test_large_heap_reads_only_its_own_moves(
 def test_first_winning_move_lands_in_p(request, game, seed, max_heap, max_heaps):
     qa = request.getfixturevalue(game)
     for heaps in n_positions(qa, seed, 60, max_heap, max_heaps):
-        moves = winning_moves(qa, heaps, qa.monoid.identity_index)
+        moves = winning_moves(qa, heaps, 0)
         if not moves:
             assert not position_options(qa.code, Position(heaps))
             continue
@@ -155,7 +155,7 @@ def test_many_heaps_answer_in_linear_time(capsys, qa123):
     every other heap would take minutes."""
     heaps = [2] * 20000 + [3]
     t0 = time.perf_counter()
-    moves = winning_moves(qa123, heaps, qa123.monoid.identity_index)
+    moves = winning_moves(qa123, heaps, 0)
     assert main(["outcome", "0.123", *map(str, heaps)]) == 0
     dt = time.perf_counter() - t0
     assert moves[0] == (3, (1,), qa123.monoid.index_of("x"))
@@ -171,4 +171,4 @@ def test_heap_past_stored_values_raises_alone_or_not(qa123_12):
     past = len(qa.phi) + 1
     for heaps in [(past,), (1, past), (past, past)]:
         with pytest.raises(ValueError, match="out of certified range"):
-            winning_moves(qa, heaps, qa.monoid.identity_index)
+            winning_moves(qa, heaps, 0)

@@ -248,7 +248,7 @@ class TestEnumeration:
     def test_0123_normal_forms(self):
         m = _monoid_from(open_text_0123())
         assert list(m.names) == ELEMENTS_0123
-        assert m.identity_index == 0
+        assert m.table[0] == tuple(range(len(m)))
         assert m.generator_map == {"x": 1, "z": 2, "a": 3, "b": 4}
 
     def test_kayles_normal_forms(self):
@@ -324,7 +324,7 @@ class TestIsomorphism:
         )
         phi = is_isomorphic(m, other)
         assert phi is not None
-        assert phi[m.identity_index] == other.identity_index
+        assert phi[0] == 0
 
     def test_distinguishes_z4_from_klein(self):
         z4 = _monoid_from("gens: g\ng^4 = 1")
@@ -398,8 +398,9 @@ class TestIsomorphism:
 
 class TestTableValidation:
     def test_rejects_broken_identity(self):
-        with pytest.raises(ValueError):
-            FiniteCommutativeMonoid(("e", "x"), ((0, 1), (1, 0)), {}, identity_index=1)
+        # Z2 with its identity listed second: element 0 must be the identity.
+        with pytest.raises(ValueError, match="identity row/column"):
+            FiniteCommutativeMonoid(("x", "e"), ((1, 0), (0, 1)), {"x": 0})
 
     def test_rejects_non_commutative(self):
         # Left-zero semigroup with identity adjoined would not be symmetric.
@@ -444,7 +445,6 @@ def corrupted_tables(draw):
     """A packaged table with one symmetric pair of entries changed; the
     identity row and column are kept, so only associativity can fail."""
     m = packaged_monoid(draw(st.sampled_from(["0.123", "0.77"])))
-    assert m.identity_index == 0
     k = len(m)
     i = draw(st.integers(1, k - 1))
     j = draw(st.integers(i, k - 1))
@@ -611,14 +611,14 @@ class TestLeastWords:
     def test_matches_brute_enumeration(self, shape, data):
         table = _cyclic_product_table(shape)
         letters = data.draw(st.lists(st.integers(0, len(table) - 1), max_size=5))
-        least = _least_words(table, 0, letters)
+        least = _least_words(table, letters)
         assert list(least.items()) == list(_brute_least_words(table, letters).items())
-        assert set(least) == _closure(table, 0, letters)
+        assert set(least) == _closure(table, letters)
 
     def test_non_generating_letters_give_their_submonoid(self):
         m = packaged_monoid("0.123")
         x, a = m.generator_map["x"], m.generator_map["a"]
-        least = _least_words(m.table, 0, [x, a])
+        least = _least_words(m.table, [x, a])
         assert sorted(m.names[el] for el in least) == ["a", "e", "x", "xa"]
         assert list(least.values()) == [(0, 0), (1, 0), (0, 1), (1, 1)]
 

@@ -140,6 +140,14 @@ class TestSubgroups0123:
         )
         assert is_isomorphic(sub, k4) is not None
 
+    def test_idempotent_comes_first(self):
+        # In x^3 = x the group {x, x2} has the idempotent x2 as its identity,
+        # so x2 is listed first: element 0 is the identity of every monoid.
+        m = enumerate_elements(knuth_bendix(parse_presentation("gens: x\nx^3 = x")), 10)
+        sub = maximal_subgroup(m, m.index_of("x2"))
+        assert sub.names == ("x2", "x")
+        assert sub.table == ((0, 1), (1, 0))
+
     def test_rows_are_permutations(self, qa123_12):
         m = qa123_12.monoid
         for name in ("e", "z2", "b2"):

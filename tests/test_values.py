@@ -19,7 +19,12 @@ from misere_quotients.builder import (
 )
 from misere_quotients.octal import Position, parse_game_code
 from misere_quotients.oracle import GenusSymbol
-from misere_quotients.semigroup import knuth_bendix, parse_presentation, reduce_word
+from misere_quotients.semigroup import (
+    enumerate_elements,
+    knuth_bendix,
+    parse_presentation,
+    reduce_word,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -30,6 +35,8 @@ VALUES = {
     "GenusSymbol": lambda: GenusSymbol(1, (0, 3, 1)),
     "Presentation": lambda: parse_presentation("gens: x\nx^3 = x"),
     "RewriteSystem": lambda: knuth_bendix(parse_presentation("gens: x\nx^3 = x")),
+    "FiniteCommutativeMonoid": lambda: enumerate_elements(
+        knuth_bendix(parse_presentation("gens: x\nx^3 = x")), cap=10),
     "PretendingFunction": lambda: PretendingFunction((1, 2, 1, 2), (1, 2)),
     "OutcomePartition": lambda: OutcomePartition(frozenset({0}), frozenset({1, 2})),
     "QuotientAnalysis": lambda: build_quotient("0.123", 6),
@@ -42,7 +49,9 @@ VALUES = {
 }
 
 # Hashable as before: the others hold a monoid, a list or a dict.
-UNHASHABLE = {"QuotientAnalysis", "TameIsland", "VerificationReport"}
+UNHASHABLE = {
+    "FiniteCommutativeMonoid", "QuotientAnalysis", "TameIsland", "VerificationReport",
+}
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
@@ -74,6 +83,10 @@ def test_fields_cannot_be_assigned(name):
     ("GenusSymbol", "GenusSymbol(g_plus=1, exponents=(0, 3, 1))"),
     ("Presentation", "Presentation(generators=('x',), relations=(((3,), (1,)),))"),
     ("RewriteSystem", "RewriteSystem(generators=('x',), rules=(((3,), (1,)),))"),
+    ("FiniteCommutativeMonoid",
+     "FiniteCommutativeMonoid(names=('e', 'x', 'x2'), "
+     "table=((0, 1, 2), (1, 2, 1), (2, 1, 2)), generator_map={'x': 1}, "
+     "words=((0,), (1,), (2,)), generators=('x',))"),
     ("PretendingFunction", "PretendingFunction(values=(1, 2, 1, 2), claimed_period=(1, 2))"),
     ("OutcomePartition", "OutcomePartition(p_set=frozenset({0}), n_set=frozenset({1, 2}))"),
     ("Translate", "Translate(basis=0, pair=MovePair(lhs=1, rhs=2, source=(3, (1, 1))), start=1, end=2)"),
@@ -127,6 +140,11 @@ def test_constructors_still_check():
         PretendingFunction((1, 2, 1, 1), (1, 2))
     with pytest.raises(ValueError, match="P and N sets overlap"):
         OutcomePartition(frozenset({0, 1}), frozenset({1, 2}))
+    # A pickle rebuilds the monoid from its fields, so its table is checked
+    # again: here element 0 of the rebuilt table is no identity.
+    monoid, fields = VALUES["FiniteCommutativeMonoid"]().__reduce__()
+    with pytest.raises(ValueError, match="identity row/column"):
+        monoid(fields[0], ((1, 2, 1), (0, 1, 2), (2, 1, 2)), *fields[2:])
 
 
 def test_start_up_imports():
